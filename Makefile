@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race lint analyze fuzz resume-smoke worker-kill-smoke enospc-smoke ci bench bench-check
+.PHONY: build test vet race cpu-matrix lint analyze fuzz resume-smoke worker-kill-smoke enospc-smoke ci bench bench-check
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# GOMAXPROCS matrix: the packages whose behaviour depends on the engine's
+# worker pool must pass at 1, 2 and 8 CPUs, whatever the CI host has.
+cpu-matrix:
+	$(GO) test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 
 # Static checks: cvlint over the embedded rule library, gofmt, and vet.
 lint:
@@ -58,7 +63,7 @@ enospc-smoke:
 	./scripts/enospc_smoke.sh
 
 # The full gate: what CI runs on every change.
-ci: build lint analyze race resume-smoke worker-kill-smoke enospc-smoke fuzz
+ci: build lint analyze race cpu-matrix resume-smoke worker-kill-smoke enospc-smoke fuzz
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -6,15 +6,21 @@ package configvalidator
 // Parallelism 2 and 8, and through a cold and then warm parse cache, and
 // all five runs must render the same text, JSON, and JUnit bytes. A
 // seeded shuffle of the manifest entries then shows that report ordering
-// is a function of the manifest, not of goroutine scheduling.
+// is a function of the manifest, not of goroutine scheduling, and walk
+// faults show that a scan aborts at the same entry, having used up the
+// same faults, at every parallelism.
 
 import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"configvalidator/internal/cvl"
+	"configvalidator/internal/entity"
+	"configvalidator/internal/faults"
 	"configvalidator/internal/fixtures"
 	"configvalidator/internal/rules"
 )
@@ -176,6 +182,111 @@ func TestDeterminismManifestOrder(t *testing.T) {
 				t.Errorf("iter %d: entity %q out of shuffled-manifest order", iter, name)
 			}
 			last = idx
+		}
+	}
+}
+
+// accessCounter records the entity accesses one scan makes: every search
+// root that reached the entity's Walk, and how many files it read.
+type accessCounter struct {
+	Entity
+	mu     sync.Mutex
+	walked []string
+	reads  int
+}
+
+func (a *accessCounter) Walk(root string, fn func(entity.FileInfo) error) error {
+	a.mu.Lock()
+	a.walked = append(a.walked, root)
+	a.mu.Unlock()
+	return a.Entity.Walk(root, fn)
+}
+
+func (a *accessCounter) ReadFile(path string) ([]byte, error) {
+	a.mu.Lock()
+	a.reads++
+	a.mu.Unlock()
+	return a.Entity.ReadFile(path)
+}
+
+// TestWalkFaultParity pins error-abort and fault-use parity across
+// Parallelism 1, 2 and 8: a walk fault aborts the scan at the same manifest
+// entry with the same error, no later entry is walked, no file is read,
+// and the injector's budget is used up one fault per failed scan.
+func TestWalkFaultParity(t *testing.T) {
+	manifest, err := rules.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sshd sits mid-manifest and is the only entry searching /etc/ssh; the
+	// entries before it are walked (the fault hits sshd's root before the
+	// entity sees it), the entries after it are not.
+	var beforeSSHD []string
+	for _, e := range manifest.EnabledEntries() {
+		if e.Name == "sshd" {
+			break
+		}
+		beforeSSHD = append(beforeSSHD, e.ConfigSearchPaths...)
+	}
+	host, _ := fixtures.UbuntuHost("det-walk", fixtures.Profile{Seed: 5, MisconfigRate: 0.3})
+
+	cases := []struct {
+		name   string
+		rule   faults.Rule
+		scans  int
+		walked []string // roots the entity sees in a failed scan
+		errs   []string // per scan; "" for success
+	}{
+		{
+			name:  "every-entry-times-2",
+			rule:  faults.Rule{Op: faults.OpWalk, Times: 2, Msg: "layer store unreachable"},
+			scans: 3,
+			errs: []string{
+				"engine: entity apache: crawl /etc/apache2: layer store unreachable (at walk /etc/apache2)",
+				"engine: entity apache: crawl /etc/apache2: layer store unreachable (at walk /etc/apache2)",
+				"",
+			},
+		},
+		{
+			name:   "middle-entry",
+			rule:   faults.Rule{Op: faults.OpWalk, Path: "/etc/ssh", Msg: "layer store unreachable"},
+			scans:  1,
+			walked: beforeSSHD,
+			errs:   []string{"engine: entity sshd: crawl /etc/ssh: layer store unreachable (at walk /etc/ssh)"},
+		},
+	}
+	for _, tc := range cases {
+		for _, par := range []int{1, 2, 8} {
+			inj := faults.MustNew(tc.rule)
+			v, err := New(WithFaults(inj), WithParallelism(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var failed int64
+			for i := 0; i < tc.scans; i++ {
+				ent := &accessCounter{Entity: host}
+				_, err := v.Validate(ent)
+				got := ""
+				if err != nil {
+					got = err.Error()
+					failed++
+				}
+				if got != tc.errs[i] {
+					t.Errorf("%s par %d scan %d: error %q, want %q", tc.name, par, i, got, tc.errs[i])
+				}
+				if err == nil {
+					continue
+				}
+				if !slices.Equal(ent.walked, tc.walked) {
+					t.Errorf("%s par %d scan %d: walked %v, want %v", tc.name, par, i, ent.walked, tc.walked)
+				}
+				if ent.reads != 0 {
+					t.Errorf("%s par %d scan %d: aborted scan read %d files, want 0", tc.name, par, i, ent.reads)
+				}
+			}
+			if got := inj.Injected(); got != failed {
+				t.Errorf("%s par %d: injected %d faults over %d failed scans, want one each", tc.name, par, got, failed)
+			}
 		}
 	}
 }

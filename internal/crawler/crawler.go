@@ -69,9 +69,10 @@ func New(registry *lens.Registry, opts Options) *Crawler {
 func (c *Crawler) Registry() *lens.Registry { return c.registry }
 
 // CrawlPaths walks each search path on the entity and normalizes every
-// recognized configuration file. Missing search paths are skipped (an
-// entity without /etc/mysql simply has no MySQL configuration). Files are
-// returned sorted by path, deduplicated across overlapping search paths.
+// recognized configuration file: Discover followed by Load on each file.
+// Missing search paths are skipped (an entity without /etc/mysql simply
+// has no MySQL configuration). Files are returned sorted by path,
+// deduplicated across overlapping search paths.
 //
 // Failure granularity: a per-file problem (unreadable, oversized, or
 // unparseable content, including a panicking lens) degrades that one
@@ -80,6 +81,21 @@ func (c *Crawler) Registry() *lens.Registry { return c.registry }
 // with an error so the fleet's transient-retry policy can decide whether
 // to re-scan the whole entity.
 func (c *Crawler) CrawlPaths(e entity.Entity, searchPaths []string) ([]*FileConfig, error) {
+	configs, err := c.Discover(e, searchPaths)
+	if err != nil {
+		return nil, err
+	}
+	for _, fc := range configs {
+		c.Load(e, fc)
+	}
+	return configs, nil
+}
+
+// Discover is the walk half of CrawlPaths: it lists the recognized files
+// under the search paths as FileConfigs with Path, LensName and Info set
+// but nothing read, sorted by path and deduplicated. It touches only
+// entity metadata, and a Walk failure aborts it.
+func (c *Crawler) Discover(e entity.Entity, searchPaths []string) ([]*FileConfig, error) {
 	seen := make(map[string]bool)
 	var out []*FileConfig
 	for _, root := range searchPaths {
@@ -88,9 +104,10 @@ func (c *Crawler) CrawlPaths(e entity.Entity, searchPaths []string) ([]*FileConf
 				return nil
 			}
 			seen[fi.Path] = true
-			fc := c.crawlFile(e, fi)
-			if fc != nil {
-				out = append(out, fc)
+			if l, ok := c.registry.ForFile(fi.Path); ok {
+				out = append(out, &FileConfig{Path: fi.Path, LensName: l.Name(), Info: fi})
+			} else if c.opts.IncludeUnrecognized {
+				out = append(out, &FileConfig{Path: fi.Path, Info: fi})
 			}
 			return nil
 		})
@@ -105,60 +122,53 @@ func (c *Crawler) CrawlPaths(e entity.Entity, searchPaths []string) ([]*FileConf
 	return out, nil
 }
 
-func (c *Crawler) crawlFile(e entity.Entity, fi entity.FileInfo) *FileConfig {
-	l, ok := c.registry.ForFile(fi.Path)
+// Load is the read-and-parse half of CrawlPaths for one discovered file.
+// It never fails: an oversized, unreadable or unparseable file degrades to
+// fc.Err, and so does a panicking ReadFile or lens (a corrupt input hitting
+// a parser bug) instead of aborting the entity scan. Distinct files may
+// load concurrently.
+func (c *Crawler) Load(e entity.Entity, fc *FileConfig) {
+	l, ok := c.registry.ForFile(fc.Path)
 	if !ok {
-		if c.opts.IncludeUnrecognized {
-			return &FileConfig{Path: fi.Path, Info: fi}
-		}
-		return nil
+		return // kept by IncludeUnrecognized; nothing to parse
 	}
-	fc := &FileConfig{Path: fi.Path, LensName: l.Name(), Info: fi}
-	if fi.Size > c.opts.MaxFileSize {
-		fc.Err = fmt.Errorf("crawler: %s: file size %d exceeds limit %d", fi.Path, fi.Size, c.opts.MaxFileSize)
-		return fc
+	if fc.Info.Size > c.opts.MaxFileSize {
+		fc.Err = fmt.Errorf("crawler: %s: file size %d exceeds limit %d", fc.Path, fc.Info.Size, c.opts.MaxFileSize)
+		return
 	}
-	c.readAndParse(e, fi, l, fc)
-	return fc
-}
-
-// readAndParse fills fc from the entity. It is isolated per file: a
-// panicking ReadFile or lens — a corrupt input hitting a parser bug —
-// degrades this one file (fc.Err) instead of aborting the entity scan.
-func (c *Crawler) readAndParse(e entity.Entity, fi entity.FileInfo, l lens.Lens, fc *FileConfig) {
 	defer func() {
 		if r := recover(); r != nil {
 			fc.Result = nil
-			fc.Err = fmt.Errorf("crawler: %s: read/parse panicked: %v", fi.Path, r)
+			fc.Err = fmt.Errorf("crawler: %s: read/parse panicked: %v", fc.Path, r)
 		}
 	}()
-	content, err := e.ReadFile(fi.Path)
+	content, err := e.ReadFile(fc.Path)
 	if err != nil {
-		fc.Err = fmt.Errorf("crawler: read %s: %w", fi.Path, err)
+		fc.Err = fmt.Errorf("crawler: read %s: %w", fc.Path, err)
 		return
 	}
 	// Fault injection is consulted before the cache so chaos drills hit
 	// the same injection points whether or not a scan runs cache-warm.
-	if err := c.opts.Faults.Check(faults.OpParse, fi.Path); err != nil {
-		fc.Err = fmt.Errorf("crawler: parse %s: %w", fi.Path, err)
+	if err := c.opts.Faults.Check(faults.OpParse, fc.Path); err != nil {
+		fc.Err = fmt.Errorf("crawler: parse %s: %w", fc.Path, err)
 		return
 	}
 	if c.opts.Cache != nil {
 		sum := sha256.Sum256(content)
-		if res, ok := c.opts.Cache.get(l.Name(), fi.Path, sum); ok {
+		if res, ok := c.opts.Cache.get(l.Name(), fc.Path, sum); ok {
 			fc.Result = res
 			return
 		}
-		res, err := l.Parse(fi.Path, content)
+		res, err := l.Parse(fc.Path, content)
 		if err != nil {
 			fc.Err = err
 			return
 		}
-		c.opts.Cache.put(l.Name(), fi.Path, sum, res)
+		c.opts.Cache.put(l.Name(), fc.Path, sum, res)
 		fc.Result = res
 		return
 	}
-	res, err := l.Parse(fi.Path, content)
+	res, err := l.Parse(fc.Path, content)
 	if err != nil {
 		fc.Err = err
 		return

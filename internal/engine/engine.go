@@ -22,12 +22,16 @@ import (
 // Options tune engine execution.
 type Options struct {
 	// Parallelism bounds the worker pool used inside one entity
-	// validation: manifest entries resolve and crawl concurrently, and
+	// validation: rule files resolve, discovered files load, and
 	// independent non-composite rules evaluate concurrently. 0 (the
-	// default) uses runtime.GOMAXPROCS(0); 1 runs the serial path with
-	// no pool at all. Reports are identical at every setting — results
-	// are gathered into manifest order and composite rules still
-	// evaluate last, serially — only wall-clock time changes.
+	// default) uses runtime.GOMAXPROCS(0); 1 runs the same path with the
+	// pool inline on the caller's goroutine. The search-path walk always
+	// runs on the caller's goroutine in manifest order and stops at the
+	// first resolve or walk error, so a scan aborts at the same entry,
+	// having walked the same roots and read no file, at every setting.
+	// Reports are identical at every setting — results land in slots
+	// fixed by manifest position and composite rules evaluate last,
+	// serially — only wall-clock time changes.
 	//
 	// Entities validated with Parallelism > 1 must tolerate concurrent
 	// reads (every built-in entity backend does: they are immutable
@@ -101,14 +105,10 @@ type RuleSource interface {
 	Resolve(path string) ([]*cvl.Rule, error)
 }
 
-// readerSource adapts a FileReader into a RuleSource without caching.
-type readerSource struct {
-	read cvl.FileReader
-}
+// ruleList is a RuleSource that hands every entry the same fixed rules.
+type ruleList []*cvl.Rule
 
-func (s readerSource) Resolve(path string) ([]*cvl.Rule, error) {
-	return cvl.ResolveRules(s.read, path)
-}
+func (l ruleList) Resolve(string) ([]*cvl.Rule, error) { return l, nil }
 
 // CachedSource memoizes rule-file resolution — the production
 // configuration for fleet scans, where the same rule library applies to
@@ -158,214 +158,161 @@ func (s *CachedSource) Resolve(path string) ([]*cvl.Rule, error) {
 }
 
 // Validate runs every enabled manifest entry against the entity and returns
-// the report. Rule files are resolved through read (with inheritance).
-// Composite rules are evaluated last, over the per-entity outcomes.
-func (e *Engine) Validate(ent entity.Entity, manifest *cvl.Manifest, read cvl.FileReader) (*Report, error) {
-	return e.ValidateWithSource(ent, manifest, readerSource{read: read})
+// the report. Rule files resolve through src (typically a CachedSource
+// shared across a fleet scan). Composite rules are evaluated last, over the
+// per-entity outcomes.
+func (e *Engine) Validate(ent entity.Entity, manifest *cvl.Manifest, src RuleSource) (*Report, error) {
+	return e.validate(ent, manifest.EnabledEntries(), src, true)
 }
 
-// ValidateWithSource is Validate with a caller-controlled rule source
-// (typically a CachedSource shared across a fleet scan).
+// ValidateRules applies a flat rule list to an entity using the given
+// search paths — the single-entity path used by examples, tests, and the
+// benchmark harness. The list runs as one synthetic "default" entry with
+// no manifest, so a composite rule yields StatusError in place.
+func (e *Engine) ValidateRules(ent entity.Entity, rules []*cvl.Rule, searchPaths []string) (*Report, error) {
+	entry := &cvl.ManifestEntry{Name: "default", Enabled: true, ConfigSearchPaths: searchPaths}
+	return e.validate(ent, []*cvl.ManifestEntry{entry}, ruleList(rules), false)
+}
+
+// validate is the one evaluation path. Each phase either runs on the
+// worker pool, writing only slots fixed by manifest position, or runs on
+// the caller's goroutine in manifest order, so the report — and the point
+// where an error aborts the scan — is the same at every parallelism:
 //
-// With Options.Parallelism > 1 the manifest entries are prepared (rule
-// resolution + crawl) and their non-composite rules evaluated on a bounded
-// worker pool; every result lands in a slot fixed by its manifest position,
-// so the assembled report is identical to a serial run regardless of
-// scheduling. Composite rules always run last, serially, in manifest order.
-func (e *Engine) ValidateWithSource(ent entity.Entity, manifest *cvl.Manifest, src RuleSource) (*Report, error) {
-	entries := manifest.EnabledEntries()
-	if par := e.parallelism(); par > 1 && len(entries) > 0 {
-		return e.validateParallel(ent, entries, src, par)
-	}
-
-	report := &Report{EntityName: ent.Name(), EntityType: ent.Type().String()}
-	runs := make(map[string]*entityRun)
-	var order []string
-	type deferredComposite struct {
-		entry *cvl.ManifestEntry
-		rule  *cvl.Rule
-	}
-	var composites []deferredComposite
-
-	for _, entry := range entries {
-		run, err := e.prepareRun(ent, entry, src)
-		if err != nil {
-			return nil, fmt.Errorf("engine: entity %s: %w", entry.Name, err)
-		}
-		runs[entry.Name] = run
-		order = append(order, entry.Name)
-
-		for _, rule := range run.rules {
-			if rule.Type == cvl.TypeComposite {
-				composites = append(composites, deferredComposite{entry: entry, rule: rule})
-				continue
-			}
-			res := e.safeEvalRule(ent, entry, rule, run.configs, run.verdicts)
-			run.results = append(run.results, res)
-		}
-	}
-
-	resolver := &runResolver{runs: runs}
-	for _, dc := range composites {
-		res := e.safeEvalComposite(ent, dc.entry, dc.rule, resolver)
-		runs[dc.entry.Name].results = append(runs[dc.entry.Name].results, res)
-	}
-
-	for _, name := range order {
-		report.Results = append(report.Results, runs[name].results...)
-	}
-	return report, nil
-}
-
-// prepareRun resolves, filters, and crawls one manifest entry, seeding the
-// run's results with degraded findings for configuration files that could
-// not be read or parsed: the scan continues, but those files' checks
-// cannot be trusted on this pass.
-func (e *Engine) prepareRun(ent entity.Entity, entry *cvl.ManifestEntry, src RuleSource) (*entityRun, error) {
-	rules, err := src.Resolve(entry.CVLFile)
-	if err != nil {
-		return nil, err
-	}
-	rules = cvl.FilterByTags(rules, entry.Tags)
-	rules = cvl.FilterByEntityType(rules, ent.Type().String())
-	configs, err := e.crawler.CrawlPaths(ent, entry.ConfigSearchPaths)
-	if err != nil {
-		return nil, err
-	}
-	run := &entityRun{entry: entry, rules: rules, configs: configs}
-	if e.memo != nil {
-		run.verdicts = e.memo.forSig(configSig(configs))
-	}
-	for _, fc := range configs {
-		if fc.Err != nil {
-			run.results = append(run.results, &Result{
-				EntityName:     ent.Name(),
-				ManifestEntity: entry.Name,
-				Status:         StatusDegraded,
-				Message:        fc.Err.Error(),
-				File:           fc.Path,
-			})
-		}
-	}
-	return run, nil
-}
-
-// validateParallel is the Parallelism > 1 execution of ValidateWithSource.
-func (e *Engine) validateParallel(ent entity.Entity, entries []*cvl.ManifestEntry, src RuleSource, par int) (*Report, error) {
-	report := &Report{EntityName: ent.Name(), EntityType: ent.Type().String()}
-	runs := make([]*entityRun, len(entries))
+//  1. resolve every entry's rules concurrently (reads only the library);
+//  2. walk each entry's search paths in manifest order, stopping at the
+//     first resolve or walk error before any file is read;
+//  3. read and parse every discovered file concurrently;
+//  4. evaluate the non-composite rules concurrently;
+//  5. evaluate composites last, serially, so a later composite observes
+//     an earlier one's outcome.
+//
+// Without a manifest there are no other entities for a composite to
+// refer to, so composites evaluate in place (to StatusError) instead.
+func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src RuleSource, manifest bool) (*Report, error) {
+	par := e.parallelism()
+	typ := ent.Type().String()
+	runs := make([]entityRun, len(entries))
 	errs := make([]error, len(entries))
+	mustRun(par, len(entries), func(i int) {
+		run := &runs[i]
+		run.entry = entries[i]
+		run.rules, errs[i] = src.Resolve(run.entry.CVLFile)
+		run.rules = cvl.FilterByEntityType(cvl.FilterByTags(run.rules, run.entry.Tags), typ)
+	})
 
-	// Phase 1: resolve rules and crawl configuration for every entry
-	// concurrently. Each worker writes only its own slot.
-	if pv := runParallel(par, len(entries), func(i int) {
-		runs[i], errs[i] = e.prepareRun(ent, entries[i], src)
-	}); pv != nil {
-		panic(pv)
-	}
-	for i, err := range errs {
-		// Earliest-entry error wins, matching the serial abort order.
-		if err != nil {
-			return nil, fmt.Errorf("engine: entity %s: %w", entries[i].Name, err)
+	var files []*crawler.FileConfig
+	for i := range runs {
+		run := &runs[i]
+		err := errs[i]
+		if err == nil {
+			run.configs, err = e.crawler.Discover(ent, run.entry.ConfigSearchPaths)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("engine: entity %s: %w", run.entry.Name, err)
+		}
+		files = append(files, run.configs...)
 	}
+	mustRun(par, len(files), func(i int) { e.crawler.Load(ent, files[i]) })
 
-	// Phase 2: evaluate independent non-composite rules concurrently.
-	// Each run's result slice is pre-sized so every rule writes the slot
-	// its manifest position dictates — the gather is order-free.
 	type evalTask struct {
 		run  *entityRun
 		slot int
 		rule *cvl.Rule
 	}
-	type compositeRef struct {
-		run  *entityRun
-		rule *cvl.Rule
-	}
-	var tasks []evalTask
-	var composites []compositeRef
-	for _, run := range runs {
-		nonComposite := 0
-		for _, rule := range run.rules {
-			if rule.Type != cvl.TypeComposite {
-				nonComposite++
+	var tasks, composites []evalTask
+	for i := range runs {
+		run := &runs[i]
+		if e.memo != nil {
+			run.verdicts = e.memo.forSig(configSig(run.configs))
+		}
+		run.results = make([]*Result, 0, len(run.configs)+len(run.rules))
+		// Files that could not be read or parsed seed degraded findings:
+		// the scan continues, but their checks cannot be trusted this pass.
+		for _, fc := range run.configs {
+			if fc.Err != nil {
+				run.results = append(run.results, &Result{
+					EntityName:     ent.Name(),
+					ManifestEntity: run.entry.Name,
+					Status:         StatusDegraded,
+					Message:        fc.Err.Error(),
+					File:           fc.Path,
+				})
 			}
 		}
-		slot := len(run.results)
-		run.results = append(run.results, make([]*Result, nonComposite)...)
 		for _, rule := range run.rules {
-			if rule.Type == cvl.TypeComposite {
-				composites = append(composites, compositeRef{run: run, rule: rule})
+			if manifest && rule.Type == cvl.TypeComposite {
+				composites = append(composites, evalTask{run: run, rule: rule})
 				continue
 			}
-			tasks = append(tasks, evalTask{run: run, slot: slot, rule: rule})
-			slot++
+			tasks = append(tasks, evalTask{run: run, slot: len(run.results), rule: rule})
+			run.results = append(run.results, nil)
 		}
 	}
-	if pv := runParallel(par, len(tasks), func(i int) {
+	mustRun(par, len(tasks), func(i int) {
 		t := tasks[i]
 		t.run.results[t.slot] = e.safeEvalRule(ent, t.run.entry, t.rule, t.run.configs, t.run.verdicts)
-	}); pv != nil {
-		panic(pv)
+	})
+
+	if len(composites) > 0 {
+		resolver := &runResolver{runs: make(map[string]*entityRun, len(runs))}
+		for i := range runs {
+			resolver.runs[runs[i].entry.Name] = &runs[i]
+		}
+		for _, c := range composites {
+			c.run.results = append(c.run.results, e.safeEvalComposite(ent, c.run.entry, c.rule, resolver))
+		}
 	}
 
-	// Phase 3: composites last, serially, in manifest order — matching
-	// the serial path, and letting a later composite observe an earlier
-	// composite's outcome exactly as it would serially.
-	byName := make(map[string]*entityRun, len(runs))
-	for _, run := range runs {
-		byName[run.entry.Name] = run
-	}
-	resolver := &runResolver{runs: byName}
-	for _, c := range composites {
-		c.run.results = append(c.run.results, e.safeEvalComposite(ent, c.run.entry, c.rule, resolver))
-	}
-
-	for _, run := range runs {
-		report.Results = append(report.Results, run.results...)
+	report := &Report{EntityName: ent.Name(), EntityType: typ}
+	for i := range runs {
+		report.Results = append(report.Results, runs[i].results...)
 	}
 	return report, nil
 }
 
+// mustRun is runParallel for phases whose tasks do their own panic
+// isolation: a panic that escapes a task is a caller bug or an entity
+// backend failure, and it is re-raised on the caller's goroutine.
+func mustRun(par, n int, task func(i int)) {
+	if pv := runParallel(par, n, task); pv != nil {
+		panic(pv)
+	}
+}
+
 // runParallel executes task(0..n-1) on min(par, n) workers pulling indices
-// from a shared counter. A panicking task is recovered and remembered; the
+// from a shared counter; with par <= 1 it runs them in order on the
+// caller's goroutine. A panicking task is recovered and remembered; the
 // pool drains fully and the panic value of the lowest task index is
 // returned for the caller to re-panic, so panic propagation is
 // deterministic and never leaks a goroutine mid-flight.
 func runParallel(par, n int, task func(i int)) (panicVal any) {
-	if n == 0 {
-		return nil
-	}
-	if par > n {
-		par = n
+	if par <= 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			if r := protect(task, i); r != nil && panicVal == nil {
+				panicVal = r
+			}
+		}
+		return panicVal
 	}
 	var (
-		next     int64
+		next     atomic.Int64
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		panicIdx = -1
 	)
-	for w := 0; w < par; w++ {
+	for w := 0; w < min(par, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if r := protect(task, i); r != nil {
+					mu.Lock()
+					if panicIdx < 0 || i < panicIdx {
+						panicIdx, panicVal = i, r
+					}
+					mu.Unlock()
 				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							if panicIdx < 0 || i < panicIdx {
-								panicIdx, panicVal = i, r
-							}
-							mu.Unlock()
-						}
-					}()
-					task(i)
-				}()
 			}
 		}()
 	}
@@ -373,39 +320,11 @@ func runParallel(par, n int, task func(i int)) (panicVal any) {
 	return panicVal
 }
 
-// ValidateRules applies a flat rule list to an entity using the given
-// search paths — the single-entity path used by examples, tests, and the
-// benchmark harness (no manifest, no composites).
-func (e *Engine) ValidateRules(ent entity.Entity, rules []*cvl.Rule, searchPaths []string) (*Report, error) {
-	entry := &cvl.ManifestEntry{Name: "default", Enabled: true, ConfigSearchPaths: searchPaths}
-	configs, err := e.crawler.CrawlPaths(ent, searchPaths)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	report := &Report{EntityName: ent.Name(), EntityType: ent.Type().String()}
-	for _, fc := range configs {
-		if fc.Err != nil {
-			report.Results = append(report.Results, &Result{
-				EntityName:     ent.Name(),
-				ManifestEntity: entry.Name,
-				Status:         StatusDegraded,
-				Message:        fc.Err.Error(),
-				File:           fc.Path,
-			})
-		}
-	}
-	var verdicts *sigVerdicts
-	if e.memo != nil {
-		verdicts = e.memo.forSig(configSig(configs))
-	}
-	for _, rule := range cvl.FilterByEntityType(rules, ent.Type().String()) {
-		if rule.Type == cvl.TypeComposite {
-			report.Results = append(report.Results, e.errorResult(ent, entry, rule, errors.New("composite rules require a manifest context")))
-			continue
-		}
-		report.Results = append(report.Results, e.safeEvalRule(ent, entry, rule, configs, verdicts))
-	}
-	return report, nil
+// protect runs task(i) and returns the value it panicked with, or nil.
+func protect(task func(i int), i int) (panicVal any) {
+	defer func() { panicVal = recover() }()
+	task(i)
+	return nil
 }
 
 // safeEvalRule evaluates one rule with per-rule fault injection and panic
@@ -427,21 +346,8 @@ func (e *Engine) safeEvalRule(ent entity.Entity, entry *cvl.ManifestEntry, rule 
 			return e.degradedResult(ent, entry, rule, err)
 		}
 	}
-	if verdicts != nil && memoizable(rule) {
-		if v, ok := verdicts.get(rule); ok {
-			return &Result{
-				EntityName:     ent.Name(),
-				ManifestEntity: entry.Name,
-				Rule:           rule,
-				Status:         v.status,
-				Message:        v.message,
-				Detail:         v.detail,
-				File:           v.file,
-			}
-		}
-		res := e.evalRule(ent, entry, rule, configs)
-		verdicts.put(rule, verdict{status: res.Status, message: res.Message, detail: res.Detail, file: res.File})
-		return res
+	if memoizable(rule) {
+		return verdicts.eval(ent, entry, rule, func() *Result { return e.evalRule(ent, entry, rule, configs) })
 	}
 	return e.evalRule(ent, entry, rule, configs)
 }
@@ -471,6 +377,9 @@ func (e *Engine) evalRule(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl
 		return e.evalPath(ent, entry, rule, configs)
 	case cvl.TypeScript:
 		return e.evalScript(ent, entry, rule)
+	case cvl.TypeComposite:
+		// Only a flat rule list gets here: manifest runs defer composites.
+		return e.errorResult(ent, entry, rule, errors.New("composite rules require a manifest context"))
 	default:
 		return e.errorResult(ent, entry, rule, fmt.Errorf("unsupported rule type %v", rule.Type))
 	}
@@ -797,24 +706,11 @@ func (e *Engine) evalScript(ent entity.Entity, entry *cvl.ManifestEntry, rule *c
 	// The verdict on a feature output is entity-independent — memoize it
 	// so fleets whose entities answer a feature identically judge that
 	// answer once.
+	var verdicts *sigVerdicts
 	if e.memo != nil {
-		sv := e.memo.forSig(scriptSig(output))
-		if v, ok := sv.get(rule); ok {
-			return &Result{
-				EntityName:     ent.Name(),
-				ManifestEntity: entry.Name,
-				Rule:           rule,
-				Status:         v.status,
-				Message:        v.message,
-				Detail:         v.detail,
-				File:           v.file,
-			}
-		}
-		res := e.evalScriptOutput(ent, entry, rule, output)
-		sv.put(rule, verdict{status: res.Status, message: res.Message, detail: res.Detail, file: res.File})
-		return res
+		verdicts = e.memo.forSig(scriptSig(output))
 	}
-	return e.evalScriptOutput(ent, entry, rule, output)
+	return verdicts.eval(ent, entry, rule, func() *Result { return e.evalScriptOutput(ent, entry, rule, output) })
 }
 
 // evalScriptOutput judges one feature output against the rule's matchers.

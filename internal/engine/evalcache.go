@@ -7,16 +7,17 @@ import (
 
 	"configvalidator/internal/crawler"
 	"configvalidator/internal/cvl"
+	"configvalidator/internal/entity"
 )
 
 // The evaluation memo extends content-addressing from parsing to verdicts:
 // tree and schema rules are pure functions of (rule, normalized configs),
 // so when the parse cache makes two entities' configs literally the same
 // Results, the rule outcome is provably identical and the evaluation can
-// be skipped. Path and script rules read entity state (file metadata,
-// runtime features) that the config signature does not capture, and
-// composites read other rules' per-entity outcomes; none of those are
-// memoized.
+// be skipped. Script rules are memoized too, but keyed by the feature
+// output they judged (scriptSig) rather than by the config signature. Path
+// rules read file metadata that no signature captures, and composites read
+// other rules' per-entity outcomes; neither is memoized.
 //
 // Only worth enabling together with a crawler.ParseCache — without one,
 // every scan allocates fresh Results, no signature ever repeats, and the
@@ -79,11 +80,30 @@ func (c *evalMemo) forSig(sig string) *sigVerdicts {
 	return sv
 }
 
-func (s *sigVerdicts) get(rule *cvl.Rule) (verdict, bool) {
+// eval returns rule's memoized verdict stamped with this entity and entry,
+// or evaluates it with fn and memoizes the outcome. A nil table (memo off)
+// just calls fn.
+func (s *sigVerdicts) eval(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, fn func() *Result) *Result {
+	if s == nil {
+		return fn()
+	}
 	s.mu.RLock()
 	v, ok := s.m[rule]
 	s.mu.RUnlock()
-	return v, ok
+	if ok {
+		return &Result{
+			EntityName:     ent.Name(),
+			ManifestEntity: entry.Name,
+			Rule:           rule,
+			Status:         v.status,
+			Message:        v.message,
+			Detail:         v.detail,
+			File:           v.file,
+		}
+	}
+	res := fn()
+	s.put(rule, verdict{status: res.Status, message: res.Message, detail: res.Detail, file: res.File})
+	return res
 }
 
 func (s *sigVerdicts) put(rule *cvl.Rule, v verdict) {

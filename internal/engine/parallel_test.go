@@ -44,13 +44,13 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 		stackEntity(true, "0", "/etc/mysql/cacert.pem"), // all legs pass
 		stackEntity(false, "1", "/tmp/nope"),            // all legs fail
 	} {
-		serialRep, err := NewWithOptions(nil, Options{Parallelism: 1}).Validate(ent, manifest, read)
+		serialRep, err := NewWithOptions(nil, Options{Parallelism: 1}).Validate(ent, manifest, NewCachedSource(read))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := resultKeys(serialRep)
 		for _, par := range []int{2, 8} {
-			rep, err := NewWithOptions(nil, Options{Parallelism: par}).Validate(ent, manifest, read)
+			rep, err := NewWithOptions(nil, Options{Parallelism: par}).Validate(ent, manifest, NewCachedSource(read))
 			if err != nil {
 				t.Fatalf("parallelism %d: %v", par, err)
 			}
@@ -65,29 +65,32 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 
 // TestRunParallelPanicDeterminism pins the pool's panic contract: every
 // task still runs, and the surviving panic value is the one from the
-// lowest task index, independent of scheduling.
+// lowest task index, independent of scheduling — including par = 1, where
+// the tasks run inline on the caller's goroutine.
 func TestRunParallelPanicDeterminism(t *testing.T) {
-	var executed atomic.Int64
-	pv := runParallel(4, 16, func(i int) {
-		executed.Add(1)
-		if i == 11 || i == 3 || i == 7 {
-			panic(i)
+	for _, par := range []int{1, 4} {
+		var executed atomic.Int64
+		pv := runParallel(par, 16, func(i int) {
+			executed.Add(1)
+			if i == 11 || i == 3 || i == 7 {
+				panic(i)
+			}
+		})
+		if got := executed.Load(); got != 16 {
+			t.Errorf("par %d: executed %d tasks, want 16 (pool must drain past panics)", par, got)
 		}
-	})
-	if got := executed.Load(); got != 16 {
-		t.Errorf("executed %d tasks, want 16 (pool must drain past panics)", got)
-	}
-	if pv != 3 {
-		t.Errorf("surviving panic value = %v, want 3 (lowest index)", pv)
-	}
-	if pv := runParallel(3, 5, func(int) {}); pv != nil {
-		t.Errorf("panic value = %v for panic-free run, want nil", pv)
+		if pv != 3 {
+			t.Errorf("par %d: surviving panic value = %v, want 3 (lowest index)", par, pv)
+		}
+		if pv := runParallel(par, 5, func(int) {}); pv != nil {
+			t.Errorf("par %d: panic value = %v for panic-free run, want nil", par, pv)
+		}
 	}
 }
 
 // panicWalkEntity panics during entity access — the failure mode of a
-// corrupted backend — to prove worker panics in the prepare phase
-// propagate to the caller (where the fleet layer converts them).
+// corrupted backend — to prove a panic in the walk phase propagates to
+// the caller (where the fleet layer converts it).
 type panicWalkEntity struct {
 	*entity.Mem
 }
@@ -112,7 +115,7 @@ func TestParallelPrepPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want the original panic value", r)
 		}
 	}()
-	_, _ = NewWithOptions(nil, Options{Parallelism: 4}).Validate(ent, manifest, read)
+	_, _ = NewWithOptions(nil, Options{Parallelism: 4}).Validate(ent, manifest, NewCachedSource(read))
 }
 
 // TestCachedSourceDefensiveCopy pins the aliasing fix: callers may append

@@ -406,33 +406,49 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	_ = bad.Body.Close()
 
-	m, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = m.Body.Close() }()
-	if m.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status = %s", m.Status)
-	}
-	if ct := m.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type = %q", ct)
-	}
-	text, _ := io.ReadAll(m.Body)
-	body := string(text)
-	for _, want := range []string{
+	wants := []string{
 		"configvalidator_scans_total 1",
 		`configvalidator_http_requests_total{route="POST /v1/validate/frame",code="200"} 1`,
 		`configvalidator_http_requests_total{route="POST /v1/validate/frame",code="400"} 1`,
 		"configvalidator_scan_duration_seconds_count 1",
-	} {
+		// Latency histogram recorded something.
+		`configvalidator_scan_duration_seconds_bucket{le="+Inf"} 1`,
+	}
+	// The server records a request after its response is written, so the
+	// client can get here first: poll until every counter shows up.
+	var body string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		m, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, _ := io.ReadAll(m.Body)
+		_ = m.Body.Close()
+		if m.StatusCode != http.StatusOK {
+			t.Fatalf("metrics status = %s", m.Status)
+		}
+		if ct := m.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("content type = %q", ct)
+		}
+		body = string(text)
+		if containsAll(body, wants) || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, want := range wants {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
 	}
-	// Latency histogram recorded something.
-	if !strings.Contains(body, `configvalidator_scan_duration_seconds_bucket{le="+Inf"} 1`) {
-		t.Errorf("scan latency histogram empty:\n%s", body)
+}
+
+func containsAll(s string, subs []string) bool {
+	for _, sub := range subs {
+		if !strings.Contains(s, sub) {
+			return false
+		}
 	}
+	return true
 }
 
 // TestFrameRoundTripThroughService is the end-to-end touchless story:

@@ -28,6 +28,10 @@ fi
 go vet ./...
 go test -race ./...
 
+# GOMAXPROCS matrix: the packages whose behaviour depends on the engine's
+# worker pool must pass at 1, 2 and 8 CPUs, whatever the CI host has.
+go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
+
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.
 ./scripts/resume_smoke.sh

@@ -325,7 +325,7 @@ func (v *Validator) Validate(e Entity) (*Report, error) {
 	start := time.Now()
 	v.telemetry.ScanStarted()
 	defer v.telemetry.ScanEnded()
-	rep, err := v.engine.ValidateWithSource(faults.Wrap(e, v.faults), v.manifest, v.source)
+	rep, err := v.engine.Validate(faults.Wrap(e, v.faults), v.manifest, v.source)
 	v.record(start, rep, err)
 	return rep, err
 }
@@ -343,7 +343,7 @@ func (v *Validator) ValidateTarget(e Entity, target string) (*Report, error) {
 		return nil, err
 	}
 	sub := &cvl.Manifest{Entries: []*cvl.ManifestEntry{entry}}
-	rep, err := v.engine.ValidateWithSource(faults.Wrap(e, v.faults), sub, v.source)
+	rep, err := v.engine.Validate(faults.Wrap(e, v.faults), sub, v.source)
 	v.record(start, rep, err)
 	return rep, err
 }
