@@ -43,13 +43,14 @@ analyze:
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run FuzzDecode ./internal/yaml/
 	$(GO) test -fuzz FuzzSSHDParse -fuzztime $(FUZZTIME) -run FuzzSSHDParse ./internal/lens/
+	$(GO) test -fuzz FuzzFramesRead -fuzztime $(FUZZTIME) -run FuzzFramesRead ./internal/frames/
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.
 resume-smoke:
 	./scripts/resume_smoke.sh
 
-# Worker-kill smoke: SIGKILL a cvworker process mid-shard during a
+# Worker-kill smoke: SIGKILL a worker cvserver mid-shard during a
 # distributed coordinate run and require the merged summary to match an
 # in-process run's byte-for-byte.
 worker-kill-smoke:

@@ -66,7 +66,7 @@ func baselineSummary(t *testing.T, n int) string {
 	return sum.String()
 }
 
-// drillWorker starts a cvworker-shaped server: shard scanning with a
+// drillWorker starts a worker-shaped cvserver: shard scanning with a
 // journal segment directory and an artificial per-entity delay so drills
 // can land faults mid-shard deterministically.
 func drillWorker(t *testing.T, delay time.Duration) (*httptest.Server, string) {
@@ -345,7 +345,7 @@ func TestChaosDistributedPartitionTornTail(t *testing.T) {
 }
 
 // drillWorkerFaulted starts a worker whose validator carries a fault
-// injector — exactly what cvworker does when CV_FAULTS is set — and
+// injector — exactly what cvserver does when CV_FAULTS is set — and
 // returns its telemetry collector for worker-side assertions.
 func drillWorkerFaulted(t *testing.T, inj *configvalidator.FaultInjector, delay time.Duration) (*httptest.Server, *configvalidator.Collector) {
 	t.Helper()
@@ -434,7 +434,7 @@ func TestChaosDistributedSegmentENOSPC(t *testing.T) {
 	if wsnap.JournalAppendErrors == 0 {
 		t.Error("worker counted no segment append errors; fault never fired")
 	}
-	if !wsnap.JournalDegraded {
+	if wsnap.JournalDegraded != 1 {
 		t.Error("worker journal_degraded gauge not set")
 	}
 }

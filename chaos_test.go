@@ -621,7 +621,7 @@ func TestChaosDrillENOSPCByteIdentical(t *testing.T) {
 	if snap.JournalAppendErrors != chaosFleetSize {
 		t.Errorf("journal_append_errors_total = %d, want %d", snap.JournalAppendErrors, chaosFleetSize)
 	}
-	if !snap.JournalDegraded {
+	if snap.JournalDegraded != 1 {
 		t.Error("journal_degraded gauge not set")
 	}
 	if err := j1.Close(); err != nil {
@@ -719,7 +719,7 @@ func TestChaosDrillENOSPCMidRunRecovery(t *testing.T) {
 	if snap.JournalReprobes == 0 {
 		t.Error("recovery happened but no re-probe was recorded")
 	}
-	if snap.JournalDegraded {
+	if snap.JournalDegraded != 0 {
 		t.Error("journal_degraded gauge still set after recovery")
 	}
 	appends := j.Stats().Appends

@@ -21,12 +21,31 @@
 // Setting CV_FAULTS arms deterministic fault injection in the validation
 // pipeline (chaos drills); see docs/OPERATIONS.md.
 //
+// Every cvserver is also a shard-scan worker for distributed fleet
+// validation: a coordinator ships shards of configuration frames to POST
+// /v1/shard/scan, and the server scans them through the ordinary fleet
+// pipeline, streaming back heartbeats and per-entity results under the
+// coordinator's lease. The stream is exempt from the server's write
+// timeout; the lease watchdog bounds it instead.
+//
+//	cvserver -addr :9101 -journal-dir /var/lib/cv/segments
+//
+// With -journal-dir set, each shard writes a durable journal segment; a
+// shard re-leased to this worker after a lease revocation replays the
+// results it already completed instead of re-scanning them. The segment
+// files carry an exclusive flock, so a re-lease that races a still-dying
+// previous request gets HTTP 409 and the coordinator retries.
+// -shard-workers bounds the concurrent entity scans per shard, and
+// -scan-delay paces them for chaos drills and CI smokes.
+//
 // With -coordinate, cvserver runs a distributed fleet validation instead
 // of serving HTTP: it generates (or reads) a fleet of entities, shards
-// them across the cvworker processes named by -workers under lease-based
-// fault tolerance, and prints the merged fleet summary. An empty -workers
-// list scans the same fleet in-process — the baseline the worker-kill CI
-// smoke compares the distributed summary digest against:
+// them across the worker cvservers named by -workers under lease-based
+// fault tolerance, and prints the merged fleet summary. -journal is the
+// coordinator's own result journal, separate from a worker's
+// -journal-dir. An empty -workers list scans the same fleet in-process —
+// the baseline the worker-kill CI smoke compares the distributed summary
+// digest against:
 //
 //	cvserver -coordinate -fleet 24                                # local baseline
 //	cvserver -coordinate -fleet 24 -workers http://h1:9101,http://h2:9101
@@ -65,16 +84,19 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("cvserver", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	maxUpload := fs.Int64("max-upload", server.MaxFrameBytes, "largest accepted frame/tar body in bytes (oversized uploads get HTTP 413)")
-	maxInFlight := fs.Int("max-inflight", 0, "concurrent validation requests admitted (0 = default)")
-	maxQueue := fs.Int("queue", 0, "validation requests allowed to wait for a slot (0 = default)")
+	maxInFlight := fs.Int("max-inflight", 0, "concurrent validation and shard requests admitted (0 = default)")
+	maxQueue := fs.Int("queue", 0, "validation and shard requests allowed to wait for a slot (0 = default)")
 	queueWait := fs.Duration("queue-wait", 0, "longest a queued validation request waits before shedding (0 = default)")
 	validateTimeout := fs.Duration("validate-timeout", 0, "per-request validation timeout (0 = default)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive server-side failures that open the circuit breaker (0 = default)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long the breaker stays open before probing (0 = default)")
 	parallelism := fs.Int("parallelism", 0, "intra-entity evaluation parallelism (0 = GOMAXPROCS, 1 = serial)")
 	parseCacheSize := fs.Int("parse-cache", configvalidator.DefaultParseCacheSize, "content-addressed parse cache capacity in files (0 = disabled)")
+	journalDir := fs.String("journal-dir", "", "directory for per-shard journal segments when serving as a worker (empty disables worker-side resume)")
+	shardWorkers := fs.Int("shard-workers", 0, "concurrent entity scans per shard (0 = GOMAXPROCS)")
+	scanDelay := fs.Duration("scan-delay", 0, "artificial per-entity shard delay, for chaos drills and CI smokes only")
 	coordinate := fs.Bool("coordinate", false, "run a coordinated fleet validation instead of serving HTTP")
-	workers := fs.String("workers", "", "comma-separated cvworker base URLs for -coordinate (empty = scan in-process)")
+	workers := fs.String("workers", "", "comma-separated worker cvserver base URLs for -coordinate (empty = scan in-process)")
 	fleetSize := fs.Int("fleet", 16, "number of generated fleet entities for -coordinate")
 	seed := fs.Int64("seed", 2017, "fleet generation seed for -coordinate")
 	misconfigRate := fs.Float64("misconfig", 0.4, "fleet misconfiguration rate for -coordinate")
@@ -107,6 +129,11 @@ func run(args []string) error {
 			parallelism:   *parallelism,
 		})
 	}
+	if *journalDir != "" {
+		if err := os.MkdirAll(*journalDir, 0o755); err != nil {
+			return fmt.Errorf("create journal dir: %w", err)
+		}
+	}
 	inj, err := configvalidator.FaultsFromEnv()
 	if err != nil {
 		return err
@@ -131,6 +158,9 @@ func run(args []string) error {
 		return err
 	}
 	s.MaxUploadBytes = *maxUpload
+	s.ShardWorkers = *shardWorkers
+	s.ShardJournalDir = *journalDir
+	s.ShardScanDelay = *scanDelay
 	s.Limits = server.Limits{
 		MaxInFlight:      *maxInFlight,
 		MaxQueue:         *maxQueue,
@@ -144,14 +174,14 @@ func run(args []string) error {
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       5 * time.Minute, // frames can be large
-		WriteTimeout:      5 * time.Minute,
+		WriteTimeout:      5 * time.Minute, // lifted per response on shard streams
 	}
 
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- httpServer.ListenAndServe()
 	}()
-	fmt.Fprintf(os.Stderr, "cvserver listening on %s (metrics at /metrics)\n", *addr)
+	fmt.Fprintf(os.Stderr, "cvserver listening on %s (shards at /v1/shard/scan, metrics at /metrics)\n", *addr)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -165,8 +195,9 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "received %v, draining\n", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		// Drain first: /readyz flips not-ready and new validations are
-		// rejected while admitted ones run to completion; then close the
+		// Drain first: /readyz flips not-ready (coordinators stop leasing
+		// shards here) and new validations are rejected while admitted ones
+		// and in-flight shard streams run to completion; then close the
 		// listener and remaining (cheap) connections.
 		if err := s.BeginDrain(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "cvserver: drain: %v\n", err)
@@ -196,7 +227,7 @@ type coordinateConfig struct {
 
 // runCoordinate validates a deterministic generated fleet, either
 // in-process (empty worker list — the baseline) or sharded across remote
-// cvworkers with lease-based fault tolerance. The merged summary line
+// worker cvservers with lease-based fault tolerance. The merged summary line
 // goes to stdout; the two modes must print byte-identical summaries for
 // the same fleet, which is what the worker-kill CI smoke asserts.
 func runCoordinate(cfg coordinateConfig) error {

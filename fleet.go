@@ -58,7 +58,7 @@ type FleetResult struct {
 // consumes entities and emits exactly one FleetResult per entity. The
 // default (a nil FleetOptions.Scheduler) is the in-process worker pool;
 // the distributed coordinator in internal/dist implements the same
-// contract over remote cvworker processes with shard leases and
+// contract over remote worker cvserver processes with shard leases and
 // journal-backed reassignment. Implementations must close the returned
 // channel once all results are delivered or the context is cancelled.
 type Scheduler interface {
@@ -98,7 +98,7 @@ type FleetOptions struct {
 	Journal *Journal
 	// Scheduler selects the execution substrate; nil runs the in-process
 	// worker pool. A distributed run sets it to a dist.Coordinator, which
-	// shards the entity stream across remote cvworkers.
+	// shards the entity stream across remote worker cvservers.
 	Scheduler Scheduler
 	// Logf receives rare operator-facing messages — today only the
 	// one-shot "journal degraded" notice when results stop persisting.

@@ -1075,8 +1075,8 @@ func TestJournalDegradedExposition(t *testing.T) {
 		}
 	}
 	snap := collector.Snapshot()
-	if snap.JournalAppendErrors != n || !snap.JournalDegraded {
-		t.Errorf("snapshot journal counters = append_errors=%d degraded=%v, want %d/true",
+	if snap.JournalAppendErrors != n || snap.JournalDegraded != 1 {
+		t.Errorf("snapshot journal counters = append_errors=%d degraded=%d, want %d/1",
 			snap.JournalAppendErrors, snap.JournalDegraded, n)
 	}
 }

@@ -108,7 +108,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Coordinator implements configvalidator.Scheduler over a set of remote
-// cvworker processes: it packs the entity stream into shards, leases each
+// worker cvserver processes: it packs the entity stream into shards, leases each
 // shard to a worker, and merges the streamed results into the ordinary
 // FleetResult channel. Set it as FleetOptions.Scheduler.
 //

@@ -1,6 +1,6 @@
 // Package dist implements distributed fleet validation: a coordinator
 // that partitions an entity stream into shards and hands them to remote
-// cvworker processes under time-bounded leases, plus the wire protocol
+// worker cvserver processes under time-bounded leases, plus the wire protocol
 // both sides speak. The design goal is the one the paper's production
 // context (tens of thousands of images a day, §5) forces: worker failure
 // is a first-class, tested event, not an outage. A worker that dies — or

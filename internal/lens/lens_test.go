@@ -151,6 +151,7 @@ func TestNginxLensErrors(t *testing.T) {
 		{"unclosed block", "http {"},
 		{"brace without name", "{ }"},
 		{"missing semi in block", "http { user x }"},
+		{"unclosed quote ending in backslash", `user "x\`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -139,7 +139,7 @@ func (t *nginxTokenizer) next() (nginxToken, bool) {
 			quote := c
 			t.pos++
 			for t.pos < len(t.src) && t.src[t.pos] != quote {
-				if t.src[t.pos] == '\\' {
+				if t.src[t.pos] == '\\' && t.pos+1 < len(t.src) {
 					t.pos++
 				}
 				if t.pos < len(t.src) && t.src[t.pos] == '\n' {

@@ -188,8 +188,8 @@ func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 		t.Fatalf("readyz with open breaker = %d %v, want 503 with breaker_open", code, body)
 	}
 	snap := s.Metrics().Snapshot()
-	if snap.BreakerOpens != 1 || !snap.BreakerOpen {
-		t.Errorf("telemetry breaker opens=%d open=%v, want 1/true", snap.BreakerOpens, snap.BreakerOpen)
+	if snap.BreakerOpens != 1 || snap.BreakerOpen != 1 {
+		t.Errorf("telemetry breaker opens=%d open=%d, want 1/1", snap.BreakerOpens, snap.BreakerOpen)
 	}
 
 	// Cooldown elapses (simulated clock): the probe runs, succeeds, and
@@ -206,7 +206,7 @@ func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 	if code, body := getReadyz(t, srv.URL); code != http.StatusOK || body["ready"] != true {
 		t.Fatalf("readyz after recovery = %d %v, want 200 ready", code, body)
 	}
-	if snap := s.Metrics().Snapshot(); snap.BreakerOpen {
+	if snap := s.Metrics().Snapshot(); snap.BreakerOpen != 0 {
 		t.Error("breaker-open gauge still set after recovery")
 	}
 }

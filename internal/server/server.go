@@ -251,13 +251,10 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the wrapped writer, so streaming routes (shard scans)
-// stay flushable under instrumentation.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
+// Unwrap exposes the wrapped writer to http.ResponseController, so
+// streaming routes (shard scans) can flush and lift their write deadline
+// under instrumentation.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // instrument wraps a handler with request counting and latency recording
 // under the route pattern it was registered with.

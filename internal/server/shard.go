@@ -36,7 +36,7 @@ type shardEntity struct {
 type streamWriter struct {
 	mu  sync.Mutex
 	w   http.ResponseWriter
-	f   http.Flusher
+	rc  *http.ResponseController
 	err error
 }
 
@@ -55,9 +55,9 @@ func (sw *streamWriter) send(rec dist.StreamRecord) {
 		sw.err = err
 		return
 	}
-	if sw.f != nil {
-		sw.f.Flush()
-	}
+	// A flush fails only on a writer that cannot flush or a dead
+	// connection; the next Write reports the latter.
+	_ = sw.rc.Flush()
 }
 
 // handleShardScan executes one shard lease: decode the shipped frames,
@@ -181,10 +181,15 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 		defer func() { _ = seg.Close() }()
 	}
 
+	// The stream is long-lived by design: lift the server's WriteTimeout
+	// for this response. The coordinator's lease watchdog bounds it
+	// instead, revoking a silent stream by dropping the connection. Only a
+	// writer with no deadline to lift rejects the call.
+	rc := http.NewResponseController(w)
+	_ = rc.SetWriteDeadline(time.Time{})
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	out := &streamWriter{w: w, f: flusher}
+	out := &streamWriter{w: w, rc: rc}
 
 	// Heartbeats keep the coordinator's lease watchdog fed while long
 	// scans produce no results.

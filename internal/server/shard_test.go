@@ -303,6 +303,56 @@ func TestShardScanSegmentBusyConflict(t *testing.T) {
 	_, _ = io.Copy(io.Discard, resp2.Body)
 }
 
+// TestShardScanOutlivesWriteTimeout pins that a shard stream is bounded by
+// the coordinator's lease watchdog, not the HTTP server's WriteTimeout:
+// a shard that takes longer to scan than the timeout must still deliver
+// every result and the done trailer.
+func TestShardScanOutlivesWriteTimeout(t *testing.T) {
+	v, err := configvalidator.New(configvalidator.WithTelemetry(configvalidator.NewCollector()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ShardScanDelay = 150 * time.Millisecond
+	s.ShardWorkers = 1
+	srv := httptest.NewUnstartedServer(s.Handler())
+	srv.Config.WriteTimeout = 200 * time.Millisecond
+	srv.Start()
+	t.Cleanup(srv.Close)
+
+	body, _ := shardBody(t, 4)
+	resp, err := http.Post(srv.URL+"/v1/shard/scan?shard=slow1&heartbeat=50ms", "application/x-ndjson", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %s, want 200", resp.Status)
+	}
+	results, dones := 0, 0
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
+	for sc.Scan() {
+		var rec dist.StreamRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		switch rec.Type {
+		case dist.TypeResult:
+			results++
+		case dist.TypeDone:
+			dones++
+		}
+	}
+	if results != 4 || dones != 1 {
+		t.Fatalf("stream past WriteTimeout: %d results, %d done trailers (read err %v); want 4 and 1",
+			results, dones, sc.Err())
+	}
+}
+
 func TestShardScanRejectsBadInput(t *testing.T) {
 	_, srv := shardServer(t, "", 0)
 	cases := []struct {

@@ -7,6 +7,10 @@
 // production deployment (tens of thousands of scans daily inside IBM
 // Vulnerability Advisor) implies but the reproduction lacked.
 //
+// Every scalar metric is one row of the metrics table: its name, help
+// text, type, and Snapshot field are declared there once, and Snapshot and
+// WritePrometheus walk the table.
+//
 // All counters are atomic; a Collector is safe for concurrent use by any
 // number of fleet workers and HTTP handlers. Snapshots are consistent
 // enough for operations (each counter is read atomically; the set of
@@ -29,18 +33,14 @@ import (
 // LatencyBuckets are the histogram upper bounds in seconds, chosen to
 // bracket observed scan times: sub-millisecond in-memory scans up through
 // multi-second scans of large entities.
-var LatencyBuckets = []float64{
+var LatencyBuckets = [...]float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// numBuckets fixes the bucket-array size at compile time; it must equal
-// len(LatencyBuckets) (asserted in the package test).
-const numBuckets = 14
 
 // histogram is a fixed-bucket latency histogram with atomic counters. The
 // final bucket is the implicit +Inf overflow.
 type histogram struct {
-	buckets  [numBuckets + 1]atomic.Int64
+	buckets  [len(LatencyBuckets) + 1]atomic.Int64
 	count    atomic.Int64
 	sumNanos atomic.Int64
 }
@@ -64,8 +64,8 @@ func (h *histogram) observe(d time.Duration) {
 
 func (h *histogram) snapshot() HistogramSnapshot {
 	out := HistogramSnapshot{
-		Bounds: LatencyBuckets,
-		Counts: make([]int64, len(LatencyBuckets)+1),
+		Bounds: LatencyBuckets[:],
+		Counts: make([]int64, len(h.buckets)),
 		Count:  h.count.Load(),
 		Sum:    time.Duration(h.sumNanos.Load()),
 	}
@@ -117,64 +117,87 @@ func (h HistogramSnapshot) Quantile(q float64) time.Duration {
 	return h.Mean()
 }
 
+// metric indexes one scalar metric: a row of the metrics table and a slot
+// of Collector.v. The order is the exposition order.
+type metric int
+
+const (
+	mScans metric = iota
+	mErrors
+	mRetries
+	mPanics
+	mTimeouts
+	mShed
+	mBreakerOpens
+	mParseCacheHits
+	mParseCacheMisses
+	mParseCacheEvictions
+	mJournalAppends
+	mJournalReplayed
+	mJournalCorrupt
+	mJournalSkipped
+	mJournalAppendErrors
+	mJournalReprobes
+	mMergeStalls
+	mScansAbandoned
+	mShardsDispatched
+	mShardsCompleted
+	mLeaseReassignments
+	mHeartbeatsMissed
+	mDuplicateResults
+	mWorkerRPCRetries
+	mInFlight
+	mActiveLeases
+	mQueueDepth
+	mBreakerOpen
+	mJournalDegraded
+	numMetrics
+)
+
+// metrics declares every scalar metric once: its exposition name and help
+// text, whether it is a gauge (else a counter), and the Snapshot field it
+// fills.
+var metrics = [numMetrics]struct {
+	name, help string
+	gauge      bool
+	field      func(*Snapshot) *int64
+}{
+	mScans:               {"configvalidator_scans_total", "Validation attempts with a terminal outcome.", false, func(s *Snapshot) *int64 { return &s.Scans }},
+	mErrors:              {"configvalidator_scan_errors_total", "Validation attempts that ended in an error.", false, func(s *Snapshot) *int64 { return &s.Errors }},
+	mRetries:             {"configvalidator_scan_retries_total", "Retries of transient scan failures.", false, func(s *Snapshot) *int64 { return &s.Retries }},
+	mPanics:              {"configvalidator_scan_panics_total", "Scans that panicked and were isolated.", false, func(s *Snapshot) *int64 { return &s.Panics }},
+	mTimeouts:            {"configvalidator_scan_timeouts_total", "Scans abandoned at their deadline.", false, func(s *Snapshot) *int64 { return &s.Timeouts }},
+	mShed:                {"configvalidator_requests_shed_total", "HTTP requests rejected at admission (429).", false, func(s *Snapshot) *int64 { return &s.Shed }},
+	mBreakerOpens:        {"configvalidator_breaker_opens_total", "Circuit-breaker trips.", false, func(s *Snapshot) *int64 { return &s.BreakerOpens }},
+	mParseCacheHits:      {"configvalidator_parse_cache_hits_total", "Parse-cache lookups served from cache.", false, func(s *Snapshot) *int64 { return &s.ParseCacheHits }},
+	mParseCacheMisses:    {"configvalidator_parse_cache_misses_total", "Parse-cache lookups that had to parse.", false, func(s *Snapshot) *int64 { return &s.ParseCacheMisses }},
+	mParseCacheEvictions: {"configvalidator_parse_cache_evictions_total", "Parse-cache entries dropped at capacity.", false, func(s *Snapshot) *int64 { return &s.ParseCacheEvictions }},
+	mJournalAppends:      {"configvalidator_journal_appends_total", "Records appended to the durable result journal.", false, func(s *Snapshot) *int64 { return &s.JournalAppends }},
+	mJournalReplayed:     {"configvalidator_journal_replayed_total", "Journal records replayed at recovery.", false, func(s *Snapshot) *int64 { return &s.JournalReplayed }},
+	mJournalCorrupt:      {"configvalidator_journal_corrupt_records_total", "Corrupt journal records dropped at recovery.", false, func(s *Snapshot) *int64 { return &s.JournalCorruptRecords }},
+	mJournalSkipped:      {"configvalidator_journal_skipped_entities_total", "Fleet entities skipped on resume (journaled digest matched).", false, func(s *Snapshot) *int64 { return &s.JournalSkippedEntities }},
+	mJournalAppendErrors: {"configvalidator_journal_append_errors_total", "Journal appends that failed (scan continued, result not persisted).", false, func(s *Snapshot) *int64 { return &s.JournalAppendErrors }},
+	mJournalReprobes:     {"configvalidator_journal_reprobes_total", "Write re-probes attempted by a degraded journal.", false, func(s *Snapshot) *int64 { return &s.JournalReprobes }},
+	mMergeStalls:         {"configvalidator_merge_stalls_total", "Coordinator merge stalls (slow FleetResult consumer paused shard reads).", false, func(s *Snapshot) *int64 { return &s.MergeStalls }},
+	mScansAbandoned:      {"configvalidator_scans_abandoned_total", "Computed fleet results dropped at context cancellation.", false, func(s *Snapshot) *int64 { return &s.ScansAbandoned }},
+	mShardsDispatched:    {"configvalidator_shards_dispatched_total", "Shards handed to workers under a lease.", false, func(s *Snapshot) *int64 { return &s.ShardsDispatched }},
+	mShardsCompleted:     {"configvalidator_shards_completed_total", "Shards whose every entity produced a result.", false, func(s *Snapshot) *int64 { return &s.ShardsCompleted }},
+	mLeaseReassignments:  {"configvalidator_scan_lease_reassignments_total", "Shard leases revoked and reassigned to another worker.", false, func(s *Snapshot) *int64 { return &s.LeaseReassignments }},
+	mHeartbeatsMissed:    {"configvalidator_lease_heartbeats_missed_total", "Leases whose worker went silent past the lease TTL.", false, func(s *Snapshot) *int64 { return &s.HeartbeatsMissed }},
+	mDuplicateResults:    {"configvalidator_duplicate_results_dropped_total", "Duplicate remote results dropped last-writer-wins.", false, func(s *Snapshot) *int64 { return &s.DuplicateResults }},
+	mWorkerRPCRetries:    {"configvalidator_worker_rpc_retries_total", "Shard dispatches retried against a worker.", false, func(s *Snapshot) *int64 { return &s.WorkerRPCRetries }},
+	mInFlight:            {"configvalidator_inflight_scans", "Validations executing right now.", true, func(s *Snapshot) *int64 { return &s.InFlightScans }},
+	mActiveLeases:        {"configvalidator_active_leases", "Shard leases live right now.", true, func(s *Snapshot) *int64 { return &s.ActiveLeases }},
+	mQueueDepth:          {"configvalidator_server_queue_depth", "HTTP requests waiting for an admission slot.", true, func(s *Snapshot) *int64 { return &s.QueueDepth }},
+	mBreakerOpen:         {"configvalidator_breaker_open", "Whether the validation circuit breaker is open (1) or closed (0).", true, func(s *Snapshot) *int64 { return &s.BreakerOpen }},
+	mJournalDegraded:     {"configvalidator_journal_degraded", "Whether the result journal is degraded (1) — appends failing fast between re-probes — or healthy (0).", true, func(s *Snapshot) *int64 { return &s.JournalDegraded }},
+}
+
 // Collector accumulates metrics. The zero value is not usable; construct
 // with NewCollector.
 type Collector struct {
-	scans    atomic.Int64
-	errors   atomic.Int64
-	retries  atomic.Int64
-	panics   atomic.Int64
-	timeouts atomic.Int64
-
-	// Gauges and counters for the overload-protection layer: scans
-	// currently executing, HTTP requests waiting for an admission slot,
-	// requests shed at admission, and circuit-breaker state transitions.
-	inflight     atomic.Int64
-	queueDepth   atomic.Int64
-	shed         atomic.Int64
-	breakerOpens atomic.Int64
-	breakerOpen  atomic.Int64 // 0 closed/half-open, 1 open
-
-	// Parse-cache counters: lookups served from the content-addressed
-	// cache, lookups that had to parse, and entries dropped at capacity.
-	parseCacheHits      atomic.Int64
-	parseCacheMisses    atomic.Int64
-	parseCacheEvictions atomic.Int64
-
-	// Journal counters: records appended to the durable result journal,
-	// records replayed at recovery, corrupt records dropped at recovery,
-	// and entities skipped because a journaled result matched their config
-	// digest. ScanAbandoned counts computed fleet results dropped because
-	// the run's context was cancelled before they could be delivered.
-	journalAppends  atomic.Int64
-	journalReplayed atomic.Int64
-	journalCorrupt  atomic.Int64
-	journalSkipped  atomic.Int64
-	scanAbandoned   atomic.Int64
-
-	// Disk-pressure counters: journal appends that failed (ENOSPC, EIO),
-	// the degraded-journal gauge (1 while appends are failing fast
-	// between re-probes), write re-probes attempted while degraded, and
-	// coordinator merge stalls (the FleetResult consumer fell behind long
-	// enough to pause shard stream reads).
-	journalAppendErrors atomic.Int64
-	journalDegraded     atomic.Int64 // gauge: 0 healthy, 1 degraded
-	journalReprobes     atomic.Int64
-	mergeStalls         atomic.Int64
-
-	// Distributed-fleet counters: shards handed to workers under a lease,
-	// shards whose every entity completed, leases revoked and reassigned
-	// after a missed heartbeat or worker failure, heartbeats the
-	// coordinator waited out, duplicate remote results dropped
-	// last-writer-wins, worker RPC dispatch retries, and the number of
-	// leases live right now (gauge).
-	shardsDispatched   atomic.Int64
-	shardsCompleted    atomic.Int64
-	leaseReassignments atomic.Int64
-	heartbeatsMissed   atomic.Int64
-	duplicateResults   atomic.Int64
-	workerRPCRetries   atomic.Int64
-	activeLeases       atomic.Int64
+	// v holds the scalar metrics, indexed by the metrics table.
+	v [numMetrics]atomic.Int64
 
 	// Result counters by engine status. StatusPass..StatusDegraded are
 	// 1-based and contiguous; index 0 is unused.
@@ -197,13 +220,33 @@ func NewCollector() *Collector {
 	return &Collector{httpCounts: make(map[routeCode]int64)}
 }
 
+// add moves one scalar metric by delta. add and set hold the nil check
+// that makes the recording methods safe on a nil Collector.
+func (c *Collector) add(m metric, delta int64) {
+	if c != nil {
+		c.v[m].Add(delta)
+	}
+}
+
+// set stores a 0/1 gauge.
+func (c *Collector) set(m metric, on bool) {
+	if c == nil {
+		return
+	}
+	var v int64
+	if on {
+		v = 1
+	}
+	c.v[m].Store(v)
+}
+
 // ScanDone records one completed validation: its latency and the per-rule
 // result counts from the report.
 func (c *Collector) ScanDone(d time.Duration, counts map[engine.Status]int) {
 	if c == nil {
 		return
 	}
-	c.scans.Add(1)
+	c.add(mScans, 1)
 	c.scanLatency.observe(d)
 	for status, n := range counts {
 		if status >= 1 && int(status) < len(c.statuses) {
@@ -217,268 +260,136 @@ func (c *Collector) ScanFailed(d time.Duration) {
 	if c == nil {
 		return
 	}
-	c.scans.Add(1)
-	c.errors.Add(1)
+	c.add(mScans, 1)
+	c.add(mErrors, 1)
 	c.scanLatency.observe(d)
 }
 
 // ScanPanicked records a validation attempt that panicked (and was
 // recovered by the fleet layer).
 func (c *Collector) ScanPanicked(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.panics.Add(1)
+	c.add(mPanics, 1)
 	c.ScanFailed(d)
 }
 
 // ScanTimedOut records a validation attempt abandoned at its deadline.
 func (c *Collector) ScanTimedOut(d time.Duration) {
-	if c == nil {
-		return
-	}
-	c.timeouts.Add(1)
+	c.add(mTimeouts, 1)
 	c.ScanFailed(d)
 }
 
 // RetryScheduled records one retry of a transient scan failure.
-func (c *Collector) RetryScheduled() {
-	if c == nil {
-		return
-	}
-	c.retries.Add(1)
-}
+func (c *Collector) RetryScheduled() { c.add(mRetries, 1) }
 
 // ScanStarted marks one validation as executing; pair with ScanEnded. The
 // difference is the in-flight-scans gauge.
-func (c *Collector) ScanStarted() {
-	if c == nil {
-		return
-	}
-	c.inflight.Add(1)
-}
+func (c *Collector) ScanStarted() { c.add(mInFlight, 1) }
 
 // ScanEnded marks one validation as no longer executing.
-func (c *Collector) ScanEnded() {
-	if c == nil {
-		return
-	}
-	c.inflight.Add(-1)
-}
+func (c *Collector) ScanEnded() { c.add(mInFlight, -1) }
 
 // QueueEnter marks one HTTP request as waiting for an admission slot;
 // pair with QueueExit.
-func (c *Collector) QueueEnter() {
-	if c == nil {
-		return
-	}
-	c.queueDepth.Add(1)
-}
+func (c *Collector) QueueEnter() { c.add(mQueueDepth, 1) }
 
 // QueueExit marks one queued HTTP request as admitted or abandoned.
-func (c *Collector) QueueExit() {
-	if c == nil {
-		return
-	}
-	c.queueDepth.Add(-1)
-}
+func (c *Collector) QueueExit() { c.add(mQueueDepth, -1) }
 
 // RequestShed records one HTTP request rejected at admission (429).
-func (c *Collector) RequestShed() {
-	if c == nil {
-		return
-	}
-	c.shed.Add(1)
-}
+func (c *Collector) RequestShed() { c.add(mShed, 1) }
 
 // BreakerOpened records a circuit-breaker trip and sets the open gauge.
 func (c *Collector) BreakerOpened() {
-	if c == nil {
-		return
-	}
-	c.breakerOpens.Add(1)
-	c.breakerOpen.Store(1)
+	c.add(mBreakerOpens, 1)
+	c.set(mBreakerOpen, true)
 }
 
 // BreakerClosed clears the circuit-breaker open gauge.
-func (c *Collector) BreakerClosed() {
-	if c == nil {
-		return
-	}
-	c.breakerOpen.Store(0)
-}
+func (c *Collector) BreakerClosed() { c.set(mBreakerOpen, false) }
 
 // ParseCacheHit records one parse-cache lookup served from cache. The
 // three ParseCache* methods implement crawler.CacheMetrics, so a Collector
 // can be attached directly to a crawler.ParseCache.
-func (c *Collector) ParseCacheHit() {
-	if c == nil {
-		return
-	}
-	c.parseCacheHits.Add(1)
-}
+func (c *Collector) ParseCacheHit() { c.add(mParseCacheHits, 1) }
 
 // ParseCacheMiss records one parse-cache lookup that had to parse.
-func (c *Collector) ParseCacheMiss() {
-	if c == nil {
-		return
-	}
-	c.parseCacheMisses.Add(1)
-}
+func (c *Collector) ParseCacheMiss() { c.add(mParseCacheMisses, 1) }
 
 // ParseCacheEviction records one parse-cache entry dropped at capacity.
-func (c *Collector) ParseCacheEviction() {
-	if c == nil {
-		return
-	}
-	c.parseCacheEvictions.Add(1)
-}
+func (c *Collector) ParseCacheEviction() { c.add(mParseCacheEvictions, 1) }
 
 // JournalAppended records one record durably appended to the result
 // journal. The Journal* methods implement journal.Metrics, so a
 // Collector can be attached directly to a journal.
-func (c *Collector) JournalAppended() {
-	if c == nil {
-		return
-	}
-	c.journalAppends.Add(1)
-}
+func (c *Collector) JournalAppended() { c.add(mJournalAppends, 1) }
 
 // JournalReplayed records one valid journal record recovered at open.
-func (c *Collector) JournalReplayed() {
-	if c == nil {
-		return
-	}
-	c.journalReplayed.Add(1)
-}
+func (c *Collector) JournalReplayed() { c.add(mJournalReplayed, 1) }
 
 // JournalCorruptRecord records one torn or corrupt journal record dropped
 // during recovery.
-func (c *Collector) JournalCorruptRecord() {
-	if c == nil {
-		return
-	}
-	c.journalCorrupt.Add(1)
-}
+func (c *Collector) JournalCorruptRecord() { c.add(mJournalCorrupt, 1) }
 
 // JournalAppendError records one failed journal append — the scan
 // continued, the result was not persisted (disk full, I/O fault).
-func (c *Collector) JournalAppendError() {
-	if c == nil {
-		return
-	}
-	c.journalAppendErrors.Add(1)
-}
+func (c *Collector) JournalAppendError() { c.add(mJournalAppendErrors, 1) }
 
 // JournalDegraded flips the degraded-journal gauge: true while appends
 // are failing fast between re-probes, false once journaling resumes.
-func (c *Collector) JournalDegraded(degraded bool) {
-	if c == nil {
-		return
-	}
-	if degraded {
-		c.journalDegraded.Store(1)
-	} else {
-		c.journalDegraded.Store(0)
-	}
-}
+func (c *Collector) JournalDegraded(degraded bool) { c.set(mJournalDegraded, degraded) }
 
 // JournalReprobe records one degraded-mode write re-probe attempt.
-func (c *Collector) JournalReprobe() {
-	if c == nil {
-		return
-	}
-	c.journalReprobes.Add(1)
-}
+func (c *Collector) JournalReprobe() { c.add(mJournalReprobes, 1) }
 
 // MergeStalled records one coordinator merge stall: the FleetResult
 // consumer fell behind long enough that shard stream reads paused.
-func (c *Collector) MergeStalled() {
-	if c == nil {
-		return
-	}
-	c.mergeStalls.Add(1)
-}
+func (c *Collector) MergeStalled() { c.add(mMergeStalls, 1) }
 
 // JournalEntitySkipped records one fleet entity skipped because its
 // journaled result's config digest still matched — the resume fast path.
-func (c *Collector) JournalEntitySkipped() {
-	if c == nil {
-		return
-	}
-	c.journalSkipped.Add(1)
-}
+func (c *Collector) JournalEntitySkipped() { c.add(mJournalSkipped, 1) }
 
 // ScanAbandoned records one computed fleet result dropped because the
 // run's context was cancelled before the result could be delivered —
 // operators reconcile submitted vs. journaled entity counts with it.
-func (c *Collector) ScanAbandoned() {
-	if c == nil {
-		return
-	}
-	c.scanAbandoned.Add(1)
-}
+func (c *Collector) ScanAbandoned() { c.add(mScansAbandoned, 1) }
 
 // ShardDispatched records one shard handed to a worker under a lease;
 // pair with either ShardCompleted or LeaseReassigned. It also raises the
 // active-leases gauge.
 func (c *Collector) ShardDispatched() {
-	if c == nil {
-		return
-	}
-	c.shardsDispatched.Add(1)
-	c.activeLeases.Add(1)
+	c.add(mShardsDispatched, 1)
+	c.add(mActiveLeases, 1)
 }
 
 // ShardCompleted records one shard whose every entity produced a result;
 // lowers the active-leases gauge.
 func (c *Collector) ShardCompleted() {
-	if c == nil {
-		return
-	}
-	c.shardsCompleted.Add(1)
-	c.activeLeases.Add(-1)
+	c.add(mShardsCompleted, 1)
+	c.add(mActiveLeases, -1)
 }
 
 // LeaseReassigned records one lease revoked (missed heartbeats, worker
 // death, drain) whose remaining entities were handed to another worker;
 // lowers the active-leases gauge.
 func (c *Collector) LeaseReassigned() {
-	if c == nil {
-		return
-	}
-	c.leaseReassignments.Add(1)
-	c.activeLeases.Add(-1)
+	c.add(mLeaseReassignments, 1)
+	c.add(mActiveLeases, -1)
 }
 
 // HeartbeatMissed records one lease whose worker went silent past the
 // lease TTL — the trigger for revocation.
-func (c *Collector) HeartbeatMissed() {
-	if c == nil {
-		return
-	}
-	c.heartbeatsMissed.Add(1)
-}
+func (c *Collector) HeartbeatMissed() { c.add(mHeartbeatsMissed, 1) }
 
 // DuplicateResultDropped records one remote result discarded because the
 // entity already produced one (a revoked worker's stream racing its
 // replacement) — the stream-level twin of the journal's last-writer-wins
 // compaction.
-func (c *Collector) DuplicateResultDropped() {
-	if c == nil {
-		return
-	}
-	c.duplicateResults.Add(1)
-}
+func (c *Collector) DuplicateResultDropped() { c.add(mDuplicateResults, 1) }
 
 // WorkerRPCRetry records one shard dispatch retried against a worker
 // (connection refusal, 429 backpressure, 503 breaker).
-func (c *Collector) WorkerRPCRetry() {
-	if c == nil {
-		return
-	}
-	c.workerRPCRetries.Add(1)
-}
+func (c *Collector) WorkerRPCRetry() { c.add(mWorkerRPCRetries, 1) }
 
 // RequestDone records one HTTP request against a route pattern.
 func (c *Collector) RequestDone(route string, code int, d time.Duration) {
@@ -502,9 +413,8 @@ type Snapshot struct {
 	// InFlightScans and QueueDepth are gauges: validations executing right
 	// now and HTTP requests waiting for an admission slot. Shed counts
 	// requests rejected at admission; BreakerOpens counts circuit-breaker
-	// trips and BreakerOpen reports whether it is open right now.
-	InFlightScans, QueueDepth, Shed, BreakerOpens int64
-	BreakerOpen                                   bool
+	// trips and BreakerOpen is 1 while the breaker is open, else 0.
+	InFlightScans, QueueDepth, Shed, BreakerOpens, BreakerOpen int64
 	// ParseCacheHits/Misses/Evictions describe the content-addressed
 	// parse cache: hits are files whose normalized form was reused,
 	// misses had to parse, evictions were dropped at capacity.
@@ -518,11 +428,10 @@ type Snapshot struct {
 	JournalAppends, JournalReplayed, JournalCorruptRecords, JournalSkippedEntities int64
 	ScansAbandoned                                                                 int64
 	// Disk-pressure counters: appends that failed (the scan continued,
-	// the result was not persisted), the degraded-journal gauge, write
-	// re-probes while degraded, and coordinator merge stalls (consumer
-	// backpressure paused shard stream reads).
-	JournalAppendErrors, JournalReprobes, MergeStalls int64
-	JournalDegraded                                   bool
+	// the result was not persisted), write re-probes while degraded, and
+	// coordinator merge stalls (consumer backpressure paused shard stream
+	// reads). JournalDegraded is 1 while the journal is degraded, else 0.
+	JournalAppendErrors, JournalReprobes, MergeStalls, JournalDegraded int64
 	// Distributed-fleet counters: shards dispatched under a lease, shards
 	// fully completed, leases revoked and reassigned, heartbeats missed,
 	// duplicate remote results dropped, worker RPC dispatch retries, and
@@ -540,44 +449,21 @@ type Snapshot struct {
 	HTTPLatency HistogramSnapshot
 }
 
+// resultStatuses lists the engine statuses in exposition order.
+var resultStatuses = [...]engine.Status{engine.StatusPass, engine.StatusFail, engine.StatusNotApplicable, engine.StatusError, engine.StatusDegraded}
+
 // Snapshot copies the current counter values.
 func (c *Collector) Snapshot() Snapshot {
 	s := Snapshot{
-		Scans:                  c.scans.Load(),
-		Errors:                 c.errors.Load(),
-		Retries:                c.retries.Load(),
-		Panics:                 c.panics.Load(),
-		Timeouts:               c.timeouts.Load(),
-		InFlightScans:          c.inflight.Load(),
-		QueueDepth:             c.queueDepth.Load(),
-		Shed:                   c.shed.Load(),
-		BreakerOpens:           c.breakerOpens.Load(),
-		BreakerOpen:            c.breakerOpen.Load() != 0,
-		ParseCacheHits:         c.parseCacheHits.Load(),
-		ParseCacheMisses:       c.parseCacheMisses.Load(),
-		ParseCacheEvictions:    c.parseCacheEvictions.Load(),
-		JournalAppends:         c.journalAppends.Load(),
-		JournalReplayed:        c.journalReplayed.Load(),
-		JournalCorruptRecords:  c.journalCorrupt.Load(),
-		JournalSkippedEntities: c.journalSkipped.Load(),
-		JournalAppendErrors:    c.journalAppendErrors.Load(),
-		JournalDegraded:        c.journalDegraded.Load() != 0,
-		JournalReprobes:        c.journalReprobes.Load(),
-		MergeStalls:            c.mergeStalls.Load(),
-		ScansAbandoned:         c.scanAbandoned.Load(),
-		ShardsDispatched:       c.shardsDispatched.Load(),
-		ShardsCompleted:        c.shardsCompleted.Load(),
-		LeaseReassignments:     c.leaseReassignments.Load(),
-		HeartbeatsMissed:       c.heartbeatsMissed.Load(),
-		DuplicateResults:       c.duplicateResults.Load(),
-		WorkerRPCRetries:       c.workerRPCRetries.Load(),
-		ActiveLeases:           c.activeLeases.Load(),
-		ResultsByStatus:        make(map[engine.Status]int64, 5),
-		ScanLatency:            c.scanLatency.snapshot(),
-		HTTPRequests:           make(map[string]int64),
-		HTTPLatency:            c.httpLatency.snapshot(),
+		ResultsByStatus: make(map[engine.Status]int64, len(resultStatuses)),
+		ScanLatency:     c.scanLatency.snapshot(),
+		HTTPRequests:    make(map[string]int64),
+		HTTPLatency:     c.httpLatency.snapshot(),
 	}
-	for _, status := range []engine.Status{engine.StatusPass, engine.StatusFail, engine.StatusNotApplicable, engine.StatusError, engine.StatusDegraded} {
+	for m := range numMetrics {
+		*metrics[m].field(&s) = c.v[m].Load()
+	}
+	for _, status := range resultStatuses {
 		if n := c.statuses[status].Load(); n != 0 {
 			s.ResultsByStatus[status] = n
 		}
@@ -606,54 +492,17 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 	s := c.Snapshot()
 	var b strings.Builder
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	for _, m := range metrics {
+		typ := "counter"
+		if m.gauge {
+			typ = "gauge"
+		}
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, typ, m.name, *m.field(&s))
 	}
-	counter("configvalidator_scans_total", "Validation attempts with a terminal outcome.", s.Scans)
-	counter("configvalidator_scan_errors_total", "Validation attempts that ended in an error.", s.Errors)
-	counter("configvalidator_scan_retries_total", "Retries of transient scan failures.", s.Retries)
-	counter("configvalidator_scan_panics_total", "Scans that panicked and were isolated.", s.Panics)
-	counter("configvalidator_scan_timeouts_total", "Scans abandoned at their deadline.", s.Timeouts)
-	counter("configvalidator_requests_shed_total", "HTTP requests rejected at admission (429).", s.Shed)
-	counter("configvalidator_breaker_opens_total", "Circuit-breaker trips.", s.BreakerOpens)
-	counter("configvalidator_parse_cache_hits_total", "Parse-cache lookups served from cache.", s.ParseCacheHits)
-	counter("configvalidator_parse_cache_misses_total", "Parse-cache lookups that had to parse.", s.ParseCacheMisses)
-	counter("configvalidator_parse_cache_evictions_total", "Parse-cache entries dropped at capacity.", s.ParseCacheEvictions)
-	counter("configvalidator_journal_appends_total", "Records appended to the durable result journal.", s.JournalAppends)
-	counter("configvalidator_journal_replayed_total", "Journal records replayed at recovery.", s.JournalReplayed)
-	counter("configvalidator_journal_corrupt_records_total", "Corrupt journal records dropped at recovery.", s.JournalCorruptRecords)
-	counter("configvalidator_journal_skipped_entities_total", "Fleet entities skipped on resume (journaled digest matched).", s.JournalSkippedEntities)
-	counter("configvalidator_journal_append_errors_total", "Journal appends that failed (scan continued, result not persisted).", s.JournalAppendErrors)
-	counter("configvalidator_journal_reprobes_total", "Write re-probes attempted by a degraded journal.", s.JournalReprobes)
-	counter("configvalidator_merge_stalls_total", "Coordinator merge stalls (slow FleetResult consumer paused shard reads).", s.MergeStalls)
-	counter("configvalidator_scans_abandoned_total", "Computed fleet results dropped at context cancellation.", s.ScansAbandoned)
-	counter("configvalidator_shards_dispatched_total", "Shards handed to workers under a lease.", s.ShardsDispatched)
-	counter("configvalidator_shards_completed_total", "Shards whose every entity produced a result.", s.ShardsCompleted)
-	counter("configvalidator_scan_lease_reassignments_total", "Shard leases revoked and reassigned to another worker.", s.LeaseReassignments)
-	counter("configvalidator_lease_heartbeats_missed_total", "Leases whose worker went silent past the lease TTL.", s.HeartbeatsMissed)
-	counter("configvalidator_duplicate_results_dropped_total", "Duplicate remote results dropped last-writer-wins.", s.DuplicateResults)
-	counter("configvalidator_worker_rpc_retries_total", "Shard dispatches retried against a worker.", s.WorkerRPCRetries)
-
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("configvalidator_inflight_scans", "Validations executing right now.", s.InFlightScans)
-	gauge("configvalidator_active_leases", "Shard leases live right now.", s.ActiveLeases)
-	gauge("configvalidator_server_queue_depth", "HTTP requests waiting for an admission slot.", s.QueueDepth)
-	var breakerOpen int64
-	if s.BreakerOpen {
-		breakerOpen = 1
-	}
-	gauge("configvalidator_breaker_open", "Whether the validation circuit breaker is open (1) or closed (0).", breakerOpen)
-	var journalDegraded int64
-	if s.JournalDegraded {
-		journalDegraded = 1
-	}
-	gauge("configvalidator_journal_degraded", "Whether the result journal is degraded (1) — appends failing fast between re-probes — or healthy (0).", journalDegraded)
 
 	fmt.Fprintf(&b, "# HELP configvalidator_results_total Rule results across all scans, by status.\n")
 	fmt.Fprintf(&b, "# TYPE configvalidator_results_total counter\n")
-	for _, status := range []engine.Status{engine.StatusPass, engine.StatusFail, engine.StatusNotApplicable, engine.StatusError, engine.StatusDegraded} {
+	for _, status := range resultStatuses {
 		fmt.Fprintf(&b, "configvalidator_results_total{status=%q} %d\n",
 			strings.ToLower(status.String()), s.ResultsByStatus[status])
 	}

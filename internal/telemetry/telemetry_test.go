@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -10,9 +12,98 @@ import (
 	"configvalidator/internal/engine"
 )
 
-func TestBucketConstantMatchesBounds(t *testing.T) {
-	if len(LatencyBuckets) != numBuckets {
-		t.Fatalf("numBuckets = %d, len(LatencyBuckets) = %d", numBuckets, len(LatencyBuckets))
+// populated returns a collector with every metric moved through its
+// public method, most to a distinct value, so a method wired to the wrong
+// table row changes the exposition.
+func populated() *Collector {
+	c := NewCollector()
+	repeat := func(n int, f func()) {
+		for i := 0; i < n; i++ {
+			f()
+		}
+	}
+	c.ScanDone(3*time.Millisecond, map[engine.Status]int{
+		engine.StatusPass: 7, engine.StatusFail: 3, engine.StatusNotApplicable: 2,
+		engine.StatusError: 1, engine.StatusDegraded: 4,
+	})
+	c.ScanDone(1200*time.Millisecond, nil)
+	c.ScanFailed(20 * time.Millisecond)
+	c.ScanPanicked(time.Millisecond)
+	c.ScanTimedOut(7 * time.Second)
+	c.ScanTimedOut(30 * time.Second)
+	repeat(3, c.RetryScheduled)
+	repeat(30, c.ScanStarted)
+	c.ScanEnded()
+	repeat(28, c.QueueEnter)
+	c.QueueExit()
+	repeat(7, c.RequestShed)
+	repeat(8, c.BreakerOpened)
+	c.BreakerClosed()
+	c.BreakerOpened()
+	repeat(10, c.ParseCacheHit)
+	repeat(11, c.ParseCacheMiss)
+	repeat(12, c.ParseCacheEviction)
+	repeat(13, c.JournalAppended)
+	repeat(14, c.JournalReplayed)
+	repeat(15, c.JournalCorruptRecord)
+	repeat(16, c.JournalEntitySkipped)
+	repeat(17, c.JournalAppendError)
+	c.JournalDegraded(true)
+	c.JournalDegraded(false)
+	c.JournalDegraded(true)
+	repeat(18, c.JournalReprobe)
+	repeat(19, c.MergeStalled)
+	repeat(20, c.ScanAbandoned)
+	repeat(60, c.ShardDispatched)
+	repeat(22, c.ShardCompleted)
+	repeat(23, c.LeaseReassigned)
+	repeat(24, c.HeartbeatMissed)
+	repeat(25, c.DuplicateResultDropped)
+	repeat(26, c.WorkerRPCRetry)
+	c.RequestDone("POST /v1/validate/frame", 200, 2*time.Millisecond)
+	c.RequestDone("POST /v1/validate/frame", 413, time.Millisecond)
+	c.RequestDone("POST /v1/shard/scan", 200, 3*time.Second)
+	c.RequestDone("GET /metrics", 200, 100*time.Microsecond)
+	return c
+}
+
+// TestPrometheusGolden pins the full exposition of a populated collector
+// byte for byte (testdata/metrics.golden), and requires every metric in
+// the table to be documented for operators.
+func TestPrometheusGolden(t *testing.T) {
+	var b strings.Builder
+	if err := populated().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
+	if got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("exposition differs from golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
+			}
+		}
+	}
+
+	docs, err := os.ReadFile(filepath.Join("..", "..", "docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range metrics {
+		if !strings.Contains(string(docs), m.name) {
+			t.Errorf("metric %s is not documented in docs/OPERATIONS.md", m.name)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 # and require the summary to match an uninterrupted run's.
 ./scripts/resume_smoke.sh
 
-# Worker-kill smoke: SIGKILL a cvworker process mid-shard during a
+# Worker-kill smoke: SIGKILL a worker cvserver mid-shard during a
 # distributed coordinate run and require the merged summary to match an
 # in-process run's.
 ./scripts/worker_kill_smoke.sh
@@ -51,3 +51,4 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 fuzztime="${FUZZTIME:-10s}"
 go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run FuzzDecode ./internal/yaml/
 go test -fuzz FuzzSSHDParse -fuzztime "$fuzztime" -run FuzzSSHDParse ./internal/lens/
+go test -fuzz FuzzFramesRead -fuzztime "$fuzztime" -run FuzzFramesRead ./internal/frames/

@@ -1,10 +1,11 @@
 #!/bin/sh
 # Worker-kill smoke: the multi-process half of the distributed chaos
-# drills. Start two cvworker processes, coordinate a fleet validation
-# across them with cvserver -coordinate, SIGKILL one worker mid-shard
-# (real process death — torn journal tail and all), and require the
-# merged summary line to be byte-identical to the same fleet scanned
-# in-process. Exercises lease revocation, shard reassignment, and
+# drills. Start two cvserver processes as shard workers (-journal-dir),
+# coordinate a fleet validation across them with cvserver -coordinate,
+# SIGKILL one worker mid-shard (real process death — torn journal tail
+# and all), and require the merged summary line to be byte-identical to
+# the same fleet scanned in-process. Exercises lease revocation, shard
+# reassignment, and
 # exactly-once merging against an actual killed process, where the
 # in-test drills (TestChaosDistributed*) use httptest stand-ins.
 set -eu
@@ -21,7 +22,6 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$workdir/cvserver" ./cmd/cvserver
-go build -o "$workdir/cvworker" ./cmd/cvworker
 
 # Ports unlikely to collide in CI; override via env if they do.
 W1_PORT="${W1_PORT:-19311}"
@@ -31,10 +31,10 @@ W2_PORT="${W2_PORT:-19312}"
 "$workdir/cvserver" -coordinate -fleet 16 >"$workdir/clean.out" 2>/dev/null
 
 # Two workers; w1 is slowed so its shards are mid-flight when it dies.
-"$workdir/cvworker" -addr "127.0.0.1:$W1_PORT" -journal-dir "$workdir/seg1" \
+"$workdir/cvserver" -addr "127.0.0.1:$W1_PORT" -journal-dir "$workdir/seg1" \
 	-scan-delay 400ms -shard-workers 1 2>"$workdir/w1.log" &
 w1_pid=$!
-"$workdir/cvworker" -addr "127.0.0.1:$W2_PORT" -journal-dir "$workdir/seg2" \
+"$workdir/cvserver" -addr "127.0.0.1:$W2_PORT" -journal-dir "$workdir/seg2" \
 	-shard-workers 1 2>"$workdir/w2.log" &
 w2_pid=$!
 
