@@ -14,6 +14,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/engine
 
 # GOMAXPROCS matrix: the packages whose behaviour depends on the engine's
 # worker pool must pass at 1, 2 and 8 CPUs, whatever the CI host has.
@@ -39,11 +40,13 @@ analyze:
 	cat $$out
 
 # Fuzz smoke: a short randomized pass over the parsers that face
-# untrusted input (one -fuzz target per invocation, as go test requires).
+# untrusted input, and over the compiled tree query against its reference
+# (one -fuzz target per invocation, as go test requires).
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run FuzzDecode ./internal/yaml/
 	$(GO) test -fuzz FuzzSSHDParse -fuzztime $(FUZZTIME) -run FuzzSSHDParse ./internal/lens/
 	$(GO) test -fuzz FuzzFramesRead -fuzztime $(FUZZTIME) -run FuzzFramesRead ./internal/frames/
+	$(GO) test -fuzz FuzzTreePath -fuzztime $(FUZZTIME) -run FuzzTreePath ./internal/configtree/
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.

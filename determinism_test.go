@@ -290,3 +290,69 @@ func TestWalkFaultParity(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalFaultParity pins eval-fault placement across Parallelism 1, 2
+// and 8: each rule's fault check runs on the caller in manifest order
+// before any rule reaches the worker pool, so an Nth trigger on a
+// wildcard path degrades the same rule at every setting — an injected
+// error and an injected panic alike — and fires exactly once.
+func TestEvalFaultParity(t *testing.T) {
+	manifest, err := rules.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rules "sshd/*" matches, in evaluation order.
+	var sshdRules []string
+	for _, e := range manifest.EnabledEntries() {
+		if e.Name != "sshd" {
+			continue
+		}
+		rs, err := LoadRules(rules.Reader(), e.CVLFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range cvl.FilterByEntityType(cvl.FilterByTags(rs, e.Tags), "host") {
+			if r.Type != cvl.TypeComposite {
+				sshdRules = append(sshdRules, r.Name)
+			}
+		}
+	}
+	const nth = 5
+	if len(sshdRules) < nth {
+		t.Fatalf("sshd has %d rules, want at least %d", len(sshdRules), nth)
+	}
+	target := "sshd/" + sshdRules[nth-1]
+	host, _ := fixtures.UbuntuHost("det-eval", fixtures.Profile{Seed: 5, MisconfigRate: 0.3})
+
+	cases := []struct {
+		name string
+		kind faults.Kind
+		want string // the one degraded result: "entry/rule: message"
+	}{
+		{"error", faults.KindError, target + ": evaluator crashed (at eval " + target + ")"},
+		{"panic", faults.KindPanic, target + ": rule evaluation panicked: faults: injected panic (at eval " + target + ")"},
+	}
+	for _, tc := range cases {
+		for _, par := range []int{1, 2, 8} {
+			inj := faults.MustNew(faults.Rule{Op: faults.OpEval, Path: "sshd/*", Nth: nth, Kind: tc.kind, Msg: "evaluator crashed"})
+			v, err := New(WithFaults(inj), WithParallelism(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := v.Validate(host)
+			if err != nil {
+				t.Fatalf("%s par %d: %v", tc.name, par, err)
+			}
+			var got []string
+			for _, r := range rep.Degraded() {
+				got = append(got, r.ManifestEntity+"/"+r.Rule.Name+": "+r.Message)
+			}
+			if !slices.Equal(got, []string{tc.want}) {
+				t.Errorf("%s par %d: degraded %q, want [%q]", tc.name, par, got, tc.want)
+			}
+			if n := inj.Injected(); n != 1 {
+				t.Errorf("%s par %d: injected %d faults, want 1", tc.name, par, n)
+			}
+		}
+	}
+}

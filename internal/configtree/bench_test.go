@@ -49,3 +49,15 @@ func BenchmarkFindDescendant(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkAppendFindDescendant(b *testing.B) {
+	root := benchTree()
+	q := Compile("**/proxy_pass")
+	buf := make([]*Node, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if nodes := root.AppendFind(buf[:0], q); len(nodes) != 50 {
+			b.Fatal(len(nodes))
+		}
+	}
+}

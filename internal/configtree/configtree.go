@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Node is one element of a configuration tree.
@@ -86,9 +85,11 @@ func (n *Node) Child(label string) (*Node, bool) {
 }
 
 // Find returns every node matching the path expression, in document order.
-// An empty path matches the receiver itself.
+// An empty path matches the receiver itself. Find parses the expression on
+// every call; code that runs one expression against many trees should
+// Compile it once and use AppendFind.
 func (n *Node) Find(path string) []*Node {
-	segs := compilePath(path)
+	segs := splitPath(path)
 	if len(segs) == 0 {
 		return []*Node{n}
 	}
@@ -98,7 +99,7 @@ func (n *Node) Find(path string) []*Node {
 		if seg.descend {
 			for _, c := range current {
 				c.walkAll(func(d *Node) {
-					if matchSegment(d, seg) {
+					if seg.match(d.Label) {
 						next = append(next, d)
 					}
 				})
@@ -118,6 +119,78 @@ func (n *Node) Find(path string) []*Node {
 		current = next
 	}
 	return current
+}
+
+// Query is a compiled path expression: parse it once with Compile and run
+// it against any number of trees with AppendFind.
+type Query struct {
+	segs []segment
+	// dedup is set when the expression holds two or more "**" segments:
+	// only then can a depth-first walk reach one node along two routes.
+	dedup bool
+}
+
+// Compile parses a path expression (see the package comment for the
+// syntax).
+func Compile(path string) Query {
+	q := Query{segs: splitPath(path)}
+	descends := 0
+	for _, s := range q.segs {
+		if s.descend {
+			descends++
+		}
+	}
+	q.dedup = descends > 1
+	return q
+}
+
+// AppendFind appends the nodes q matches to dst — the same nodes, in the
+// same order, that Find returns for q's expression — and returns the
+// extended slice. It walks the tree depth-first without building
+// per-segment node lists, so with a reused dst it does not allocate. A nil
+// receiver matches nothing.
+func (n *Node) AppendFind(dst []*Node, q Query) []*Node {
+	if n == nil {
+		return dst
+	}
+	start := len(dst)
+	dst = n.appendMatches(dst, q.segs)
+	if q.dedup {
+		dst = append(dst[:start], dedup(dst[start:])...)
+	}
+	return dst
+}
+
+// appendMatches appends the nodes segs match below n. Depth-first
+// expansion visits matches in the order of Find's level-by-level
+// expansion: both concatenate each node's matches in document order. A
+// "**" segment recurses with itself still leading, so every descendant
+// is tried in pre-order. (One self-recursive function, rather than a
+// separate descendant walk, keeps dst off the heap in callers.)
+func (n *Node) appendMatches(dst []*Node, segs []segment) []*Node {
+	if len(segs) == 0 {
+		return append(dst, n)
+	}
+	seg, rest := &segs[0], segs[1:]
+	nth := 0
+	for _, c := range n.Children {
+		if seg.descend {
+			if seg.match(c.Label) {
+				dst = c.appendMatches(dst, rest)
+			}
+			dst = c.appendMatches(dst, segs)
+			continue
+		}
+		if !seg.match(c.Label) {
+			continue
+		}
+		nth++
+		if seg.index != 0 && nth != seg.index {
+			continue
+		}
+		dst = c.appendMatches(dst, rest)
+	}
+	return dst
 }
 
 // Get returns the first node matching the path expression.
@@ -278,39 +351,10 @@ func (n *Node) Equal(other *Node) bool {
 
 // segment is one parsed path component.
 type segment struct {
-	label   string // label pattern, may contain * wildcards
-	index   int    // 1-based index among matching siblings; 0 = all
-	descend bool   // true for "**": match at any depth
-}
-
-// compiledQueries memoizes parsed path expressions. Queries come from CVL
-// rule files — a small, library-bounded set reused across every file of
-// every entity in a fleet scan — so parsing each expression once removes a
-// per-Find allocation from the engine's hottest loop. The cache is
-// size-capped as a safety valve against pathological dynamic queries.
-var (
-	queryMu         sync.RWMutex
-	compiledQueries = make(map[string][]segment)
-)
-
-const maxCompiledQueries = 4096
-
-// compilePath returns the parsed form of a path expression, memoized.
-// Returned segments are shared and must not be mutated.
-func compilePath(path string) []segment {
-	queryMu.RLock()
-	segs, ok := compiledQueries[path]
-	queryMu.RUnlock()
-	if ok {
-		return segs
-	}
-	segs = splitPath(path)
-	queryMu.Lock()
-	if len(compiledQueries) < maxCompiledQueries {
-		compiledQueries[path] = segs
-	}
-	queryMu.Unlock()
-	return segs
+	label   string   // label pattern, may contain * wildcards
+	parts   []string // label split at '*', when it holds a partial wildcard
+	index   int      // 1-based index among matching siblings; 0 = all
+	descend bool     // true for "**": match at any depth
 }
 
 func splitPath(path string) []segment {
@@ -335,6 +379,9 @@ func splitPath(path string) []segment {
 				s.index = idx
 			}
 		}
+		if s.label != "*" && strings.Contains(s.label, "*") {
+			s.parts = strings.Split(s.label, "*")
+		}
 		segs = append(segs, s)
 	}
 	return segs
@@ -344,7 +391,7 @@ func (n *Node) matchChildren(seg segment) []*Node {
 	var out []*Node
 	nth := 0
 	for _, c := range n.Children {
-		if !matchGlob(seg.label, c.Label) {
+		if !seg.match(c.Label) {
 			continue
 		}
 		nth++
@@ -356,32 +403,28 @@ func (n *Node) matchChildren(seg segment) []*Node {
 	return out
 }
 
-func matchSegment(n *Node, seg segment) bool {
-	return matchGlob(seg.label, n.Label)
-}
-
-// matchGlob matches pattern against s where '*' matches any run of
-// characters (including none).
-func matchGlob(pattern, s string) bool {
-	if pattern == "*" {
+// match matches the segment's label pattern against label, where '*'
+// matches any run of characters (including none).
+func (seg *segment) match(label string) bool {
+	if seg.label == "*" {
 		return true
 	}
-	if !strings.ContainsRune(pattern, '*') {
-		return pattern == s
+	if seg.parts == nil {
+		return seg.label == label
 	}
-	parts := strings.Split(pattern, "*")
-	if !strings.HasPrefix(s, parts[0]) {
+	parts := seg.parts
+	if !strings.HasPrefix(label, parts[0]) {
 		return false
 	}
-	s = s[len(parts[0]):]
+	label = label[len(parts[0]):]
 	for i := 1; i < len(parts)-1; i++ {
-		idx := strings.Index(s, parts[i])
+		idx := strings.Index(label, parts[i])
 		if idx < 0 {
 			return false
 		}
-		s = s[idx+len(parts[i]):]
+		label = label[idx+len(parts[i]):]
 	}
-	return strings.HasSuffix(s, parts[len(parts)-1])
+	return strings.HasSuffix(label, parts[len(parts)-1])
 }
 
 func dedup(nodes []*Node) []*Node {

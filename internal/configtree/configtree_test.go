@@ -225,8 +225,9 @@ func TestMatchGlob(t *testing.T) {
 		{"exact", "exactx", false},
 	}
 	for _, tt := range tests {
-		if got := matchGlob(tt.pattern, tt.s); got != tt.want {
-			t.Errorf("matchGlob(%q, %q) = %v, want %v", tt.pattern, tt.s, got, tt.want)
+		seg := Compile(tt.pattern).segs[0]
+		if got := seg.match(tt.s); got != tt.want {
+			t.Errorf("segment %q match(%q) = %v, want %v", tt.pattern, tt.s, got, tt.want)
 		}
 	}
 }
@@ -336,4 +337,29 @@ func containsAll(haystack, needles []*Node) bool {
 		}
 	}
 	return true
+}
+
+// TestAppendFindReusesDst pins the allocation contract the rule engine
+// relies on: with a reused destination that has room, AppendFind does not
+// allocate, "**" walks included.
+func TestAppendFindReusesDst(t *testing.T) {
+	root := New("nginx.conf")
+	http := root.Section("http")
+	for i := 0; i < 3; i++ {
+		s := http.Section("server")
+		s.Add("listen", "443 ssl")
+		s.Add("ssl_protocols", "TLSv1.2")
+	}
+	var buf [8]*Node
+	for _, path := range []string{"http/server/listen", "**/ssl_*", "http/server[2]/listen", "missing"} {
+		q := Compile(path)
+		want := len(root.Find(path))
+		if n := testing.AllocsPerRun(100, func() {
+			if got := len(root.AppendFind(buf[:0], q)); got != want {
+				t.Fatalf("%s: %d nodes, want %d", path, got, want)
+			}
+		}); n != 0 {
+			t.Errorf("AppendFind(%q) allocates %v times with a reused dst, want 0", path, n)
+		}
+	}
 }

@@ -9,7 +9,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"configvalidator/internal/entity"
 	"configvalidator/internal/faults"
@@ -96,14 +97,12 @@ func (c *Crawler) CrawlPaths(e entity.Entity, searchPaths []string) ([]*FileConf
 // but nothing read, sorted by path and deduplicated. It touches only
 // entity metadata, and a Walk failure aborts it.
 func (c *Crawler) Discover(e entity.Entity, searchPaths []string) ([]*FileConfig, error) {
-	seen := make(map[string]bool)
 	var out []*FileConfig
 	for _, root := range searchPaths {
 		err := e.Walk(root, func(fi entity.FileInfo) error {
-			if seen[fi.Path] || fi.IsDir() {
+			if fi.IsDir() {
 				return nil
 			}
-			seen[fi.Path] = true
 			if l, ok := c.registry.ForFile(fi.Path); ok {
 				out = append(out, &FileConfig{Path: fi.Path, LensName: l.Name(), Info: fi})
 			} else if c.opts.IncludeUnrecognized {
@@ -118,8 +117,10 @@ func (c *Crawler) Discover(e entity.Entity, searchPaths []string) ([]*FileConfig
 			return nil, fmt.Errorf("crawl %s: %w", root, err)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
+	// Overlapping roots reach a file more than once: a stable sort keeps
+	// the first root's entry first, and compaction drops the rest.
+	slices.SortStableFunc(out, func(a, b *FileConfig) int { return strings.Compare(a.Path, b.Path) })
+	return slices.CompactFunc(out, func(a, b *FileConfig) bool { return a.Path == b.Path }), nil
 }
 
 // Load is the read-and-parse half of CrawlPaths for one discovered file.

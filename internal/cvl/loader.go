@@ -84,11 +84,8 @@ func FilterByTags(rules []*Rule, tags []string) []*Rule {
 	}
 	out := make([]*Rule, 0, len(rules))
 	for _, r := range rules {
-		for _, t := range tags {
-			if r.HasTag(t) {
-				out = append(out, r)
-				break
-			}
+		if r.MatchesTags(tags) {
+			out = append(out, r)
 		}
 	}
 	return out
@@ -99,15 +96,8 @@ func FilterByTags(rules []*Rule, tags []string) []*Rule {
 func FilterByEntityType(rules []*Rule, entityType string) []*Rule {
 	out := make([]*Rule, 0, len(rules))
 	for _, r := range rules {
-		if len(r.AppliesTo) == 0 {
+		if r.AppliesToType(entityType) {
 			out = append(out, r)
-			continue
-		}
-		for _, t := range r.AppliesTo {
-			if t == entityType {
-				out = append(out, r)
-				break
-			}
 		}
 	}
 	return out

@@ -227,6 +227,35 @@ func (r *Rule) HasTag(tag string) bool {
 	return false
 }
 
+// MatchesTags reports whether the rule passes a tag filter: an empty
+// filter passes every rule, otherwise the rule must carry at least one of
+// the tags.
+func (r *Rule) MatchesTags(tags []string) bool {
+	if len(tags) == 0 {
+		return true
+	}
+	for _, t := range tags {
+		if r.HasTag(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// AppliesToType reports whether the rule applies to the named entity type:
+// a rule without an applies_to restriction applies to every type.
+func (r *Rule) AppliesToType(entityType string) bool {
+	if len(r.AppliesTo) == 0 {
+		return true
+	}
+	for _, t := range r.AppliesTo {
+		if t == entityType {
+			return true
+		}
+	}
+	return false
+}
+
 // Key returns the identity used for inheritance overrides: type + name.
 func (r *Rule) Key() string {
 	return r.Type.String() + "/" + r.Name

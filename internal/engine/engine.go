@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,7 +52,6 @@ type Options struct {
 // Engine applies CVL rules to entities.
 type Engine struct {
 	crawler *crawler.Crawler
-	match   *matcher
 	faults  *faults.Injector
 	opts    Options
 	memo    *evalMemo
@@ -68,7 +68,7 @@ func NewWithOptions(c *crawler.Crawler, opts Options) *Engine {
 	if c == nil {
 		c = crawler.New(nil, crawler.Options{})
 	}
-	return &Engine{crawler: c, match: newMatcher(), opts: opts, memo: newEvalMemo(opts.EvalCacheSize)}
+	return &Engine{crawler: c, opts: opts, memo: newEvalMemo(opts.EvalCacheSize)}
 }
 
 // parallelism resolves Options.Parallelism to an effective worker count.
@@ -90,7 +90,7 @@ func (e *Engine) SetFaults(inj *faults.Injector) { e.faults = inj }
 // entityRun is the per-manifest-entry working state of one validation.
 type entityRun struct {
 	entry   *cvl.ManifestEntry
-	rules   []*cvl.Rule
+	rules   []*compiledRule
 	configs []*crawler.FileConfig
 	results []*Result
 	// verdicts is the memo table for this run's config signature; nil
@@ -98,41 +98,55 @@ type entityRun struct {
 	verdicts *sigVerdicts
 }
 
-// RuleSource resolves a rule-file path to its effective rules (inheritance
-// applied). Implementations may cache: the engine treats returned rules as
-// immutable.
-type RuleSource interface {
-	Resolve(path string) ([]*cvl.Rule, error)
+// resultCount is the number of results the run reports: one per file
+// that could not be read or parsed, and one per rule.
+func (r *entityRun) resultCount() int {
+	n := len(r.rules)
+	for _, fc := range r.configs {
+		if fc.Err != nil {
+			n++
+		}
+	}
+	return n
 }
 
-// ruleList is a RuleSource that hands every entry the same fixed rules.
-type ruleList []*cvl.Rule
+// RuleSource resolves a rule-file path to its effective rules (inheritance
+// applied), compiled for evaluation. Each call returns a slice the caller
+// owns and may filter in place; the compiled rules in it are shared and
+// immutable.
+type RuleSource interface {
+	Resolve(path string) ([]*compiledRule, error)
+}
 
-func (l ruleList) Resolve(string) ([]*cvl.Rule, error) { return l, nil }
+// ruleList is the RuleSource of ValidateRules: a list compiled for one
+// call and handed to that call's single entry.
+type ruleList []*compiledRule
 
-// CachedSource memoizes rule-file resolution — the production
-// configuration for fleet scans, where the same rule library applies to
-// every image and re-parsing it per entity would dominate scan time. Safe
-// for concurrent use.
+func (l ruleList) Resolve(string) ([]*compiledRule, error) { return l, nil }
+
+// CachedSource memoizes rule-file resolution and compilation — the
+// production configuration for fleet scans, where the same rule library
+// applies to every image and re-parsing it per entity would dominate scan
+// time. Each rule file is resolved and compiled once, on first use, and
+// the compiled rules live as long as the source. Safe for concurrent use.
 type CachedSource struct {
 	read   cvl.FileReader
 	mu     sync.Mutex
-	byFile map[string][]*cvl.Rule
+	byFile map[string][]*compiledRule
 }
 
 var _ RuleSource = (*CachedSource)(nil)
 
 // NewCachedSource wraps a FileReader with memoization.
 func NewCachedSource(read cvl.FileReader) *CachedSource {
-	return &CachedSource{read: read, byFile: make(map[string][]*cvl.Rule)}
+	return &CachedSource{read: read, byFile: make(map[string][]*compiledRule)}
 }
 
 // Resolve implements RuleSource. The returned slice is a fresh copy on
-// every call: callers routinely append to or re-slice rule lists (tag and
-// entity-type filtering), and handing out the cached backing array would
-// let one caller's append clobber another's view of the shared library.
-// The *cvl.Rule pointees stay shared and must be treated as immutable.
-func (s *CachedSource) Resolve(path string) ([]*cvl.Rule, error) {
+// every call: the engine filters rule lists in place by tag and entity
+// type, and handing out the cached backing array would let one caller's
+// filter clobber another's view of the shared library.
+func (s *CachedSource) Resolve(path string) ([]*compiledRule, error) {
 	s.mu.Lock()
 	cached, ok := s.byFile[path]
 	s.mu.Unlock()
@@ -141,20 +155,19 @@ func (s *CachedSource) Resolve(path string) ([]*cvl.Rule, error) {
 		if err != nil {
 			return nil, err
 		}
+		compiled := compileRules(rules)
 		s.mu.Lock()
 		if incumbent, raced := s.byFile[path]; raced {
 			// Lost a race with a concurrent resolve; keep the incumbent
 			// so every caller copies from one canonical slice.
 			cached = incumbent
 		} else {
-			s.byFile[path] = rules
-			cached = rules
+			s.byFile[path] = compiled
+			cached = compiled
 		}
 		s.mu.Unlock()
 	}
-	out := make([]*cvl.Rule, len(cached))
-	copy(out, cached)
-	return out, nil
+	return slices.Clone(cached), nil
 }
 
 // Validate runs every enabled manifest entry against the entity and returns
@@ -167,11 +180,12 @@ func (e *Engine) Validate(ent entity.Entity, manifest *cvl.Manifest, src RuleSou
 
 // ValidateRules applies a flat rule list to an entity using the given
 // search paths — the single-entity path used by examples, tests, and the
-// benchmark harness. The list runs as one synthetic "default" entry with
-// no manifest, so a composite rule yields StatusError in place.
+// benchmark harness. The list is compiled for this call and runs as one
+// synthetic "default" entry with no manifest, so a composite rule yields
+// StatusError in place.
 func (e *Engine) ValidateRules(ent entity.Entity, rules []*cvl.Rule, searchPaths []string) (*Report, error) {
 	entry := &cvl.ManifestEntry{Name: "default", Enabled: true, ConfigSearchPaths: searchPaths}
-	return e.validate(ent, []*cvl.ManifestEntry{entry}, ruleList(rules), false)
+	return e.validate(ent, []*cvl.ManifestEntry{entry}, ruleList(compileRules(rules)), false)
 }
 
 // validate is the one evaluation path. Each phase either runs on the
@@ -183,7 +197,9 @@ func (e *Engine) ValidateRules(ent entity.Entity, rules []*cvl.Rule, searchPaths
 //  2. walk each entry's search paths in manifest order, stopping at the
 //     first resolve or walk error before any file is read;
 //  3. read and parse every discovered file concurrently;
-//  4. evaluate the non-composite rules concurrently;
+//  4. settle what needs no evaluation on the caller, in manifest order —
+//     each rule's eval fault check, then its verdict-memo lookup — and
+//     evaluate the remaining non-composite rules concurrently;
 //  5. evaluate composites last, serially, so a later composite observes
 //     an earlier one's outcome.
 //
@@ -197,11 +213,11 @@ func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src R
 	mustRun(par, len(entries), func(i int) {
 		run := &runs[i]
 		run.entry = entries[i]
-		run.rules, errs[i] = src.Resolve(run.entry.CVLFile)
-		run.rules = cvl.FilterByEntityType(cvl.FilterByTags(run.rules, run.entry.Tags), typ)
+		rules, err := src.Resolve(run.entry.CVLFile)
+		run.rules, errs[i] = applicable(rules, run.entry.Tags, typ), err
 	})
 
-	var files []*crawler.FileConfig
+	nfiles := 0
 	for i := range runs {
 		run := &runs[i]
 		err := errs[i]
@@ -211,47 +227,84 @@ func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src R
 		if err != nil {
 			return nil, fmt.Errorf("engine: entity %s: %w", run.entry.Name, err)
 		}
-		files = append(files, run.configs...)
+		nfiles += len(run.configs)
+	}
+	files := make([]*crawler.FileConfig, 0, nfiles)
+	for i := range runs {
+		files = append(files, runs[i].configs...)
 	}
 	mustRun(par, len(files), func(i int) { e.crawler.Load(ent, files[i]) })
 
+	// Every result of the report lives in one block, and each run appends
+	// to its own window of the report's result list, sized to its result
+	// count, so the windows fill the list in manifest order. The task list
+	// has room for every rule that may reach the pool: all of them, less
+	// the memo candidates when a memo can settle those first.
+	total, maxTasks := 0, 0
+	for i := range runs {
+		total += runs[i].resultCount()
+		for _, rule := range runs[i].rules {
+			if e.memo == nil || !memoizable(rule.rule) {
+				maxTasks++
+			}
+		}
+	}
+	block := make([]Result, total)
+	results := make([]*Result, total)
+	name := ent.Name()
+	add := func(run *entityRun, rule *compiledRule, v verdict) *Result {
+		res := &block[0]
+		block = block[1:]
+		res.EntityName, res.ManifestEntity = name, run.entry.Name
+		if rule != nil {
+			res.Rule = rule.rule
+		}
+		res.set(v)
+		run.results = append(run.results, res)
+		return res
+	}
+
 	type evalTask struct {
 		run  *entityRun
-		slot int
-		rule *cvl.Rule
+		res  *Result
+		rule *compiledRule
 	}
-	var tasks, composites []evalTask
+	tasks := make([]evalTask, 0, maxTasks)
+	var composites []evalTask
+	off := 0
 	for i := range runs {
 		run := &runs[i]
+		n := run.resultCount()
+		run.results = results[off : off : off+n]
+		off += n
 		if e.memo != nil {
-			run.verdicts = e.memo.forSig(configSig(run.configs))
+			var buf [256]byte
+			run.verdicts = e.memo.forSig(configSig(buf[:0], run.configs), len(run.rules))
 		}
-		run.results = make([]*Result, 0, len(run.configs)+len(run.rules))
 		// Files that could not be read or parsed seed degraded findings:
 		// the scan continues, but their checks cannot be trusted this pass.
 		for _, fc := range run.configs {
 			if fc.Err != nil {
-				run.results = append(run.results, &Result{
-					EntityName:     ent.Name(),
-					ManifestEntity: run.entry.Name,
-					Status:         StatusDegraded,
-					Message:        fc.Err.Error(),
-					File:           fc.Path,
-				})
+				add(run, nil, verdict{status: StatusDegraded, message: fc.Err.Error(), file: fc.Path})
 			}
 		}
+		run.verdicts.rlock()
 		for _, rule := range run.rules {
-			if manifest && rule.Type == cvl.TypeComposite {
+			if manifest && rule.rule.Type == cvl.TypeComposite {
 				composites = append(composites, evalTask{run: run, rule: rule})
 				continue
 			}
-			tasks = append(tasks, evalTask{run: run, slot: len(run.results), rule: rule})
-			run.results = append(run.results, nil)
+			v, settled := e.settle(run, rule)
+			res := add(run, rule, v)
+			if !settled {
+				tasks = append(tasks, evalTask{run: run, res: res, rule: rule})
+			}
 		}
+		run.verdicts.runlock()
 	}
 	mustRun(par, len(tasks), func(i int) {
 		t := tasks[i]
-		t.run.results[t.slot] = e.safeEvalRule(ent, t.run.entry, t.rule, t.run.configs, t.run.verdicts)
+		t.res.set(e.safeEvalRule(ent, t.run, t.rule))
 	})
 
 	if len(composites) > 0 {
@@ -260,13 +313,15 @@ func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src R
 			resolver.runs[runs[i].entry.Name] = &runs[i]
 		}
 		for _, c := range composites {
-			c.run.results = append(c.run.results, e.safeEvalComposite(ent, c.run.entry, c.rule, resolver))
+			// Evaluate before adding: a composite must not see its own
+			// slot among the outcomes it combines.
+			add(c.run, c.rule, e.safeEvalComposite(c.run.entry, c.rule, resolver))
 		}
 	}
 
-	report := &Report{EntityName: ent.Name(), EntityType: typ}
-	for i := range runs {
-		report.Results = append(report.Results, runs[i].results...)
+	report := &Report{EntityName: name, EntityType: typ}
+	if total > 0 {
+		report.Results = results
 	}
 	return report, nil
 }
@@ -281,11 +336,14 @@ func mustRun(par, n int, task func(i int)) {
 }
 
 // runParallel executes task(0..n-1) on min(par, n) workers pulling indices
-// from a shared counter; with par <= 1 it runs them in order on the
-// caller's goroutine. A panicking task is recovered and remembered; the
-// pool drains fully and the panic value of the lowest task index is
-// returned for the caller to re-panic, so panic propagation is
-// deterministic and never leaks a goroutine mid-flight.
+// from a shared counter. The caller is one of the workers and starts the
+// other min(par, n)-1; it returns once every task has finished, so when
+// the caller alone drains a short phase it never waits for a helper that
+// found no work. With par <= 1 the caller runs the tasks in order. A
+// panicking task is recovered and remembered; the pool drains fully and
+// the panic value of the lowest task index is returned for the caller to
+// re-panic, so panic propagation is deterministic and no task is still
+// running when runParallel returns.
 func runParallel(par, n int, task func(i int)) (panicVal any) {
 	if par <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -295,29 +353,42 @@ func runParallel(par, n int, task func(i int)) (panicVal any) {
 		}
 		return panicVal
 	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		panicIdx = -1
-	)
-	for w := 0; w < min(par, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				if r := protect(task, i); r != nil {
-					mu.Lock()
-					if panicIdx < 0 || i < panicIdx {
-						panicIdx, panicVal = i, r
-					}
-					mu.Unlock()
-				}
-			}
-		}()
+	p := &pool{n: n, task: task, panicIdx: -1, done: make(chan struct{})}
+	for w := 1; w < min(par, n); w++ {
+		go p.work()
 	}
-	wg.Wait()
-	return panicVal
+	p.work()
+	<-p.done
+	return p.panicVal
+}
+
+// pool is the shared state of one runParallel call.
+type pool struct {
+	n        int
+	task     func(i int)
+	next     atomic.Int64 // next task index to claim
+	finished atomic.Int64 // tasks finished; the n-th closes done
+	done     chan struct{}
+	mu       sync.Mutex
+	panicIdx int // lowest index that panicked; -1 for none
+	panicVal any
+}
+
+// work claims and runs tasks until none are left. A helper that starts
+// after the last task was claimed touches nothing but the counter.
+func (p *pool) work() {
+	for i := int(p.next.Add(1)) - 1; i < p.n; i = int(p.next.Add(1)) - 1 {
+		if r := protect(p.task, i); r != nil {
+			p.mu.Lock()
+			if p.panicIdx < 0 || i < p.panicIdx {
+				p.panicIdx, p.panicVal = i, r
+			}
+			p.mu.Unlock()
+		}
+		if p.finished.Add(1) == int64(p.n) {
+			close(p.done)
+		}
+	}
 }
 
 // protect runs task(i) and returns the value it panicked with, or nil.
@@ -327,186 +398,170 @@ func protect(task func(i int), i int) (panicVal any) {
 	return nil
 }
 
-// safeEvalRule evaluates one rule with per-rule fault injection and panic
-// isolation: a panicking matcher, lens structure, or injected eval fault
-// degrades that single rule's result instead of aborting the entity scan.
-//
-// verdicts is the memo table for the run's config signature (nil disables
-// verdict memoization for this call). Fault injection is checked before the
-// memo lookup so a chaos schedule consumes injections identically on warm
-// and cold caches, and a degraded or panicked outcome is never stored.
-func (e *Engine) safeEvalRule(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, configs []*crawler.FileConfig, verdicts *sigVerdicts) (res *Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = e.degradedResult(ent, entry, rule, fmt.Errorf("rule evaluation panicked: %v", r))
-		}
-	}()
+// settle decides a rule's result on the caller's goroutine when no
+// evaluation is needed: an injected eval fault degrades the rule, and a
+// verdict-memo hit reuses an earlier evaluation. Running both in manifest
+// order makes a fault trigger land on the same rule at every parallelism,
+// and the fault check precedes the memo lookup so a chaos schedule uses
+// up injections identically on warm and cold caches. The caller holds the
+// run's verdict table read-locked.
+func (e *Engine) settle(run *entityRun, rule *compiledRule) (verdict, bool) {
 	if e.faults != nil {
-		if err := e.faults.Check(faults.OpEval, entry.Name+"/"+rule.Name); err != nil {
-			return e.degradedResult(ent, entry, rule, err)
+		if v, faulted := e.checkFault(run.entry, rule, "rule evaluation"); faulted {
+			return v, true
 		}
 	}
-	if memoizable(rule) {
-		return verdicts.eval(ent, entry, rule, func() *Result { return e.evalRule(ent, entry, rule, configs) })
+	if memoizable(rule.rule) {
+		return run.verdicts.lookup(rule.rule)
 	}
-	return e.evalRule(ent, entry, rule, configs)
+	return verdict{}, false
 }
 
-// safeEvalComposite is safeEvalRule for composite rules.
-func (e *Engine) safeEvalComposite(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, resolver cvl.CompositeResolver) (res *Result) {
+// checkFault consults the armed injector for an eval fault on the rule:
+// an injected error, or an injected panic recovered here, degrades the
+// rule's result.
+func (e *Engine) checkFault(entry *cvl.ManifestEntry, rule *compiledRule, what string) (v verdict, faulted bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = e.degradedResult(ent, entry, rule, fmt.Errorf("composite evaluation panicked: %v", r))
+			v, faulted = degraded(fmt.Errorf("%s panicked: %v", what, r)), true
 		}
 	}()
-	if e.faults != nil {
-		if err := e.faults.Check(faults.OpEval, entry.Name+"/"+rule.Name); err != nil {
-			return e.degradedResult(ent, entry, rule, err)
-		}
+	if err := e.faults.Check(faults.OpEval, entry.Name+"/"+rule.rule.Name); err != nil {
+		return degraded(err), true
 	}
-	return e.evalComposite(ent, entry, rule, resolver)
+	return verdict{}, false
 }
 
-func (e *Engine) evalRule(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, configs []*crawler.FileConfig) *Result {
-	switch rule.Type {
+// safeEvalRule evaluates one rule with panic isolation: a panicking
+// matcher or lens structure degrades that single rule's result instead of
+// aborting the entity scan. A memoizable verdict is stored for the run's
+// config signature; a panicked outcome never is.
+func (e *Engine) safeEvalRule(ent entity.Entity, run *entityRun, rule *compiledRule) (v verdict) {
+	defer func() {
+		if r := recover(); r != nil {
+			v = degraded(fmt.Errorf("rule evaluation panicked: %v", r))
+		}
+	}()
+	v = e.evalRule(ent, run.entry, rule, run.configs)
+	if memoizable(rule.rule) {
+		run.verdicts.put(rule.rule, v)
+	}
+	return v
+}
+
+// safeEvalComposite is checkFault plus safeEvalRule for composite rules.
+func (e *Engine) safeEvalComposite(entry *cvl.ManifestEntry, rule *compiledRule, resolver cvl.CompositeResolver) (v verdict) {
+	if e.faults != nil {
+		if v, faulted := e.checkFault(entry, rule, "composite evaluation"); faulted {
+			return v
+		}
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			v = degraded(fmt.Errorf("composite evaluation panicked: %v", r))
+		}
+	}()
+	return rule.evalComposite(resolver)
+}
+
+func (e *Engine) evalRule(ent entity.Entity, entry *cvl.ManifestEntry, rule *compiledRule, configs []*crawler.FileConfig) verdict {
+	switch rule.rule.Type {
 	case cvl.TypeTree:
-		return e.evalTree(ent, entry, rule, configs)
+		return rule.evalTree(configs)
 	case cvl.TypeSchema:
-		return e.evalSchema(ent, entry, rule, configs)
+		return rule.evalSchema(configs)
 	case cvl.TypePath:
-		return e.evalPath(ent, entry, rule, configs)
+		return rule.evalPath(ent, entry, configs)
 	case cvl.TypeScript:
-		return e.evalScript(ent, entry, rule)
+		return e.evalScript(ent, rule)
 	case cvl.TypeComposite:
 		// Only a flat rule list gets here: manifest runs defer composites.
-		return e.errorResult(ent, entry, rule, errors.New("composite rules require a manifest context"))
+		return errorVerdict(errors.New("composite rules require a manifest context"))
 	default:
-		return e.errorResult(ent, entry, rule, fmt.Errorf("unsupported rule type %v", rule.Type))
+		return errorVerdict(fmt.Errorf("unsupported rule type %v", rule.rule.Type))
 	}
 }
 
 // --- tree rules ---
 
-func (e *Engine) evalTree(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, configs []*crawler.FileConfig) *Result {
-	candidates := selectTreeConfigs(configs, rule.FileContext)
-	if len(candidates) == 0 {
-		return e.notApplicable(ent, entry, rule, "no matching configuration files found")
+// evalTree checks every node the rule's queries find in the candidate
+// trees. Hits stream straight into the verdict, and the failure detail is
+// formatted only when the rule fails.
+func (c *compiledRule) evalTree(configs []*crawler.FileConfig) verdict {
+	candidates := 0
+	for _, fc := range configs {
+		if c.treeCandidate(fc) {
+			candidates++
+		}
+	}
+	if candidates == 0 {
+		return c.notApplicable("no matching configuration files found")
 	}
 
 	// require_other_configs: every listed key must exist somewhere in the
 	// candidate trees, else the rule does not apply (e.g. ssl_protocols
 	// rules only bind to servers that actually configure SSL).
-	for _, required := range rule.RequireOtherConfigs {
-		if !anyTreeHasKey(candidates, required) {
-			return e.notApplicable(ent, entry, rule,
-				fmt.Sprintf("required config %q not present", required))
+	var scratch [8]*configtree.Node
+	for i := range c.required {
+		if !c.anyTreeHasKey(configs, &c.required[i], scratch[:0]) {
+			return c.notApplicable(fmt.Sprintf("required config %q not present", c.required[i].key))
 		}
 	}
 
-	paths := rule.ConfigPath
-	if len(paths) == 0 {
-		paths = []string{""}
-	}
-	queries := make([]string, len(paths))
-	for i, p := range paths {
-		queries[i] = joinTreePath(p, rule.Name)
-	}
-	type hit struct {
-		node *configtree.Node
-		file string
-	}
-	var hits []hit
-	for _, fc := range candidates {
-		for _, q := range queries {
-			for _, n := range fc.Result.FindTree(q) {
-				hits = append(hits, hit{node: n, file: fc.Path})
+	var (
+		hits, passed        int
+		firstFile           string
+		failWhy             mismatch
+		failValue, failFile string
+	)
+scan:
+	for _, fc := range configs {
+		if !c.treeCandidate(fc) {
+			continue
+		}
+		for _, q := range c.queries {
+			for _, n := range fc.Result.Tree.AppendFind(scratch[:0], q) {
+				hits++
+				if hits == 1 {
+					firstFile = fc.Path
+				}
+				why, value, err := c.checkNode(n.Value)
+				if err != nil {
+					return errorVerdict(err)
+				}
+				if why == matchOK {
+					passed++
+				} else if failWhy == matchOK {
+					failWhy, failValue, failFile = why, value, fc.Path
+				}
+				if c.rule.Occurrence == "first" {
+					break scan
+				}
 			}
 		}
 	}
-	if len(hits) == 0 {
-		if rule.AbsentPass {
-			return e.pass(ent, entry, rule, orDefault(rule.NotPresentDescription, rule.Name+" is not present"), "")
+	if hits == 0 {
+		if c.rule.AbsentPass {
+			return pass(c.msgAbsent, "")
 		}
-		return e.fail(ent, entry, rule,
-			orDefault(rule.NotPresentDescription, rule.Name+" is not present"),
-			"key not found in "+candidateFiles(candidates), "")
+		return fail(c.msgAbsent, "key not found in "+c.candidateFiles(configs), "")
 	}
-
-	occurrence := rule.Occurrence
-	if occurrence == "" {
-		occurrence = "all"
+	// "all" (the default) needs every hit to pass, "first" its one hit.
+	ok := passed == hits
+	if c.rule.Occurrence == "any" {
+		ok = passed > 0
 	}
-	passCount := 0
-	var firstFailDetail, firstFailFile string
-	for i, h := range hits {
-		if occurrence == "first" && i > 0 {
-			break
-		}
-		ok, detail, err := e.checkNodeValue(rule, h.node.Value)
-		if err != nil {
-			return e.errorResult(ent, entry, rule, err)
-		}
-		if ok {
-			passCount++
-		} else if firstFailDetail == "" {
-			firstFailDetail = detail
-			firstFailFile = h.file
-		}
+	if ok {
+		return pass(c.msgPass, firstFile)
 	}
-	considered := len(hits)
-	if occurrence == "first" {
-		considered = 1
-	}
-	passed := false
-	switch occurrence {
-	case "any":
-		passed = passCount > 0
-	default: // "all", "first"
-		passed = passCount == considered
-	}
-	if passed {
-		return e.pass(ent, entry, rule,
-			orDefault(rule.MatchedDescription, rule.Name+" is configured correctly"),
-			hits[0].file)
-	}
-	return e.fail(ent, entry, rule,
-		orDefault(rule.NotMatchedDescription, rule.Name+" has a non-preferred value"),
-		firstFailDetail, firstFailFile)
+	return fail(c.msgFail, failWhy.detail(failValue), failFile)
 }
 
-// checkNodeValue applies the rule's matchers to one node value. When the
-// rule declares a value_separator, the value is split and every element
-// must pass individually (list-valued keys such as sshd's Ciphers are then
-// checked element-wise rather than as one string).
-func (e *Engine) checkNodeValue(rule *cvl.Rule, value string) (bool, string, error) {
-	if rule.ValueSeparator == "" {
-		return e.match.checkValue(rule, value)
-	}
-	parts := strings.Split(value, rule.ValueSeparator)
-	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		ok, detail, err := e.match.checkValue(rule, part)
-		if err != nil || !ok {
-			return ok, detail, err
-		}
-	}
-	return true, "all elements match", nil
-}
-
-func selectTreeConfigs(configs []*crawler.FileConfig, fileContext []string) []*crawler.FileConfig {
-	var out []*crawler.FileConfig
-	for _, fc := range configs {
-		if fc.Err != nil || fc.Result == nil || fc.Result.Kind != lens.KindTree {
-			continue
-		}
-		if matchesFileContext(fc.Path, fileContext) {
-			out = append(out, fc)
-		}
-	}
-	return out
+// treeCandidate reports whether a crawled file is a parsed tree the rule's
+// file_context selects.
+func (c *compiledRule) treeCandidate(fc *crawler.FileConfig) bool {
+	return fc.Err == nil && fc.Result != nil && fc.Result.Kind == lens.KindTree &&
+		matchesFileContext(fc.Path, c.rule.FileContext)
 }
 
 // matchesFileContext reports whether the file path matches any context
@@ -528,38 +583,38 @@ func matchesFileContext(filePath string, contexts []string) bool {
 	return false
 }
 
-func anyTreeHasKey(configs []*crawler.FileConfig, key string) bool {
-	query := "**/" + key
+// anyTreeHasKey reports whether a candidate tree holds the required key,
+// at any depth or directly under its root.
+func (c *compiledRule) anyTreeHasKey(configs []*crawler.FileConfig, req *requiredKey, scratch []*configtree.Node) bool {
 	for _, fc := range configs {
-		if len(fc.Result.FindTree(query)) > 0 {
+		if !c.treeCandidate(fc) {
+			continue
+		}
+		if len(fc.Result.Tree.AppendFind(scratch, req.anywhere)) > 0 {
 			return true
 		}
-		if _, ok := fc.Result.Tree.Child(key); ok {
+		if _, ok := fc.Result.Tree.Child(req.key); ok {
 			return true
 		}
 	}
 	return false
 }
 
-func joinTreePath(configPath, name string) string {
-	configPath = strings.Trim(configPath, "/")
-	if configPath == "" {
-		return name
-	}
-	return configPath + "/" + name
-}
-
-func candidateFiles(configs []*crawler.FileConfig) string {
-	names := make([]string, len(configs))
-	for i, fc := range configs {
-		names[i] = fc.Path
+// candidateFiles lists the candidate trees' paths for a not-found detail.
+func (c *compiledRule) candidateFiles(configs []*crawler.FileConfig) string {
+	var names []string
+	for _, fc := range configs {
+		if c.treeCandidate(fc) {
+			names = append(names, fc.Path)
+		}
 	}
 	return strings.Join(names, ", ")
 }
 
 // --- schema rules ---
 
-func (e *Engine) evalSchema(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, configs []*crawler.FileConfig) *Result {
+func (c *compiledRule) evalSchema(configs []*crawler.FileConfig) verdict {
+	rule := c.rule
 	var tables []*schema.Table
 	for _, fc := range configs {
 		if fc.Err != nil || fc.Result == nil || fc.Result.Kind != lens.KindSchema {
@@ -568,7 +623,7 @@ func (e *Engine) evalSchema(ent entity.Entity, entry *cvl.ManifestEntry, rule *c
 		tables = append(tables, fc.Result.Table)
 	}
 	if len(tables) == 0 {
-		return e.notApplicable(ent, entry, rule, "no schema-pattern configuration files found")
+		return c.notApplicable("no schema-pattern configuration files found")
 	}
 	query := schema.Query{
 		Columns:     rule.QueryColumns,
@@ -586,7 +641,7 @@ func (e *Engine) evalSchema(ent entity.Entity, entry *cvl.ManifestEntry, rule *c
 			if strings.Contains(err.Error(), "no column") {
 				continue
 			}
-			return e.errorResult(ent, entry, rule, err)
+			return errorVerdict(err)
 		}
 		if sourceFile == "" && out.Len() > 0 {
 			sourceFile = t.File
@@ -599,16 +654,14 @@ func (e *Engine) evalSchema(ent entity.Entity, entry *cvl.ManifestEntry, rule *c
 	if rule.ExpectRows != "" {
 		ok, err := expectRowsSatisfied(rule.ExpectRows, totalRows)
 		if err != nil {
-			return e.errorResult(ent, entry, rule, err)
+			return errorVerdict(err)
 		}
 		if !ok {
-			return e.fail(ent, entry, rule,
-				orDefault(rule.NotMatchedDescription, rule.Name+" row-count expectation failed"),
+			return fail(describe(rule.NotMatchedDescription, rule.Name, " row-count expectation failed"),
 				fmt.Sprintf("query returned %d rows, expected %s", totalRows, rule.ExpectRows), sourceFile)
 		}
 		if len(rule.PreferredValue) == 0 && len(rule.NonPreferredValue) == 0 {
-			return e.pass(ent, entry, rule,
-				orDefault(rule.MatchedDescription, rule.Name+" row-count expectation met"), sourceFile)
+			return pass(describe(rule.MatchedDescription, rule.Name, " row-count expectation met"), sourceFile)
 		}
 	}
 	// Value matching over result rows; an empty result contributes the
@@ -618,17 +671,15 @@ func (e *Engine) evalSchema(ent entity.Entity, entry *cvl.ManifestEntry, rule *c
 		values = []string{""}
 	}
 	for _, v := range values {
-		ok, detail, err := e.match.checkValue(rule, v)
+		why, err := c.check(v)
 		if err != nil {
-			return e.errorResult(ent, entry, rule, err)
+			return errorVerdict(err)
 		}
-		if !ok {
-			return e.fail(ent, entry, rule,
-				orDefault(rule.NotMatchedDescription, rule.Name+" failed"),
-				detail, sourceFile)
+		if why != matchOK {
+			return fail(c.msgFail, why.detail(v), sourceFile)
 		}
 	}
-	return e.pass(ent, entry, rule, orDefault(rule.MatchedDescription, rule.Name+" passed"), sourceFile)
+	return pass(c.msgPass, sourceFile)
 }
 
 func expectRowsSatisfied(spec string, rows int) (bool, error) {
@@ -647,100 +698,92 @@ func expectRowsSatisfied(spec string, rows int) (bool, error) {
 
 // --- path rules ---
 
-func (e *Engine) evalPath(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, configs []*crawler.FileConfig) *Result {
+func (c *compiledRule) evalPath(ent entity.Entity, entry *cvl.ManifestEntry, configs []*crawler.FileConfig) verdict {
+	rule := c.rule
 	fi, err := ent.Stat(rule.Name)
 	if err != nil {
 		if !errors.Is(err, entity.ErrNotExist) {
-			return e.errorResult(ent, entry, rule, err)
+			return errorVerdict(err)
 		}
 		if rule.Exists != nil && !*rule.Exists {
-			return e.pass(ent, entry, rule,
-				orDefault(rule.MatchedDescription, rule.Name+" is absent as required"), rule.Name)
+			return pass(c.msgPass, rule.Name)
 		}
 		// When the manifest entry searched for configuration and found
 		// none, the application is not present on this entity and the
 		// path rule does not apply (an image without Apache shouldn't
 		// fail Apache's file-permission checks).
 		if len(configs) == 0 && len(entry.ConfigSearchPaths) > 0 {
-			return e.notApplicable(ent, entry, rule, "target application not present on this entity")
+			return c.notApplicable("target application not present on this entity")
 		}
-		return e.fail(ent, entry, rule,
-			orDefault(rule.NotPresentDescription, rule.Name+" does not exist"),
-			"path not found", rule.Name)
+		return fail(c.msgAbsent, "path not found", rule.Name)
 	}
 	if rule.Exists != nil && !*rule.Exists {
-		return e.fail(ent, entry, rule,
-			orDefault(rule.NotMatchedDescription, rule.Name+" must not exist"),
-			"path exists", rule.Name)
+		return fail(c.msgFail, "path exists", rule.Name)
 	}
 	if rule.Ownership != "" && fi.Ownership() != rule.Ownership {
-		return e.fail(ent, entry, rule,
-			orDefault(rule.NotMatchedDescription, rule.Name+" has wrong ownership"),
+		return fail(describe(rule.NotMatchedDescription, rule.Name, " has wrong ownership"),
 			fmt.Sprintf("ownership %s, want %s", fi.Ownership(), rule.Ownership), rule.Name)
 	}
 	if rule.Permission >= 0 && fi.Perm() != rule.Permission {
-		return e.fail(ent, entry, rule,
-			orDefault(rule.NotMatchedDescription, rule.Name+" has wrong permissions"),
+		return fail(describe(rule.NotMatchedDescription, rule.Name, " has wrong permissions"),
 			fmt.Sprintf("mode %04o, want %04o", fi.Perm(), rule.Permission), rule.Name)
 	}
 	if rule.MaxPermission >= 0 && fi.Perm()&^rule.MaxPermission != 0 {
-		return e.fail(ent, entry, rule,
-			orDefault(rule.NotMatchedDescription, rule.Name+" permissions too open"),
+		return fail(describe(rule.NotMatchedDescription, rule.Name, " permissions too open"),
 			fmt.Sprintf("mode %04o exceeds maximum %04o", fi.Perm(), rule.MaxPermission), rule.Name)
 	}
-	return e.pass(ent, entry, rule,
-		orDefault(rule.MatchedDescription, rule.Name+" metadata is correct"), rule.Name)
+	return pass(c.msgPass, rule.Name)
 }
 
 // --- script rules ---
 
-func (e *Engine) evalScript(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule) *Result {
-	output, err := ent.RunFeature(rule.ScriptFeature)
+func (e *Engine) evalScript(ent entity.Entity, c *compiledRule) verdict {
+	output, err := ent.RunFeature(c.rule.ScriptFeature)
 	if err != nil {
 		if errors.Is(err, entity.ErrNoFeature) {
-			return e.notApplicable(ent, entry, rule,
-				fmt.Sprintf("runtime feature %q not available on this entity", rule.ScriptFeature))
+			return c.notApplicable(fmt.Sprintf("runtime feature %q not available on this entity", c.rule.ScriptFeature))
 		}
-		return e.errorResult(ent, entry, rule, err)
+		return errorVerdict(err)
 	}
 	// The verdict on a feature output is entity-independent — memoize it
 	// so fleets whose entities answer a feature identically judge that
 	// answer once.
 	var verdicts *sigVerdicts
 	if e.memo != nil {
-		verdicts = e.memo.forSig(scriptSig(output))
+		sig := scriptSig(output)
+		verdicts = e.memo.forSig(sig[:], 0)
 	}
-	return verdicts.eval(ent, entry, rule, func() *Result { return e.evalScriptOutput(ent, entry, rule, output) })
+	if v, ok := verdicts.get(c.rule); ok {
+		return v
+	}
+	v := c.judgeScript(output)
+	verdicts.put(c.rule, v)
+	return v
 }
 
-// evalScriptOutput judges one feature output against the rule's matchers.
-func (e *Engine) evalScriptOutput(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, output string) *Result {
-	ok, detail, err := e.match.checkValue(rule, output)
+// judgeScript judges one feature output against the rule's matchers.
+func (c *compiledRule) judgeScript(output string) verdict {
+	why, err := c.check(output)
 	if err != nil {
-		return e.errorResult(ent, entry, rule, err)
+		return errorVerdict(err)
 	}
-	if ok {
-		return e.pass(ent, entry, rule,
-			orDefault(rule.MatchedDescription, rule.Name+" runtime state is correct"), "")
+	if why == matchOK {
+		return pass(c.msgPass, "")
 	}
-	return e.fail(ent, entry, rule,
-		orDefault(rule.NotMatchedDescription, rule.Name+" runtime state check failed"), detail, "")
+	return fail(c.msgFail, why.detail(output), "")
 }
 
 // --- composite rules ---
 
-func (e *Engine) evalComposite(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, resolver cvl.CompositeResolver) *Result {
-	ok, err := rule.CompositeExpr.Eval(resolver)
+func (c *compiledRule) evalComposite(resolver cvl.CompositeResolver) verdict {
+	ok, err := c.rule.CompositeExpr.Eval(resolver)
 	if err != nil {
-		return e.errorResult(ent, entry, rule, err)
+		return errorVerdict(err)
 	}
 	if ok {
-		return e.pass(ent, entry, rule,
-			orDefault(rule.MatchedDescription, rule.Name+" holds across entities"), "")
+		return pass(c.msgPass, "")
 	}
-	return e.fail(ent, entry, rule,
-		orDefault(rule.NotMatchedDescription, rule.Name+" does not hold"),
-		"composite expression evaluated false", "")
+	return fail(c.msgFail, "composite expression evaluated false", "")
 }
 
 // runResolver resolves composite references against the per-entity runs.
@@ -784,11 +827,11 @@ func (r *runResolver) ConfigValue(entityName, key, section string) (string, bool
 		queries = append(queries, key, slashKey, "**/"+key)
 	}
 	for _, fc := range run.configs {
-		if fc.Err != nil || fc.Result == nil || fc.Result.Kind != lens.KindTree {
+		if fc.Err != nil || fc.Result == nil || fc.Result.Kind != lens.KindTree || fc.Result.Tree == nil {
 			continue
 		}
 		for _, q := range queries {
-			if nodes := fc.Result.FindTree(q); len(nodes) > 0 {
+			if nodes := fc.Result.Tree.Find(q); len(nodes) > 0 {
 				return nodes[0].Value, true
 			}
 		}
@@ -796,65 +839,7 @@ func (r *runResolver) ConfigValue(entityName, key, section string) (string, bool
 	return "", false
 }
 
-// --- result helpers ---
-
-func (e *Engine) pass(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, msg, file string) *Result {
-	return &Result{
-		EntityName:     ent.Name(),
-		ManifestEntity: entry.Name,
-		Rule:           rule,
-		Status:         StatusPass,
-		Message:        msg,
-		File:           file,
-	}
-}
-
-func (e *Engine) fail(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, msg, detail, file string) *Result {
-	return &Result{
-		EntityName:     ent.Name(),
-		ManifestEntity: entry.Name,
-		Rule:           rule,
-		Status:         StatusFail,
-		Message:        msg,
-		Detail:         detail,
-		File:           file,
-	}
-}
-
-func (e *Engine) notApplicable(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, detail string) *Result {
-	return &Result{
-		EntityName:     ent.Name(),
-		ManifestEntity: entry.Name,
-		Rule:           rule,
-		Status:         StatusNotApplicable,
-		Message:        rule.Name + " not applicable",
-		Detail:         detail,
-	}
-}
-
-func (e *Engine) errorResult(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, err error) *Result {
-	return &Result{
-		EntityName:     ent.Name(),
-		ManifestEntity: entry.Name,
-		Rule:           rule,
-		Status:         StatusError,
-		Message:        err.Error(),
-	}
-}
-
-func (e *Engine) degradedResult(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, err error) *Result {
-	return &Result{
-		EntityName:     ent.Name(),
-		ManifestEntity: entry.Name,
-		Rule:           rule,
-		Status:         StatusDegraded,
-		Message:        err.Error(),
-	}
-}
-
-func orDefault(s, fallback string) string {
-	if s != "" {
-		return s
-	}
-	return fallback
+// notApplicable is the verdict of a rule with nothing to check.
+func (c *compiledRule) notApplicable(detail string) verdict {
+	return verdict{status: StatusNotApplicable, message: c.msgNA, detail: detail}
 }

@@ -7,7 +7,6 @@ import (
 
 	"configvalidator/internal/crawler"
 	"configvalidator/internal/cvl"
-	"configvalidator/internal/entity"
 )
 
 // The evaluation memo extends content-addressing from parsing to verdicts:
@@ -26,15 +25,6 @@ import (
 // DefaultEvalCacheSize bounds the verdict memo of an engine constructed
 // with EvalCacheSize < 0.
 const DefaultEvalCacheSize = 1 << 16
-
-// verdict is the entity-independent part of a Result: everything except
-// the EntityName/ManifestEntity attribution stamped per report.
-type verdict struct {
-	status  Status
-	message string
-	detail  string
-	file    string
-}
 
 // evalMemo is a bounded concurrent two-level map of rule verdicts: config
 // signature → rule → verdict. The signature level is resolved once per
@@ -67,46 +57,58 @@ func newEvalMemo(capacity int) *evalMemo {
 	return &evalMemo{cap: capacity, m: make(map[string]*sigVerdicts)}
 }
 
-// forSig resolves the verdict table for one config signature, creating it
-// on first sight.
-func (c *evalMemo) forSig(sig string) *sigVerdicts {
+// forSig resolves the verdict table for one signature, creating it on
+// first sight sized for rules verdicts.
+func (c *evalMemo) forSig(sig []byte, rules int) *sigVerdicts {
 	c.mu.Lock()
-	sv, ok := c.m[sig]
+	sv, ok := c.m[string(sig)]
 	if !ok {
-		sv = &sigVerdicts{memo: c, m: make(map[*cvl.Rule]verdict)}
-		c.m[sig] = sv
+		sv = &sigVerdicts{memo: c, m: make(map[*cvl.Rule]verdict, rules)}
+		c.m[string(sig)] = sv
 	}
 	c.mu.Unlock()
 	return sv
 }
 
-// eval returns rule's memoized verdict stamped with this entity and entry,
-// or evaluates it with fn and memoizes the outcome. A nil table (memo off)
-// just calls fn.
-func (s *sigVerdicts) eval(ent entity.Entity, entry *cvl.ManifestEntry, rule *cvl.Rule, fn func() *Result) *Result {
+// get returns rule's memoized verdict. A nil table (memo off) has none.
+func (s *sigVerdicts) get(rule *cvl.Rule) (verdict, bool) {
 	if s == nil {
-		return fn()
+		return verdict{}, false
 	}
 	s.mu.RLock()
-	v, ok := s.m[rule]
-	s.mu.RUnlock()
-	if ok {
-		return &Result{
-			EntityName:     ent.Name(),
-			ManifestEntity: entry.Name,
-			Rule:           rule,
-			Status:         v.status,
-			Message:        v.message,
-			Detail:         v.detail,
-			File:           v.file,
-		}
-	}
-	res := fn()
-	s.put(rule, verdict{status: res.Status, message: res.Message, detail: res.Detail, file: res.File})
-	return res
+	defer s.mu.RUnlock()
+	return s.lookup(rule)
 }
 
+// lookup is get for a caller that holds the table's read lock (see
+// rlock), so a batch of lookups takes the lock once.
+func (s *sigVerdicts) lookup(rule *cvl.Rule) (verdict, bool) {
+	if s == nil {
+		return verdict{}, false
+	}
+	v, ok := s.m[rule]
+	return v, ok
+}
+
+// rlock and runlock bracket a batch of lookups; both are no-ops on a nil
+// table.
+func (s *sigVerdicts) rlock() {
+	if s != nil {
+		s.mu.RLock()
+	}
+}
+
+func (s *sigVerdicts) runlock() {
+	if s != nil {
+		s.mu.RUnlock()
+	}
+}
+
+// put memoizes rule's verdict; a nil table (memo off) drops it.
 func (s *sigVerdicts) put(rule *cvl.Rule, v verdict) {
+	if s == nil {
+		return
+	}
 	c := s.memo
 	c.mu.Lock()
 	if c.count >= c.cap {
@@ -131,39 +133,39 @@ func memoizable(rule *cvl.Rule) bool {
 
 // configSig fingerprints a config set by each file's path, parse identity
 // (the Result UID — stable for cache-shared Results, never reused), and
-// error text. Two entities with equal signatures present rule evaluation
-// with indistinguishable input. The fingerprint is folded to a SHA-256
-// digest so map lookups hash 32 bytes per rule instead of the full
-// manifest payload. An empty set gets a constant marker: "this entry
-// crawled nothing" is itself content, and the resulting not-applicable
-// verdicts are the most common outcome in a heterogeneous fleet (most
-// images don't carry most applications).
-func configSig(configs []*crawler.FileConfig) string {
+// error text, appended to buf. Paths and error texts are length-prefixed,
+// so distinct config sets never share a signature. Two entities with
+// equal signatures present rule evaluation with indistinguishable input.
+// An empty set gets a constant marker: "this entry crawled nothing" is
+// itself content, and the resulting not-applicable verdicts are the most
+// common outcome in a heterogeneous fleet (most images don't carry most
+// applications).
+func configSig(buf []byte, configs []*crawler.FileConfig) []byte {
 	if len(configs) == 0 {
-		return "\x00empty"
+		return append(buf, "\x00empty"...)
 	}
-	h := sha256.New()
-	var buf [24]byte
 	for _, fc := range configs {
-		h.Write([]byte(fc.Path))
-		buf[0] = 0
-		h.Write(buf[:1])
-		if fc.Err != nil {
-			h.Write([]byte{'E'})
-			h.Write([]byte(fc.Err.Error()))
-		} else if fc.Result != nil {
-			h.Write(strconv.AppendUint(buf[:0], fc.Result.UID(), 36))
+		buf = appendField(buf, fc.Path)
+		switch {
+		case fc.Err != nil:
+			buf = appendField(append(buf, 'E'), fc.Err.Error())
+		case fc.Result != nil:
+			buf = strconv.AppendUint(append(buf, 'U'), fc.Result.UID(), 36)
 		}
-		buf[0] = 1
-		h.Write(buf[:1])
+		buf = append(buf, ';')
 	}
-	return string(h.Sum(nil))
+	return buf
+}
+
+// appendField appends s with its length prefix.
+func appendField(buf []byte, s string) []byte {
+	buf = strconv.AppendInt(buf, int64(len(s)), 10)
+	return append(append(buf, ':'), s...)
 }
 
 // scriptSig keys a script-rule verdict by the feature output it judged:
-// checkValue is a pure function of (rule, output), so entities whose
+// the verdict is a pure function of (rule, output), so entities whose
 // runtime feature answered identically share one verdict.
-func scriptSig(output string) string {
-	sum := sha256.Sum256([]byte("script\x00" + output))
-	return string(sum[:])
+func scriptSig(output string) [sha256.Size]byte {
+	return sha256.Sum256([]byte("script\x00" + output))
 }

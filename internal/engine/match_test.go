@@ -8,8 +8,14 @@ import (
 	"configvalidator/internal/cvl"
 )
 
+// valueMatches runs one compiled match set, the way a rule's preferred or
+// non-preferred side evaluates a value.
+func valueMatches(value string, expected []string, spec cvl.MatchSpec, caseInsensitive bool) (bool, error) {
+	m := newMatchSet(expected, spec, caseInsensitive)
+	return m.matches(value)
+}
+
 func TestValueMatchesKinds(t *testing.T) {
-	m := newMatcher()
 	tests := []struct {
 		name     string
 		value    string
@@ -32,7 +38,7 @@ func TestValueMatchesKinds(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := m.valueMatches(tt.value, tt.expected, tt.spec, tt.ci)
+			got, err := valueMatches(tt.value, tt.expected, tt.spec, tt.ci)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,29 +50,52 @@ func TestValueMatchesKinds(t *testing.T) {
 }
 
 func TestMatcherBadRegex(t *testing.T) {
-	m := newMatcher()
-	if _, err := m.valueMatches("x", []string{"(unclosed"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}, false); err == nil {
-		t.Error("bad regex accepted")
+	_, err := valueMatches("x", []string{"(unclosed"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}, false)
+	if err == nil {
+		t.Fatal("bad regex accepted")
+	}
+	if want := `engine: regex "(unclosed": error parsing regexp: missing closing ): ` + "`(unclosed`"; err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
 	}
 }
 
-func TestMatcherRegexCacheReuse(t *testing.T) {
-	m := newMatcher()
-	for i := 0; i < 3; i++ {
-		ok, err := m.valueMatches("abc", []string{"^a.c$"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAll}, false)
-		if err != nil || !ok {
-			t.Fatal(ok, err)
-		}
+// TestMatcherBadRegexOnlyWhenReached pins lazy regex compilation: a bad
+// pattern after an any-hit (or after an all-miss) is never compiled, and
+// the same match set reports it once a value does reach it.
+func TestMatcherBadRegexOnlyWhenReached(t *testing.T) {
+	anySet := newMatchSet([]string{"^ok$", "(bad"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}, false)
+	if ok, err := anySet.matches("ok"); err != nil || !ok {
+		t.Fatalf("any-hit before the bad pattern: %v, %v", ok, err)
 	}
-	if len(m.cache) != 1 {
-		t.Errorf("cache entries = %d", len(m.cache))
+	if _, err := anySet.matches("nope"); err == nil {
+		t.Fatal("a value reaching the bad pattern got no error")
 	}
-	// Case-insensitive variant caches separately.
-	if _, err := m.valueMatches("ABC", []string{"^a.c$"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAll}, true); err != nil {
-		t.Fatal(err)
+	allSet := newMatchSet([]string{"^ok$", "(bad"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAll}, false)
+	if ok, err := allSet.matches("nope"); err != nil || ok {
+		t.Fatalf("all-miss before the bad pattern: %v, %v", ok, err)
 	}
-	if len(m.cache) != 2 {
-		t.Errorf("cache entries = %d", len(m.cache))
+}
+
+// TestMatchSetFoldsOnce pins the compiled case folding: exact and substr
+// operands are lower-cased at compile time, regex operands are left as
+// written and matched with (?i).
+func TestMatchSetFoldsOnce(t *testing.T) {
+	exact := newMatchSet([]string{"NO", "Maybe"}, cvl.MatchSpec{Kind: cvl.MatchExact, Quant: cvl.QuantAny}, true)
+	if !exact.fold || exact.values[0] != "no" || exact.values[1] != "maybe" {
+		t.Errorf("exact operands = %q (fold %v), want folded", exact.values, exact.fold)
+	}
+	re := newMatchSet([]string{"^YES$"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}, true)
+	if re.fold || re.values[0] != "^YES$" {
+		t.Errorf("regex operands = %q (fold %v), want unfolded", re.values, re.fold)
+	}
+	if ok, err := re.matches("yes"); err != nil || !ok {
+		t.Errorf("case-insensitive regex: %v, %v", ok, err)
+	}
+	// The rule's own value lists are never rewritten by compilation.
+	rule := &cvl.Rule{Type: cvl.TypeTree, Name: "k", PreferredValue: []string{"A"}, CaseInsensitive: true}
+	compileRule(rule)
+	if rule.PreferredValue[0] != "A" {
+		t.Errorf("compile rewrote the rule's preferred values to %q", rule.PreferredValue)
 	}
 }
 
@@ -74,7 +103,6 @@ func TestMatcherRegexCacheReuse(t *testing.T) {
 // substr kinds, any(value, set) == !all-fail and all(value, set) implies
 // any(value, set).
 func TestQuickAnyAllDuality(t *testing.T) {
-	m := newMatcher()
 	r := rand.New(rand.NewSource(77))
 	words := []string{"a", "b", "ab", "ba", "abc", "", "aa"}
 	kinds := []cvl.MatchKind{cvl.MatchExact, cvl.MatchSubstr}
@@ -86,11 +114,11 @@ func TestQuickAnyAllDuality(t *testing.T) {
 			set[j] = words[r.Intn(len(words))]
 		}
 		kind := kinds[r.Intn(2)]
-		anyMatch, err := m.valueMatches(value, set, cvl.MatchSpec{Kind: kind, Quant: cvl.QuantAny}, false)
+		anyMatch, err := valueMatches(value, set, cvl.MatchSpec{Kind: kind, Quant: cvl.QuantAny}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		allMatch, err := m.valueMatches(value, set, cvl.MatchSpec{Kind: kind, Quant: cvl.QuantAll}, false)
+		allMatch, err := valueMatches(value, set, cvl.MatchSpec{Kind: kind, Quant: cvl.QuantAll}, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -147,15 +147,110 @@ preferred_value: ["2"]
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != 2 || again[0].Name != "first" || again[1].Name != "second" {
+	if len(again) != 2 || again[0].rule.Name != "first" || again[1].rule.Name != "second" {
 		names := make([]string, len(again))
 		for i, r := range again {
-			names[i] = r.Name
+			names[i] = r.rule.Name
 		}
 		t.Fatalf("second Resolve sees mutated slice %v, want [first second]", names)
 	}
 	// And the two calls must not share a backing array.
 	if &got[0] == &again[0] {
 		t.Fatal("Resolve returned the same backing array twice")
+	}
+}
+
+// regexRuleFiles is a manifest whose sshd rules are all regex matchers:
+// case-folded, element-wise, and one list that reaches an invalid pattern.
+var regexRuleFiles = map[string]string{
+	"manifest.yaml": `
+sshd:
+  enabled: True
+  config_search_paths: [/etc/ssh]
+  cvl_file: sshd.yaml
+`,
+	"sshd.yaml": `
+config_name: PermitRootLogin
+config_path: [""]
+preferred_value: ["^(no|without-password)$", "(unclosed"]
+preferred_value_match: regex,any
+---
+config_name: Ciphers
+config_path: [""]
+value_separator: ","
+case_insensitive: true
+non_preferred_value: ["-CBC$", "^arcfour"]
+non_preferred_value_match: regex,any
+---
+config_name: LogLevel
+config_path: [""]
+case_insensitive: true
+preferred_value: ["^(info|verbose)$"]
+preferred_value_match: regex,any
+---
+config_name: MaxAuthTries
+config_path: [""]
+preferred_value: ["^[1-4]$"]
+preferred_value_match: regex,all
+`,
+}
+
+// TestSharedCompiledRulesConcurrent validates regex rules from 8
+// goroutines through one engine and one CachedSource, so every goroutine
+// evaluates the same compiled rules and races to compile their regexes
+// on first use. Each report must equal the one a private serial engine
+// produces. make race and scripts/ci.sh run it under -race -count=10.
+func TestSharedCompiledRulesConcurrent(t *testing.T) {
+	manifest, err := cvl.ParseManifest("manifest.yaml", []byte(regexRuleFiles["manifest.yaml"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(path string) ([]byte, error) { return []byte(regexRuleFiles[path]), nil }
+	var ents []*entity.Mem
+	for i, conf := range []string{
+		"PermitRootLogin no\nCiphers aes128-ctr,AES256-CBC\nLogLevel VERBOSE\nMaxAuthTries 4\n",
+		"PermitRootLogin yes\nCiphers aes128-ctr\nLogLevel DEBUG\nMaxAuthTries 6\n",
+		"PermitRootLogin without-password\nCiphers Arcfour,aes128-ctr\nLogLevel info\n",
+	} {
+		m := entity.NewMem(fmt.Sprintf("host-%d", i), entity.TypeHost)
+		m.AddFile("/etc/ssh/sshd_config", []byte(conf))
+		ents = append(ents, m)
+	}
+	want := make([]string, len(ents))
+	for i, ent := range ents {
+		rep, err := NewWithOptions(nil, Options{Parallelism: 1}).Validate(ent, manifest, NewCachedSource(read))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = strings.Join(resultKeys(rep), "\n")
+	}
+	if !strings.Contains(want[1], "engine: regex \"(unclosed\"") {
+		t.Fatalf("fixture never reaches the bad regex:\n%s", want[1])
+	}
+
+	eng := NewWithOptions(nil, Options{Parallelism: 2})
+	src := NewCachedSource(read)
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func(g int) {
+			for i := 0; i < 3*len(ents); i++ {
+				k := (g + i) % len(ents)
+				rep, err := eng.Validate(ents[k], manifest, src)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := strings.Join(resultKeys(rep), "\n"); got != want[k] {
+					errs <- fmt.Errorf("goroutine %d, %s: report differs from serial\ngot:\n%s\nwant:\n%s", g, ents[k].Name(), got, want[k])
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

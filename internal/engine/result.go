@@ -74,6 +74,37 @@ type Result struct {
 	File string
 }
 
+// verdict is the entity-independent part of a Result: everything except
+// the EntityName/ManifestEntity/Rule attribution stamped per report. Rule
+// evaluation produces verdicts and the verdict memo stores them.
+type verdict struct {
+	status  Status
+	message string
+	detail  string
+	file    string
+}
+
+func pass(msg, file string) verdict {
+	return verdict{status: StatusPass, message: msg, file: file}
+}
+
+func fail(msg, detail, file string) verdict {
+	return verdict{status: StatusFail, message: msg, detail: detail, file: file}
+}
+
+func errorVerdict(err error) verdict {
+	return verdict{status: StatusError, message: err.Error()}
+}
+
+func degraded(err error) verdict {
+	return verdict{status: StatusDegraded, message: err.Error()}
+}
+
+// set copies a verdict into the result.
+func (r *Result) set(v verdict) {
+	r.Status, r.Message, r.Detail, r.File = v.status, v.message, v.detail, v.file
+}
+
 // Passed reports whether the result is a pass.
 func (r *Result) Passed() bool { return r.Status == StatusPass }
 

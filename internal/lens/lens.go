@@ -54,13 +54,6 @@ type Result struct {
 	Tree  *configtree.Node
 	Table *schema.Table
 
-	// findMu guards findMemo, the per-result tree-query memo. Identical
-	// files across a fleet share one cached Result, so each distinct rule
-	// query is answered against a given file content exactly once
-	// fleet-wide instead of once per entity.
-	findMu   sync.RWMutex
-	findMemo map[string][]*configtree.Node
-
 	// uid is the lazily assigned process-unique identity, see UID.
 	uid atomic.Uint64
 }
@@ -82,29 +75,6 @@ func (r *Result) UID() uint64 {
 		return n
 	}
 	return r.uid.Load()
-}
-
-// FindTree answers a tree query against the result, memoized. It returns
-// nil for schema-kind results. The returned slice is shared: callers must
-// not modify it.
-func (r *Result) FindTree(query string) []*configtree.Node {
-	if r == nil || r.Tree == nil {
-		return nil
-	}
-	r.findMu.RLock()
-	nodes, ok := r.findMemo[query]
-	r.findMu.RUnlock()
-	if ok {
-		return nodes
-	}
-	nodes = r.Tree.Find(query)
-	r.findMu.Lock()
-	if r.findMemo == nil {
-		r.findMemo = make(map[string][]*configtree.Node)
-	}
-	r.findMemo[query] = nodes
-	r.findMu.Unlock()
-	return nodes
 }
 
 // Lens converts raw configuration content into a normalized Result.

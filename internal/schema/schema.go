@@ -237,6 +237,9 @@ func (c *comparison) eval(t *Table, row []string) (bool, error) {
 // compareValues compares numerically when both values parse as numbers,
 // lexicographically otherwise.
 func compareValues(a, b string) int {
+	if !mayParseFloat(a) || !mayParseFloat(b) {
+		return strings.Compare(a, b)
+	}
 	fa, errA := strconv.ParseFloat(a, 64)
 	fb, errB := strconv.ParseFloat(b, 64)
 	if errA == nil && errB == nil {
@@ -250,6 +253,25 @@ func compareValues(a, b string) int {
 		}
 	}
 	return strings.Compare(a, b)
+}
+
+// mayParseFloat is a necessary condition for strconv.ParseFloat to
+// accept s: after an optional sign, s starts with a digit, '.', or the
+// first letter of "inf"/"infinity"/"nan". Ruling out the rest up front
+// spares comparisons of non-numeric cells the *NumError that a failed
+// parse allocates.
+func mayParseFloat(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
 }
 
 // matchLike implements SQL LIKE with % (any run) and _ (single char).

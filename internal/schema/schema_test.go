@@ -290,3 +290,81 @@ func TestTableString(t *testing.T) {
 		t.Errorf("String() = %q", s)
 	}
 }
+
+// TestMayParseFloatIsNecessary holds the compareValues fast path to
+// strconv.ParseFloat: every string ParseFloat accepts must pass
+// mayParseFloat, so skipping the parse for the rest cannot change a
+// comparison.
+func TestMayParseFloatIsNecessary(t *testing.T) {
+	inputs := []struct {
+		s    string
+		want bool
+	}{
+		{"", false},
+		{"+", false},
+		{"-", false},
+		{"-.5", true},
+		{"Inf", true},
+		{"-infinity", true},
+		{"nan", true},
+		{"NaN", true},
+		{"0x1p-2", true},
+		{" 1", false},
+		{"1e3", true},
+		{"1_000", true},
+		{".", true},
+		{"_1", false},
+		{"ext4", false},
+		{"defaults", false},
+		{"/tmp", false},
+		{"x1", false},
+	}
+	for _, in := range inputs {
+		if got := mayParseFloat(in.s); got != in.want {
+			t.Errorf("mayParseFloat(%q) = %v, want %v", in.s, got, in.want)
+		}
+		if _, err := strconv.ParseFloat(in.s, 64); err == nil && !mayParseFloat(in.s) {
+			t.Errorf("ParseFloat accepts %q but mayParseFloat rejects it", in.s)
+		}
+	}
+	// The same contract over random short strings from a numeric-ish
+	// alphabet, and compareValues against the parse-both reference.
+	reference := func(a, b string) int {
+		fa, errA := strconv.ParseFloat(a, 64)
+		fb, errB := strconv.ParseFloat(b, 64)
+		if errA == nil && errB == nil {
+			switch {
+			case fa < fb:
+				return -1
+			case fa > fb:
+				return 1
+			}
+			return 0
+		}
+		return strings.Compare(a, b)
+	}
+	const alphabet = "+-.0159eExpPinfaINFA_ /"
+	r := rand.New(rand.NewSource(3))
+	gen := func() string {
+		b := make([]byte, r.Intn(6))
+		for i := range b {
+			b[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := gen(), gen()
+		if _, err := strconv.ParseFloat(a, 64); err == nil && !mayParseFloat(a) {
+			t.Fatalf("ParseFloat accepts %q but mayParseFloat rejects it", a)
+		}
+		if got, want := compareValues(a, b), reference(a, b); got != want {
+			t.Fatalf("compareValues(%q, %q) = %d, want %d", a, b, got, want)
+		}
+	}
+}
+
+func TestCompareNonNumericAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { compareValues("ext4", "defaults") }); n != 0 {
+		t.Errorf("non-numeric compare allocates %v times, want 0", n)
+	}
+}

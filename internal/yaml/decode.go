@@ -421,8 +421,23 @@ func parseInline(s string, lineNum, col int) (any, error) {
 // parseQuoted parses a leading quoted string and returns the remainder.
 func parseQuoted(s string, lineNum int) (string, string, error) {
 	quote := s[0]
-	var b strings.Builder
+	// Up to the first escape — a backslash in a double-quoted scalar, a
+	// doubled quote in a single-quoted one — the scalar is a substring of
+	// the input: when the closing quote comes first, return it without
+	// copying.
 	i := 1
+	for ; i < len(s); i++ {
+		if c := s[i]; c == quote {
+			if quote == '\'' && i+1 < len(s) && s[i+1] == '\'' {
+				break
+			}
+			return s[1:i], s[i+1:], nil
+		} else if c == '\\' && quote == '"' {
+			break
+		}
+	}
+	var b strings.Builder
+	b.WriteString(s[1:i])
 	for i < len(s) {
 		c := s[i]
 		if quote == '\'' {

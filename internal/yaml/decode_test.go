@@ -489,3 +489,43 @@ func TestKeyPosUnknownForProgrammaticMaps(t *testing.T) {
 		t.Errorf("deleted key pos = %v, want zero", p)
 	}
 }
+
+func TestParseQuoted(t *testing.T) {
+	tests := []struct {
+		src, value, rest string
+		err              bool
+	}{
+		{`''`, "", "", false},
+		{`""`, "", "", false},
+		{`'plain' rest`, "plain", " rest", false},
+		{`"plain": v`, "plain", ": v", false},
+		{`'it''s'`, "it's", "", false},
+		{`'a"b\n'`, `a"b\n`, "", false},
+		{`"a\"b"`, `a"b`, "", false},
+		{`"tab\there"`, "tab\there", "", false},
+		{`"a'b"`, "a'b", "", false},
+		{`"abc\`, "", "", true},
+		{`'abc`, "", "", true},
+		{`'it''s`, "", "", true},
+	}
+	for _, tt := range tests {
+		value, rest, err := parseQuoted(tt.src, 1)
+		if (err != nil) != tt.err {
+			t.Errorf("parseQuoted(%q) error = %v, want error %v", tt.src, err, tt.err)
+			continue
+		}
+		if value != tt.value || rest != tt.rest {
+			t.Errorf("parseQuoted(%q) = %q, %q; want %q, %q", tt.src, value, rest, tt.value, tt.rest)
+		}
+	}
+}
+
+// TestParseQuotedEscapeFreeAllocatesNothing pins the substring fast path:
+// a quoted scalar without escapes is returned without a copy.
+func TestParseQuotedEscapeFreeAllocatesNothing(t *testing.T) {
+	for _, src := range []string{`"regex,any" # comment`, `'/etc/ssh/sshd_config'`} {
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = parseQuoted(src, 1) }); n != 0 {
+			t.Errorf("parseQuoted(%q) allocates %v times, want 0", src, n)
+		}
+	}
+}

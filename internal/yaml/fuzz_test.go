@@ -26,6 +26,10 @@ func FuzzDecode(f *testing.F) {
 		"x: [unclosed\n",
 		"---\ndoc: 1\n---\ndoc: 2\n",
 		"key: value # trailing comment\n# full comment\n",
+		"empty: ''\n",
+		"quote: \"\\\"\"\n",
+		"trailing: \"abc\\",
+		"unterminated: 'abc\n",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -27,6 +27,9 @@ fi
 
 go vet ./...
 go test -race ./...
+# The engine shares compiled rules (and their lazily compiled regexes)
+# across goroutines; repeat its suite under the race detector.
+go test -race -count=10 ./internal/engine
 
 # GOMAXPROCS matrix: the packages whose behaviour depends on the engine's
 # worker pool must pass at 1, 2 and 8 CPUs, whatever the CI host has.
@@ -46,9 +49,11 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 # complete degraded and a follow-up run must resume journaling.
 ./scripts/enospc_smoke.sh
 
-# Fuzz smoke over the untrusted-input parsers; go test accepts one -fuzz
-# target per invocation, so each runs separately.
+# Fuzz smoke over the untrusted-input parsers, and the compiled tree
+# query against its reference; go test accepts one -fuzz target per
+# invocation, so each runs separately.
 fuzztime="${FUZZTIME:-10s}"
 go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run FuzzDecode ./internal/yaml/
 go test -fuzz FuzzSSHDParse -fuzztime "$fuzztime" -run FuzzSSHDParse ./internal/lens/
 go test -fuzz FuzzFramesRead -fuzztime "$fuzztime" -run FuzzFramesRead ./internal/frames/
+go test -fuzz FuzzTreePath -fuzztime "$fuzztime" -run FuzzTreePath ./internal/configtree/
