@@ -40,13 +40,17 @@ analyze:
 	cat $$out
 
 # Fuzz smoke: a short randomized pass over the parsers that face
-# untrusted input, and over the compiled tree query against its reference
-# (one -fuzz target per invocation, as go test requires).
+# untrusted input — among them the journal record read from disk and the
+# shard-stream record read from a worker — and over the compiled tree
+# query against its reference (one -fuzz target per invocation, as go
+# test requires).
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run FuzzDecode ./internal/yaml/
 	$(GO) test -fuzz FuzzSSHDParse -fuzztime $(FUZZTIME) -run FuzzSSHDParse ./internal/lens/
 	$(GO) test -fuzz FuzzFramesRead -fuzztime $(FUZZTIME) -run FuzzFramesRead ./internal/frames/
 	$(GO) test -fuzz FuzzTreePath -fuzztime $(FUZZTIME) -run FuzzTreePath ./internal/configtree/
+	$(GO) test -fuzz FuzzJournalRecord -fuzztime $(FUZZTIME) -run FuzzJournalRecord ./internal/journal/
+	$(GO) test -fuzz FuzzStreamRecord -fuzztime $(FUZZTIME) -run FuzzStreamRecord ./internal/dist/
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.

@@ -38,26 +38,40 @@ type benchResult struct {
 	Name    string  `json:"name"`
 	Iters   int64   `json:"iterations"`
 	NsPerOp float64 `json:"ns_per_op"`
+	// BytesPerOp and AllocsPerOp are the B/op and allocs/op figures
+	// (-benchmem or b.ReportAllocs), absent when the run printed none.
+	BytesPerOp  *int64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
+	// Procs is the GOMAXPROCS the benchmark ran at, taken from the name's
+	// -N suffix (1 when go test printed none).
+	Procs int `json:"gomaxprocs,omitempty"`
 }
 
 // benchFile is the snapshot format committed as BENCH_parallel.json.
 type benchFile struct {
-	Note       string        `json:"note,omitempty"`
+	Note string `json:"note,omitempty"`
+	// CPU is the processor model from the run's "cpu:" line.
+	CPU        string        `json:"cpu,omitempty"`
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
-// parseBenchText extracts benchmark lines from `go test -bench` text output.
-// Lines look like:
+// parseBenchText extracts the "cpu:" line and the benchmark lines from
+// `go test -bench` text output. Benchmark lines look like:
 //
-//	BenchmarkFleetScan10      	    1602	   2118973 ns/op	 ... extra metrics
+//	BenchmarkFleetScan10-8   	    1602	   2118973 ns/op	  794018 B/op	   14541 allocs/op	 ... extra metrics
 //
 // The name's trailing -N GOMAXPROCS suffix (absent on a GOMAXPROCS=1 box) is
-// stripped so snapshots taken on different machines compare by logical name.
-func parseBenchText(r io.Reader) ([]benchResult, error) {
-	var out []benchResult
+// stripped so snapshots taken on different machines compare by logical
+// name; its value is kept as Procs.
+func parseBenchText(r io.Reader) (benchFile, error) {
+	var out benchFile
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			out.CPU = cpu
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -65,40 +79,56 @@ func parseBenchText(r io.Reader) ([]benchResult, error) {
 		if len(fields) < 4 || fields[3] != "ns/op" {
 			continue
 		}
-		name := fields[0]
-		if idx := strings.LastIndex(name, "-"); idx > 0 {
-			if _, err := strconv.Atoi(name[idx+1:]); err == nil {
-				name = name[:idx]
+		res := benchResult{Name: fields[0], Procs: 1}
+		if idx := strings.LastIndex(res.Name, "-"); idx > 0 {
+			if procs, err := strconv.Atoi(res.Name[idx+1:]); err == nil {
+				res.Name, res.Procs = res.Name[:idx], procs
 			}
 		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad iteration count in %q: %w", line, err)
+		var err error
+		if res.Iters, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return benchFile{}, fmt.Errorf("bad iteration count in %q: %w", line, err)
 		}
-		ns, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %w", line, err)
+		if res.NsPerOp, err = strconv.ParseFloat(fields[2], 64); err != nil {
+			return benchFile{}, fmt.Errorf("bad ns/op in %q: %w", line, err)
 		}
-		out = append(out, benchResult{Name: name, Iters: iters, NsPerOp: ns})
+		// The remaining fields are value/unit pairs.
+		for i := 4; i+1 < len(fields); i += 2 {
+			unit := fields[i+1]
+			if unit != "B/op" && unit != "allocs/op" {
+				continue
+			}
+			v, err := strconv.ParseInt(fields[i], 10, 64)
+			if err != nil {
+				return benchFile{}, fmt.Errorf("bad %s in %q: %w", unit, line, err)
+			}
+			if unit == "B/op" {
+				res.BytesPerOp = &v
+			} else {
+				res.AllocsPerOp = &v
+			}
+		}
+		out.Benchmarks = append(out.Benchmarks, res)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return benchFile{}, err
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no benchmark lines found")
+	if len(out.Benchmarks) == 0 {
+		return benchFile{}, fmt.Errorf("no benchmark lines found")
 	}
 	return out, nil
 }
 
 // writeSnapshot converts bench text from r into snapshot JSON on w.
 func writeSnapshot(r io.Reader, w io.Writer, note string) error {
-	results, err := parseBenchText(r)
+	f, err := parseBenchText(r)
 	if err != nil {
 		return err
 	}
+	f.Note = note
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(benchFile{Note: note, Benchmarks: results})
+	return enc.Encode(f)
 }
 
 func readBenchFile(path string) (map[string]benchResult, error) {

@@ -22,10 +22,11 @@ ok  	configvalidator	24.429s
 `
 
 func TestParseBenchTextStripsGOMAXPROCSSuffix(t *testing.T) {
-	results, err := parseBenchText(strings.NewReader(sampleBenchText))
+	f, err := parseBenchText(strings.NewReader(sampleBenchText))
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := f.Benchmarks
 	if len(results) != 5 {
 		t.Fatalf("parsed %d results, want 5", len(results))
 	}
@@ -43,6 +44,68 @@ func TestParseBenchTextStripsGOMAXPROCSSuffix(t *testing.T) {
 func TestParseBenchTextRejectsEmpty(t *testing.T) {
 	if _, err := parseBenchText(strings.NewReader("PASS\nok x 1s\n")); err == nil {
 		t.Fatal("want error for output with no benchmark lines")
+	}
+}
+
+// TestParseBenchTextKeepsMemCPUAndProcs pins what a snapshot records
+// beyond ns/op: the CPU model, each benchmark's GOMAXPROCS, and B/op and
+// allocs/op where the run printed them — a zero included.
+func TestParseBenchTextKeepsMemCPUAndProcs(t *testing.T) {
+	const text = `goos: linux
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkRecordEncode-2   	   63430	     45780 ns/op	 664.30 MB/s	       0 B/op	       0 allocs/op
+BenchmarkRecordDecode-2   	   17862	    130936 ns/op	 232.27 MB/s	  117525 B/op	      23 allocs/op
+BenchmarkPlain            	     100	      1000 ns/op
+`
+	f, err := parseBenchText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.CPU != "Intel(R) Xeon(R) Processor" || len(f.Benchmarks) != 3 {
+		t.Fatalf("parsed %+v", f)
+	}
+	for i, want := range []struct {
+		name          string
+		procs         int
+		bytes, allocs int64
+		mem           bool
+	}{
+		{"BenchmarkRecordEncode", 2, 0, 0, true},
+		{"BenchmarkRecordDecode", 2, 117525, 23, true},
+		{"BenchmarkPlain", 1, 0, 0, false},
+	} {
+		b := f.Benchmarks[i]
+		if b.Name != want.name || b.Procs != want.procs {
+			t.Errorf("benchmark %d = %s at GOMAXPROCS %d, want %s at %d", i, b.Name, b.Procs, want.name, want.procs)
+		}
+		if !want.mem {
+			if b.BytesPerOp != nil || b.AllocsPerOp != nil {
+				t.Errorf("%s: memory figures invented for a run without them", b.Name)
+			}
+			continue
+		}
+		if b.BytesPerOp == nil || *b.BytesPerOp != want.bytes || b.AllocsPerOp == nil || *b.AllocsPerOp != want.allocs {
+			t.Errorf("%s: memory figures = %v B/op, %v allocs/op, want %d and %d", b.Name, b.BytesPerOp, b.AllocsPerOp, want.bytes, want.allocs)
+		}
+	}
+
+	// The snapshot keeps them, and -diff still reads a baseline written
+	// before they were recorded.
+	var buf bytes.Buffer
+	if err := writeSnapshot(strings.NewReader(text), &buf, "test"); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"cpu": "Intel(R) Xeon(R) Processor"`, `"gomaxprocs": 2`, `"allocs_per_op": 0`, `"bytes_per_op": 117525`} {
+		if !strings.Contains(buf.String(), field) {
+			t.Errorf("snapshot lacks %s:\n%s", field, buf.String())
+		}
+	}
+	base, err := readBenchFile(filepath.Join("..", "..", "BENCH_parallel.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := base["BenchmarkTable2_ConfigValidator"]; b.NsPerOp == 0 || b.AllocsPerOp != nil {
+		t.Errorf("committed baseline read as %+v", b)
 	}
 }
 

@@ -490,13 +490,13 @@ func (c *Coordinator) leaseShard(r *run, w string, s *shard) error {
 	}
 	defer func() { _ = resp.Body.Close() }()
 
-	lines := make(chan []byte)
+	lines := make(chan string)
 	scanErr := make(chan error, 1)
 	go func() {
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
 		for sc.Scan() {
-			line := append([]byte(nil), sc.Bytes()...)
+			line := string(sc.Bytes())
 			select {
 			case lines <- line:
 			case <-leaseCtx.Done():
@@ -511,6 +511,7 @@ func (c *Coordinator) leaseShard(r *run, w string, s *shard) error {
 
 	watchdog := time.NewTimer(c.opts.LeaseTTL)
 	defer watchdog.Stop()
+	var dec journal.Decoder
 	for {
 		select {
 		case line, ok := <-lines:
@@ -523,8 +524,8 @@ func (c *Coordinator) leaseShard(r *run, w string, s *shard) error {
 				}
 				return fmt.Errorf("shard stream ended early: %w", err)
 			}
-			var rec StreamRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
+			rec, err := decodeStreamRecord(&dec, line)
+			if err != nil {
 				return fmt.Errorf("bad stream record: %w", err)
 			}
 			switch rec.Type {

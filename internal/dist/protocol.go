@@ -27,6 +27,12 @@
 // as a liveness signal; the coordinator revokes the lease when the stream
 // goes silent past the lease TTL.
 //
+// Workers write StreamRecords and the coordinator reads them with a
+// hand-written codec built on internal/journal's (AppendStreamRecord,
+// decodeStreamRecord). Each line is exactly the bytes json.Marshal
+// writes, so a coordinator still talks to a worker that uses
+// encoding/json, and the reverse. Request bodies stay on encoding/json.
+//
 // Workers serve the endpoint behind the validation service's existing
 // admission gate, so coordinator backpressure ties directly into the
 // worker's 429/Retry-After shedding and circuit breaker.
@@ -34,6 +40,7 @@ package dist
 
 import (
 	"fmt"
+	"strconv"
 
 	"configvalidator/internal/journal"
 )
@@ -91,6 +98,66 @@ type StreamRecord struct {
 	// Scanned is the running result count (heartbeats) or the final count
 	// (done trailer).
 	Scanned int `json:"scanned,omitempty"`
+}
+
+// AppendStreamRecord appends rec's JSON encoding to dst, byte-identical to
+// json.Marshal(rec), without a trailing newline.
+func AppendStreamRecord(dst []byte, rec *StreamRecord) []byte {
+	dst = append(dst, `{"type":`...)
+	dst = journal.AppendString(dst, rec.Type)
+	dst = journal.AppendField(dst, "entity", rec.Entity)
+	dst = journal.AppendField(dst, "digest", rec.Digest)
+	if rec.Resumed {
+		dst = append(dst, `,"resumed":true`...)
+	}
+	dst = journal.AppendField(dst, "err", rec.Err)
+	dst = journal.AppendField(dst, "err_kind", rec.ErrKind)
+	if rec.Report != nil {
+		dst = append(dst, `,"report":`...)
+		dst = journal.AppendReport(dst, rec.Report)
+	}
+	if rec.Scanned != 0 {
+		dst = append(dst, `,"scanned":`...)
+		dst = strconv.AppendInt(dst, int64(rec.Scanned), 10)
+	}
+	return append(dst, '}')
+}
+
+// decodeStreamRecord decodes one response line. The report shares the
+// line's memory; Entity, Digest, Err and ErrKind own theirs, because the
+// coordinator keeps them after it drops the report.
+func decodeStreamRecord(d *journal.Decoder, line string) (StreamRecord, error) {
+	d.Reset(line)
+	var rec StreamRecord
+	if d.Object() {
+		for i := 0; ; i++ {
+			key, ok := d.Member(i)
+			if !ok {
+				break
+			}
+			switch key {
+			case "type":
+				d.String(&rec.Type)
+			case "entity":
+				d.OwnedString(&rec.Entity)
+			case "digest":
+				d.OwnedString(&rec.Digest)
+			case "resumed":
+				d.Bool(&rec.Resumed)
+			case "err":
+				d.OwnedString(&rec.Err)
+			case "err_kind":
+				d.OwnedString(&rec.ErrKind)
+			case "report":
+				d.Report(&rec.Report)
+			case "scanned":
+				d.Int(&rec.Scanned)
+			default:
+				d.Skip()
+			}
+		}
+	}
+	return rec, d.End()
 }
 
 // RemoteError is a worker-side scan failure reconstructed on the

@@ -17,9 +17,13 @@
 //
 //	[uint32 LE payload length][uint32 LE CRC-32 (IEEE) of payload][payload]
 //
-// The payload is a JSON-encoded Record. The format is append-only; nothing
-// in the file is ever updated in place, so the only corruption a crash can
-// cause is a torn tail — which recovery truncates, never fails on.
+// The payload is a Record as JSON. A hand-written codec (codec.go) writes
+// and reads it without reflection, producing exactly the bytes
+// encoding/json writes: journals written with json.Marshal replay
+// unchanged, and a decoded record equals what json.Unmarshal returns. The
+// format is append-only; nothing in the file is ever updated in place, so
+// the only corruption a crash can cause is a torn tail — which recovery
+// truncates, never fails on.
 //
 // # Recovery
 //
@@ -64,7 +68,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -168,7 +171,9 @@ type Options struct {
 }
 
 // Record is one journaled per-entity outcome. Exactly one of Report and
-// Err is set.
+// Err is set. The json tags here and on the report types name the fields
+// of the payload codec.go writes; tests hold the codec to encoding/json
+// through them.
 type Record struct {
 	// Entity is the scanned entity's name.
 	Entity string `json:"entity"`
@@ -288,6 +293,8 @@ func (j *Journal) recover() error {
 
 	offset := int64(len(magic))
 	head := make([]byte, 8)
+	var buf []byte
+	var dec Decoder
 	for offset < size {
 		if _, err := io.ReadFull(j.f, head); err != nil {
 			j.noteCorrupt() // torn record header
@@ -299,7 +306,10 @@ func (j *Journal) recover() error {
 			j.noteCorrupt() // implausible length or torn payload
 			return j.truncateTo(offset, false)
 		}
-		payload := make([]byte, length)
+		if cap(buf) < int(length) {
+			buf = make([]byte, length)
+		}
+		payload := buf[:length]
 		if _, err := io.ReadFull(j.f, payload); err != nil {
 			j.noteCorrupt()
 			return j.truncateTo(offset, false)
@@ -308,8 +318,10 @@ func (j *Journal) recover() error {
 			j.noteCorrupt() // bit flip: drop this record and everything after
 			return j.truncateTo(offset, false)
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		// The decoded report shares this string's memory; the record's
+		// top-level fields own theirs.
+		rec, err := dec.record(string(payload))
+		if err != nil {
 			j.noteCorrupt()
 			return j.truncateTo(offset, false)
 		}
@@ -363,21 +375,40 @@ func (j *Journal) absorb(rec Record) {
 	j.latest = &cp
 }
 
+// frameBufs recycles Append's encode buffers: a record is ~30 KB, which a
+// buffer grown from nil would allocate and copy several times over.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame caps the buffers frameBufs keeps, so one outsized record
+// does not pin its buffer for the life of the process.
+const maxPooledFrame = 1 << 20
+
+// appendFrame appends rec as one framed record: the payload is encoded in
+// place after a reserved header, which is then filled in.
+func appendFrame(dst []byte, rec *Record) []byte {
+	start := len(dst)
+	dst = appendRecord(append(dst, 0, 0, 0, 0, 0, 0, 0, 0), rec)
+	payload := dst[start+8:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
 // Append durably logs one record. Concurrent appends are serialized; each
 // record is written in a single Write call, so a crash tears at most the
 // final record — which recovery truncates.
 func (j *Journal) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: encode record: %w", err)
-	}
-	if len(payload) > maxRecordSize {
+	bp := frameBufs.Get().(*[]byte)
+	buf := appendFrame((*bp)[:0], &rec)
+	defer func() {
+		if cap(buf) <= maxPooledFrame {
+			*bp = buf
+			frameBufs.Put(bp)
+		}
+	}()
+	if len(buf)-8 > maxRecordSize {
 		return fmt.Errorf("journal: record for %s exceeds %d bytes", rec.Entity, maxRecordSize)
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -658,18 +689,11 @@ func (j *Journal) Compact() error {
 		if _, err := w.Write([]byte(magic)); err != nil {
 			return err
 		}
-		head := make([]byte, 8)
+		var buf []byte
 		for _, name := range names {
-			payload, err := json.Marshal(j.index[name])
-			if err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(head[4:8], crc32.ChecksumIEEE(payload))
-			if _, err := w.Write(head); err != nil {
-				return err
-			}
-			if _, err := w.Write(payload); err != nil {
+			rec := j.index[name]
+			buf = appendFrame(buf[:0], &rec)
+			if _, err := w.Write(buf); err != nil {
 				return err
 			}
 		}
@@ -783,7 +807,8 @@ type RuleRecord struct {
 	SuggestedAction string   `json:"suggested_action,omitempty"`
 }
 
-// NewReportRecord converts an engine report into its journaled form.
+// NewReportRecord converts an engine report into its journaled form. The
+// results and their rules are allocated as one block each.
 func NewReportRecord(rep *engine.Report) *ReportRecord {
 	if rep == nil {
 		return nil
@@ -791,10 +816,17 @@ func NewReportRecord(rep *engine.Report) *ReportRecord {
 	out := &ReportRecord{
 		Entity:  rep.EntityName,
 		Type:    rep.EntityType,
-		Results: make([]ResultRecord, 0, len(rep.Results)),
+		Results: make([]ResultRecord, len(rep.Results)),
 	}
+	nrules := 0
 	for _, r := range rep.Results {
-		rr := ResultRecord{
+		if r.Rule != nil {
+			nrules++
+		}
+	}
+	rules := make([]RuleRecord, nrules)
+	for i, r := range rep.Results {
+		out.Results[i] = ResultRecord{
 			Entity:         r.EntityName,
 			ManifestEntity: r.ManifestEntity,
 			Status:         int(r.Status),
@@ -803,22 +835,24 @@ func NewReportRecord(rep *engine.Report) *ReportRecord {
 			File:           r.File,
 		}
 		if r.Rule != nil {
-			rr.Rule = &RuleRecord{
+			rules[0] = RuleRecord{
 				Name:            r.Rule.Name,
 				Type:            r.Rule.Type.String(),
 				Tags:            r.Rule.Tags,
 				Severity:        r.Rule.Severity,
 				SuggestedAction: r.Rule.SuggestedAction,
 			}
+			out.Results[i].Rule = &rules[0]
+			rules = rules[1:]
 		}
-		out.Results = append(out.Results, rr)
 	}
 	return out
 }
 
 // Report reconstructs the engine report. Rules are rebuilt with the
 // renderer-visible fields only; Report.ByTag, drift diffing, and all four
-// output formats behave identically to the original.
+// output formats behave identically to the original. The results and
+// their rules are allocated as one block each.
 func (rr *ReportRecord) Report() *engine.Report {
 	if rr == nil {
 		return nil
@@ -826,10 +860,20 @@ func (rr *ReportRecord) Report() *engine.Report {
 	rep := &engine.Report{
 		EntityName: rr.Entity,
 		EntityType: rr.Type,
-		Results:    make([]*engine.Result, 0, len(rr.Results)),
+		Results:    make([]*engine.Result, len(rr.Results)),
 	}
-	for _, r := range rr.Results {
-		res := &engine.Result{
+	results := make([]engine.Result, len(rr.Results))
+	nrules := 0
+	for i := range rr.Results {
+		if rr.Results[i].Rule != nil {
+			nrules++
+		}
+	}
+	rules := make([]cvl.Rule, nrules)
+	for i := range rr.Results {
+		r := &rr.Results[i]
+		res := &results[i]
+		*res = engine.Result{
 			EntityName:     r.Entity,
 			ManifestEntity: r.ManifestEntity,
 			Status:         engine.Status(r.Status),
@@ -838,18 +882,18 @@ func (rr *ReportRecord) Report() *engine.Report {
 			File:           r.File,
 		}
 		if r.Rule != nil {
-			rule := &cvl.Rule{
-				Name:            r.Rule.Name,
-				Tags:            r.Rule.Tags,
-				Severity:        r.Rule.Severity,
-				SuggestedAction: r.Rule.SuggestedAction,
-			}
+			rule := &rules[0]
+			rules = rules[1:]
+			rule.Name = r.Rule.Name
+			rule.Tags = r.Rule.Tags
+			rule.Severity = r.Rule.Severity
+			rule.SuggestedAction = r.Rule.SuggestedAction
 			if t, err := cvl.ParseRuleType(r.Rule.Type); err == nil {
 				rule.Type = t
 			}
 			res.Rule = rule
 		}
-		rep.Results = append(rep.Results, res)
+		rep.Results[i] = res
 	}
 	return rep
 }

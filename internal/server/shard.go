@@ -32,12 +32,14 @@ type shardEntity struct {
 
 // streamWriter serializes StreamRecords onto the response as JSON lines,
 // flushing each one so the coordinator's lease watchdog sees liveness in
-// real time. The mutex interleaves heartbeats with results safely.
+// real time. The mutex interleaves heartbeats with results safely; buf is
+// the stream's one encode buffer, reused for every line.
 type streamWriter struct {
 	mu  sync.Mutex
 	w   http.ResponseWriter
 	rc  *http.ResponseController
 	err error
+	buf []byte
 }
 
 func (sw *streamWriter) send(rec dist.StreamRecord) {
@@ -46,12 +48,8 @@ func (sw *streamWriter) send(rec dist.StreamRecord) {
 	if sw.err != nil {
 		return
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		sw.err = err
-		return
-	}
-	if _, err := sw.w.Write(append(line, '\n')); err != nil {
+	sw.buf = append(dist.AppendStreamRecord(sw.buf[:0], &rec), '\n')
+	if _, err := sw.w.Write(sw.buf); err != nil {
 		sw.err = err
 		return
 	}

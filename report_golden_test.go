@@ -2,14 +2,18 @@ package configvalidator
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"configvalidator/internal/cvl"
 	"configvalidator/internal/entity"
 	"configvalidator/internal/fixtures"
+	"configvalidator/internal/journal"
 )
 
 var updateReports = flag.Bool("update", false, "rewrite testdata/reports.golden from the current engine")
@@ -122,37 +126,26 @@ PasswordAuthentication no
 	return m
 }
 
-// TestReportsGolden pins the text and JSON reports — every status,
-// message, detail and file — of one UbuntuHost, three fleet images, and a
-// ValidateRules list against testdata/reports.golden, so an engine
-// refactor that changes a single byte of a report fails here. Regenerate
-// after an intended output change with:
-//
-//	go test -run TestReportsGolden -update .
-func TestReportsGolden(t *testing.T) {
+// labeledReport is one report testdata/reports.golden pins.
+type labeledReport struct {
+	label string
+	rep   *Report
+}
+
+// goldenReports validates the golden file's entities, in file order.
+func goldenReports(t *testing.T) []labeledReport {
+	t.Helper()
 	v, err := New(WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	render := func(label string, rep *Report) {
-		t.Helper()
-		out.WriteString("=== " + label + " text\n")
-		if err := WriteText(&out, rep, OutputOptions{Verbose: true, ShowPassing: true}); err != nil {
-			t.Fatal(err)
-		}
-		out.WriteString("=== " + label + " json\n")
-		if err := WriteJSON(&out, rep, OutputOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	var out []labeledReport
 	host, _ := fixtures.UbuntuHost("golden-host", fixtures.Profile{Seed: 42, MisconfigRate: 0.3})
 	rep, err := v.Validate(host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	render("ubuntu-host", rep)
+	out = append(out, labeledReport{"ubuntu-host", rep})
 
 	reg, _ := fixtures.Fleet(3, fixtures.Profile{Seed: 7, MisconfigRate: 0.4})
 	for _, ref := range reg.Images() {
@@ -164,7 +157,7 @@ func TestReportsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		render("image "+ref, rep)
+		out = append(out, labeledReport{"image " + ref, rep})
 	}
 
 	rf, err := cvl.ParseRuleFile("golden.yaml", []byte(goldenRules))
@@ -175,7 +168,100 @@ func TestReportsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	render("rule-list", rep)
+	return append(out, labeledReport{"rule-list", rep})
+}
+
+// renderReport renders rep as the golden file does: verbose text with
+// passing results, or JSON.
+func renderReport(t *testing.T, rep *Report, asJSON bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	var err error
+	if asJSON {
+		err = WriteJSON(&buf, rep, OutputOptions{})
+	} else {
+		err = WriteText(&buf, rep, OutputOptions{Verbose: true, ShowPassing: true})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRecordCodecOnGoldenReports checks the journal's record codec on
+// every report testdata/reports.golden pins: the report's encoding is
+// json.Marshal's, it decodes to json.Unmarshal's value, and a record
+// appended to a journal replays into a report that renders like the
+// original, as text and as JSON.
+func TestRecordCodecOnGoldenReports(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "golden.cvj")
+	j, err := OpenJournal(path, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := goldenReports(t)
+	for i, g := range reps {
+		rr := NewJournalReport(g.rep)
+		want, err := json.Marshal(rr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := journal.AppendReport(nil, rr); !bytes.Equal(got, want) {
+			t.Fatalf("%s: encoding differs from json.Marshal", g.label)
+		}
+		var oracle, got *JournalReport
+		if err := json.Unmarshal(want, &oracle); err != nil {
+			t.Fatal(err)
+		}
+		var d journal.Decoder
+		d.Reset(string(want))
+		d.Report(&got)
+		if err := d.End(); err != nil {
+			t.Fatalf("%s: decode: %v", g.label, err)
+		}
+		if !reflect.DeepEqual(got, oracle) {
+			t.Fatalf("%s: decoded report differs from json.Unmarshal's", g.label)
+		}
+		if err := j.Append(JournalRecord{Entity: g.label, Digest: fmt.Sprint(i), Report: rr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err = OpenJournal(path, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i, g := range reps {
+		rec, ok := j.Lookup(g.label, fmt.Sprint(i))
+		if !ok {
+			t.Fatalf("%s: not replayed", g.label)
+		}
+		for _, asJSON := range []bool{false, true} {
+			if !bytes.Equal(renderReport(t, rec.Report.Report(), asJSON), renderReport(t, g.rep, asJSON)) {
+				t.Errorf("%s: replayed report renders differently (json=%v)", g.label, asJSON)
+			}
+		}
+	}
+}
+
+// TestReportsGolden pins the text and JSON reports — every status,
+// message, detail and file — of one UbuntuHost, three fleet images, and a
+// ValidateRules list against testdata/reports.golden, so an engine
+// refactor that changes a single byte of a report fails here. Regenerate
+// after an intended output change with:
+//
+//	go test -run TestReportsGolden -update .
+func TestReportsGolden(t *testing.T) {
+	var out bytes.Buffer
+	for _, g := range goldenReports(t) {
+		out.WriteString("=== " + g.label + " text\n")
+		out.Write(renderReport(t, g.rep, false))
+		out.WriteString("=== " + g.label + " json\n")
+		out.Write(renderReport(t, g.rep, true))
+	}
 
 	path := filepath.Join("testdata", "reports.golden")
 	if *updateReports {

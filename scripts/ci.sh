@@ -49,7 +49,8 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 # complete degraded and a follow-up run must resume journaling.
 ./scripts/enospc_smoke.sh
 
-# Fuzz smoke over the untrusted-input parsers, and the compiled tree
+# Fuzz smoke over the untrusted-input parsers (journal and shard-stream
+# records among them), and the compiled tree
 # query against its reference; go test accepts one -fuzz target per
 # invocation, so each runs separately.
 fuzztime="${FUZZTIME:-10s}"
@@ -57,3 +58,5 @@ go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run FuzzDecode ./internal/yaml/
 go test -fuzz FuzzSSHDParse -fuzztime "$fuzztime" -run FuzzSSHDParse ./internal/lens/
 go test -fuzz FuzzFramesRead -fuzztime "$fuzztime" -run FuzzFramesRead ./internal/frames/
 go test -fuzz FuzzTreePath -fuzztime "$fuzztime" -run FuzzTreePath ./internal/configtree/
+go test -fuzz FuzzJournalRecord -fuzztime "$fuzztime" -run FuzzJournalRecord ./internal/journal/
+go test -fuzz FuzzStreamRecord -fuzztime "$fuzztime" -run FuzzStreamRecord ./internal/dist/
