@@ -77,10 +77,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Benchmark regression gate: re-run the gated benchmarks and diff against
-# the committed baseline. Fails on a >15% ns/op regression of
-# BenchmarkTable2_ConfigValidator, any BenchmarkFleetScan*, or the
-# semantic-analysis benchmarks (BenchmarkSemanticLower/Check), or when a
-# warm fleet scan is less than 2x faster than its cold counterpart.
+# the committed baseline. Fails on a >15% ns/op regression or a >10%
+# allocs/op growth of BenchmarkTable2_ConfigValidator, any
+# BenchmarkFleetScan*, or the semantic-analysis benchmarks
+# (BenchmarkSemanticLower/Check), or when a warm fleet scan is less than
+# 2x faster than its cold counterpart.
 BENCH_BASELINE ?= BENCH_parallel.json
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2_ConfigValidator$$|BenchmarkFleetScan' -benchtime 3s . > /tmp/bench-check.txt

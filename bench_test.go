@@ -90,6 +90,21 @@ func BenchmarkTable2_ConfigValidator40(b *testing.B) {
 	}
 }
 
+// BenchmarkTable2_ConfigValidator40Serial is the 40-rule row at
+// Parallelism 1, so every Table-2 engine can be compared single-threaded.
+func BenchmarkTable2_ConfigValidator40Serial(b *testing.B) {
+	host := table2Host()
+	ruleList, paths := table2CVLRules(b)
+	eng := engine.NewWithOptions(nil, engine.Options{Parallelism: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.ValidateRules(host, ruleList, paths); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // table2CVLRules resolves the exact 40 built-in CVL rules referenced by
 // the neutral specs plus the union of their search paths.
 func table2CVLRules(b *testing.B) ([]*cvl.Rule, []string) {
@@ -421,6 +436,30 @@ func BenchmarkAblationNormalizationOnly(b *testing.B) {
 		}
 		if len(configs) == 0 {
 			b.Fatal("no configs")
+		}
+	}
+}
+
+// --- rule loading: what a one-shot run pays before its first scan ---
+
+// BenchmarkResolveLibrary parses the built-in manifest and resolves every
+// target's rule file through a fresh CachedSource, as New() followed by
+// one Validate does for each host in a one-shot run.
+func BenchmarkResolveLibrary(b *testing.B) {
+	files := rules.Files()
+	manifest := []byte(files["manifest.yaml"])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := cvl.ParseManifest("manifest.yaml", manifest)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := engine.NewCachedSource(rules.Reader())
+		for _, e := range m.Entries {
+			if _, err := src.Resolve(e.CVLFile); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -11,7 +11,8 @@ package main
 //   - BenchmarkTable2_ConfigValidator (exact name), every
 //     BenchmarkFleetScan* benchmark, and every BenchmarkSemantic*
 //     benchmark (semantic rule analysis: lowering + checking) may not
-//     regress more than 15% ns/op against the baseline;
+//     regress more than 15% ns/op against the baseline, nor grow more
+//     than 10% allocs/op when both snapshots record allocs/op;
 //   - every BenchmarkFleetScanWarm<N> in the new run must be at least 2x
 //     faster than its cold counterpart BenchmarkFleetScan<N> — the
 //     parse-cache + verdict-memo speedup contract.
@@ -29,6 +30,9 @@ import (
 
 // regressionLimit is the tolerated ns/op growth versus the baseline.
 const regressionLimit = 1.15
+
+// allocsLimit is the tolerated allocs/op growth versus the baseline.
+const allocsLimit = 1.10
 
 // minWarmSpeedup is the required cold/warm ratio for fleet-scan pairs.
 const minWarmSpeedup = 2.0
@@ -185,6 +189,21 @@ func diffBenchResults(base, next map[string]benchResult, w io.Writer) bool {
 			failed = true
 		}
 		fmt.Fprintf(w, "%-36s %14.0f %14.0f %+7.1f%%  %s\n", name, b.NsPerOp, n.NsPerOp, delta*100, verdict)
+	}
+
+	// Allocation gate, where both snapshots recorded allocs/op.
+	for _, name := range names {
+		b, n := base[name], next[name]
+		if b.AllocsPerOp == nil || n.AllocsPerOp == nil {
+			continue
+		}
+		ba, na := *b.AllocsPerOp, *n.AllocsPerOp
+		verdict := "ok"
+		if float64(na) > float64(ba)*allocsLimit {
+			verdict = fmt.Sprintf("FAIL (> +%.0f%%)", (allocsLimit-1)*100)
+			failed = true
+		}
+		fmt.Fprintf(w, "allocs/op %s: %d -> %d  %s\n", name, ba, na, verdict)
 	}
 
 	// Speedup contract: each warm fleet benchmark in the new run must beat

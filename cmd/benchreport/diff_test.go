@@ -89,8 +89,8 @@ BenchmarkPlain            	     100	      1000 ns/op
 		}
 	}
 
-	// The snapshot keeps them, and -diff still reads a baseline written
-	// before they were recorded.
+	// The snapshot keeps them, and the committed baseline records
+	// allocs/op for every gated benchmark, so -diff gates them.
 	var buf bytes.Buffer
 	if err := writeSnapshot(strings.NewReader(text), &buf, "test"); err != nil {
 		t.Fatal(err)
@@ -104,8 +104,10 @@ BenchmarkPlain            	     100	      1000 ns/op
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := base["BenchmarkTable2_ConfigValidator"]; b.NsPerOp == 0 || b.AllocsPerOp != nil {
-		t.Errorf("committed baseline read as %+v", b)
+	for name, b := range base {
+		if gated(name) && (b.NsPerOp == 0 || b.AllocsPerOp == nil) {
+			t.Errorf("committed baseline read %s as %+v", name, b)
+		}
 	}
 }
 
@@ -234,6 +236,54 @@ func TestDiffFailsOnInsufficientSpeedup(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "speedup") {
 		t.Errorf("diff output lacks speedup line:\n%s", out.String())
+	}
+}
+
+// allocs returns a pointer to n, for benchResult.AllocsPerOp.
+func allocs(n int64) *int64 { return &n }
+
+// TestDiffGatesAllocs pins the allocs/op gate: growth past 10% on a gated
+// benchmark fails even when ns/op is fine, growth within 10% or on an
+// ungated benchmark passes, and the check is skipped when either snapshot
+// lacks the figure.
+func TestDiffGatesAllocs(t *testing.T) {
+	base := []benchResult{
+		{Name: "BenchmarkTable2_ConfigValidator", Iters: 100, NsPerOp: 1000, AllocsPerOp: allocs(1000)},
+		{Name: "BenchmarkFleetScan10", Iters: 100, NsPerOp: 2000},
+		{Name: "BenchmarkFleetScanWarm10", Iters: 100, NsPerOp: 500, AllocsPerOp: allocs(100)},
+		{Name: "BenchmarkOther", Iters: 100, NsPerOp: 10, AllocsPerOp: allocs(1)},
+	}
+	for _, tc := range []struct {
+		name        string
+		table2, fsc *int64
+		other       *int64
+		fail        bool
+	}{
+		{"within 10%", allocs(1099), allocs(5000), allocs(50), false},
+		{"gated growth", allocs(1101), nil, nil, true},
+		{"ungated growth", allocs(1000), nil, allocs(50), false},
+		{"figure missing in the new run", nil, allocs(5000), nil, false},
+		{"figure missing in the baseline", allocs(1000), allocs(5000), nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			next := []benchResult{
+				{Name: "BenchmarkTable2_ConfigValidator", Iters: 100, NsPerOp: 1000, AllocsPerOp: tc.table2},
+				{Name: "BenchmarkFleetScan10", Iters: 100, NsPerOp: 2000, AllocsPerOp: tc.fsc},
+				{Name: "BenchmarkFleetScanWarm10", Iters: 100, NsPerOp: 500, AllocsPerOp: allocs(100)},
+				{Name: "BenchmarkOther", Iters: 100, NsPerOp: 10, AllocsPerOp: tc.other},
+			}
+			var out bytes.Buffer
+			failed, err := diffBenchFiles(writeSnapshotFile(t, "base.json", base), writeSnapshotFile(t, "new.json", next), &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if failed != tc.fail {
+				t.Errorf("failed = %v, want %v:\n%s", failed, tc.fail, out.String())
+			}
+			if tc.fail && !strings.Contains(out.String(), "allocs/op BenchmarkTable2_ConfigValidator: 1000 -> 1101  FAIL") {
+				t.Errorf("diff output lacks the allocs verdict:\n%s", out.String())
+			}
+		})
 	}
 }
 

@@ -22,11 +22,15 @@ import (
 // scan replay a journaled result instead of re-scanning (see
 // FleetOptions.Journal).
 //
-// Known digest blind spots, accepted for cheapness: runtime feature
-// *outputs* are not executed (only the feature list participates), and
-// rule-file inheritance chains deeper than one parent hash only the first
-// two files. Both change rarely relative to config files; when they do, a
-// Compact()ed journal or a new journal path forces a full re-scan.
+// The rule files are the ones resolving each entry's cvl_file reads: the
+// file and its whole parent_cvl_file chain, so an edit anywhere up the
+// chain changes the digest. A manifest entry's own parent_cvl_file key is
+// ignored, as the engine ignores it.
+//
+// Known digest blind spot, accepted for cheapness: runtime feature
+// *outputs* are not executed (only the feature list participates). They
+// change rarely relative to config files; when they do, a Compact()ed
+// journal or a new journal path forces a full re-scan.
 //
 // target selects one manifest entity as in ValidateTarget; empty digests
 // the full manifest. Panics from entity implementations are recovered into
@@ -55,16 +59,13 @@ func (v *Validator) ConfigDigest(e Entity, target string) (dig string, err error
 	// Rule-library fingerprint: the verdict depends on the rules as much as
 	// on the config, so a rule edit must change the digest.
 	for _, entry := range entries {
+		sums, ferr := v.source.Fingerprint(entry.CVLFile)
+		if ferr != nil {
+			return "", fmt.Errorf("configvalidator: digest %s: rule file %s: %w", e.Name(), entry.CVLFile, ferr)
+		}
 		io.WriteString(h, "entry\x00"+entry.Name+"\x00")
-		for _, file := range []string{entry.CVLFile, entry.ParentCVLFile} {
-			if file == "" {
-				continue
-			}
-			fp, ferr := v.ruleFileFingerprint(file)
-			if ferr != nil {
-				return "", fmt.Errorf("configvalidator: digest %s: rule file %s: %w", e.Name(), file, ferr)
-			}
-			io.WriteString(h, file+"\x00"+fp+"\x00")
+		for _, f := range sums {
+			io.WriteString(h, f.Path+"\x00"+f.SHA256+"\x00")
 		}
 	}
 
@@ -111,28 +112,6 @@ func (v *Validator) ConfigDigest(e Entity, target string) (dig string, err error
 	}
 
 	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// ruleFileFingerprint hashes one rule file's content, memoized — the rule
-// library is immutable for a Validator's lifetime and shared across every
-// entity in a fleet.
-func (v *Validator) ruleFileFingerprint(path string) (string, error) {
-	v.digestMu.Lock()
-	defer v.digestMu.Unlock()
-	if fp, ok := v.ruleFP[path]; ok {
-		return fp, nil
-	}
-	data, err := v.reader(path)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	fp := hex.EncodeToString(sum[:])
-	if v.ruleFP == nil {
-		v.ruleFP = make(map[string]string)
-	}
-	v.ruleFP[path] = fp
-	return fp, nil
 }
 
 // searchPathUnion returns the sorted, deduplicated config search paths of

@@ -11,7 +11,7 @@ import (
 // conventional order of the paper's listings.
 func FormatRule(r *Rule) ([]byte, error) {
 	m := yaml.NewMap()
-	nameKW := typeNameKeyword[r.Type]
+	nameKW := nameKeyword(r.Type)
 	m.Set(nameKW, r.Name)
 	if r.Description != "" {
 		m.Set(descriptionKeyword(r.Type), r.Description)

@@ -112,30 +112,61 @@ func KeywordCount(group KeywordGroup) int {
 	return n
 }
 
-// typeNameKeyword maps each rule type to its discriminating name keyword.
-var typeNameKeyword = map[RuleType]string{
-	TypeTree:      "config_name",
-	TypeSchema:    "config_schema_name",
-	TypePath:      "path_name",
-	TypeScript:    "script_name",
-	TypeComposite: "composite_rule_name",
+// nameKeywords pairs each rule type with its discriminating name keyword.
+var nameKeywords = [...]struct {
+	typ RuleType
+	kw  string
+}{
+	{TypeTree, "config_name"},
+	{TypeSchema, "config_schema_name"},
+	{TypePath, "path_name"},
+	{TypeScript, "script_name"},
+	{TypeComposite, "composite_rule_name"},
+}
+
+// nameKeyword returns the rule type's name keyword, or "".
+func nameKeyword(t RuleType) string {
+	for _, nk := range nameKeywords {
+		if nk.typ == t {
+			return nk.kw
+		}
+	}
+	return ""
+}
+
+// nameKeywordType returns the rule type whose name keyword is key, or 0.
+func nameKeywordType(key string) RuleType {
+	for _, nk := range nameKeywords {
+		if nk.kw == key {
+			return nk.typ
+		}
+	}
+	return 0
+}
+
+// typeGroup returns the keyword group specific to a rule type, or 0.
+func typeGroup(t RuleType) KeywordGroup {
+	switch t {
+	case TypeTree:
+		return GroupTree
+	case TypeSchema:
+		return GroupSchema
+	case TypePath:
+		return GroupPath
+	case TypeScript:
+		return GroupScript
+	case TypeComposite:
+		return GroupComposite
+	}
+	return 0
 }
 
 // AllowedGroups returns the keyword groups valid for a rule type: the
 // common group plus the type's own group.
 func AllowedGroups(t RuleType) map[KeywordGroup]bool {
 	out := map[KeywordGroup]bool{GroupCommon: true}
-	switch t {
-	case TypeTree:
-		out[GroupTree] = true
-	case TypeSchema:
-		out[GroupSchema] = true
-	case TypePath:
-		out[GroupPath] = true
-	case TypeScript:
-		out[GroupScript] = true
-	case TypeComposite:
-		out[GroupComposite] = true
+	if g := typeGroup(t); g != 0 {
+		out[g] = true
 	}
 	return out
 }

@@ -69,17 +69,17 @@ func ParseRule(m *yaml.Map) (*Rule, error) {
 	if err != nil {
 		return nil, err
 	}
-	allowed := AllowedGroups(ruleType)
+	own := typeGroup(ruleType)
 	r := &Rule{Type: ruleType, Permission: -1, MaxPermission: -1}
-	for _, key := range m.Keys() {
+	for i := 0; i < m.Len(); i++ {
+		key, value := m.At(i)
 		group, known := Keywords[key]
 		if !known {
 			return nil, fmt.Errorf("unknown keyword %q%s", key, keywordSuggestion(key))
 		}
-		if !allowed[group] {
+		if group != GroupCommon && group != own {
 			return nil, fmt.Errorf("keyword %q belongs to %s rules, not %s rules", key, group, ruleType)
 		}
-		value, _ := m.Get(key)
 		if err := applyKeyword(r, key, value); err != nil {
 			return nil, fmt.Errorf("keyword %q: %w", key, err)
 		}
@@ -95,22 +95,28 @@ func ParseRule(m *yaml.Map) (*Rule, error) {
 // (config_name, config_schema_name, path_name, script_name,
 // composite_rule_name) must be present.
 func DetectRuleType(m *yaml.Map) (RuleType, error) {
-	if declared, ok := m.String("rule_type"); ok {
-		return ParseRuleType(declared)
-	}
-	var found []RuleType
-	for t, kw := range typeNameKeyword {
-		if m.Has(kw) {
-			found = append(found, t)
+	var found RuleType
+	n := 0
+	for i := 0; i < m.Len(); i++ {
+		key, value := m.At(i)
+		if key == "rule_type" {
+			if declared, ok := value.(string); ok {
+				return ParseRuleType(declared)
+			}
+			continue
+		}
+		if t := nameKeywordType(key); t != 0 {
+			found = t
+			n++
 		}
 	}
-	switch len(found) {
+	switch n {
 	case 1:
-		return found[0], nil
+		return found, nil
 	case 0:
 		return 0, fmt.Errorf("rule has no name keyword (one of config_name, config_schema_name, path_name, script_name, composite_rule_name) and no rule_type")
 	default:
-		return 0, fmt.Errorf("rule mixes name keywords of %d different rule types", len(found))
+		return 0, fmt.Errorf("rule mixes name keywords of %d different rule types", n)
 	}
 }
 
@@ -287,15 +293,16 @@ func ParseManifest(path string, content []byte) (*Manifest, error) {
 	if !ok {
 		return nil, fmt.Errorf("cvl: manifest %s: document is %T, want a mapping of entities", path, doc)
 	}
-	m := &Manifest{}
-	for _, name := range root.Keys() {
-		body, ok := root.Map(name)
+	m := &Manifest{Entries: make([]*ManifestEntry, 0, root.Len())}
+	for i := 0; i < root.Len(); i++ {
+		name, v := root.At(i)
+		body, ok := v.(*yaml.Map)
 		if !ok {
 			return nil, fmt.Errorf("cvl: manifest %s: entity %q must be a mapping", path, name)
 		}
 		entry := &ManifestEntry{Name: name, Enabled: true}
-		for _, key := range body.Keys() {
-			value, _ := body.Get(key)
+		for j := 0; j < body.Len(); j++ {
+			key, value := body.At(j)
 			switch key {
 			case "enabled":
 				if err := setBool(&entry.Enabled, value); err != nil {

@@ -123,12 +123,12 @@ func (m MatchSpec) String() string {
 // "regex,any". Whitespace around the comma is tolerated, as in the paper's
 // listings.
 func ParseMatchSpec(s string) (MatchSpec, error) {
-	parts := strings.SplitN(s, ",", 2)
-	if len(parts) != 2 {
+	kind, quant, ok := strings.Cut(s, ",")
+	if !ok {
 		return MatchSpec{}, fmt.Errorf("cvl: match spec %q must be '<kind>,<quantifier>'", s)
 	}
 	var spec MatchSpec
-	switch strings.TrimSpace(parts[0]) {
+	switch strings.TrimSpace(kind) {
 	case "exact":
 		spec.Kind = MatchExact
 	case "substr":
@@ -136,15 +136,15 @@ func ParseMatchSpec(s string) (MatchSpec, error) {
 	case "regex":
 		spec.Kind = MatchRegex
 	default:
-		return MatchSpec{}, fmt.Errorf("cvl: unknown match kind %q (want exact, substr, or regex)", parts[0])
+		return MatchSpec{}, fmt.Errorf("cvl: unknown match kind %q (want exact, substr, or regex)", kind)
 	}
-	switch strings.TrimSpace(parts[1]) {
+	switch strings.TrimSpace(quant) {
 	case "any":
 		spec.Quant = QuantAny
 	case "all":
 		spec.Quant = QuantAll
 	default:
-		return MatchSpec{}, fmt.Errorf("cvl: unknown match quantifier %q (want any or all)", parts[1])
+		return MatchSpec{}, fmt.Errorf("cvl: unknown match quantifier %q (want any or all)", quant)
 	}
 	return spec, nil
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"path"
@@ -132,14 +134,29 @@ func (l ruleList) Resolve(string) ([]*compiledRule, error) { return l, nil }
 type CachedSource struct {
 	read   cvl.FileReader
 	mu     sync.Mutex
-	byFile map[string][]*compiledRule
+	byFile map[string]*resolution
+	sums   map[string][]RuleFileSum
 }
 
 var _ RuleSource = (*CachedSource)(nil)
 
+// resolution is one rule file resolved: its compiled effective rules and
+// the files the resolution read, child first.
+type resolution struct {
+	rules []*compiledRule
+	chain []string
+}
+
+// RuleFileSum identifies one rule file that resolving a path reads: its
+// path and the hex SHA-256 of its content.
+type RuleFileSum struct {
+	Path   string
+	SHA256 string
+}
+
 // NewCachedSource wraps a FileReader with memoization.
 func NewCachedSource(read cvl.FileReader) *CachedSource {
-	return &CachedSource{read: read, byFile: make(map[string][]*compiledRule)}
+	return &CachedSource{read: read, byFile: make(map[string]*resolution), sums: make(map[string][]RuleFileSum)}
 }
 
 // Resolve implements RuleSource. The returned slice is a fresh copy on
@@ -147,27 +164,90 @@ func NewCachedSource(read cvl.FileReader) *CachedSource {
 // type, and handing out the cached backing array would let one caller's
 // filter clobber another's view of the shared library.
 func (s *CachedSource) Resolve(path string) ([]*compiledRule, error) {
+	r, err := s.resolve(path)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(r.rules), nil
+}
+
+// Fingerprint returns the files that resolving path reads — the rule file,
+// then each parent_cvl_file up its inheritance chain — with the SHA-256 of
+// each, so any edit that can change the resolved rules changes the
+// fingerprint. It is computed once per source; the returned slice is
+// shared and must not be modified.
+//
+// A file that cannot name a parent (cvl.MayNameParent) is its own whole
+// chain and is only read and hashed: a fleet coordinator digests every
+// entity it ships but scans none, and resolving the library there would
+// add about a millisecond before its first shard.
+func (s *CachedSource) Fingerprint(path string) ([]RuleFileSum, error) {
 	s.mu.Lock()
-	cached, ok := s.byFile[path]
+	sums, ok := s.sums[path]
 	s.mu.Unlock()
-	if !ok {
-		rules, err := cvl.ResolveRules(s.read, path)
+	if ok {
+		return sums, nil
+	}
+	data, err := s.read(path)
+	if err != nil {
+		return nil, err
+	}
+	chain := []string{path}
+	if cvl.MayNameParent(data) {
+		r, err := s.resolve(path)
 		if err != nil {
 			return nil, err
 		}
-		compiled := compileRules(rules)
-		s.mu.Lock()
-		if incumbent, raced := s.byFile[path]; raced {
-			// Lost a race with a concurrent resolve; keep the incumbent
-			// so every caller copies from one canonical slice.
-			cached = incumbent
-		} else {
-			s.byFile[path] = compiled
-			cached = compiled
-		}
-		s.mu.Unlock()
+		chain = r.chain
 	}
-	return slices.Clone(cached), nil
+	sums = make([]RuleFileSum, len(chain))
+	for i, p := range chain {
+		if i > 0 {
+			if data, err = s.read(p); err != nil {
+				return nil, err
+			}
+		}
+		sum := sha256.Sum256(data)
+		sums[i] = RuleFileSum{Path: p, SHA256: hex.EncodeToString(sum[:])}
+	}
+	s.mu.Lock()
+	if incumbent, raced := s.sums[path]; raced {
+		sums = incumbent
+	} else {
+		s.sums[path] = sums
+	}
+	s.mu.Unlock()
+	return sums, nil
+}
+
+// resolve returns the memoized resolution of path, resolving and
+// compiling it on first use.
+func (s *CachedSource) resolve(path string) (*resolution, error) {
+	s.mu.Lock()
+	r, ok := s.byFile[path]
+	s.mu.Unlock()
+	if ok {
+		return r, nil
+	}
+	r = &resolution{}
+	rules, err := cvl.ResolveRules(func(p string) ([]byte, error) {
+		r.chain = append(r.chain, p)
+		return s.read(p)
+	}, path)
+	if err != nil {
+		return nil, err
+	}
+	r.rules = compileRules(rules)
+	s.mu.Lock()
+	if incumbent, raced := s.byFile[path]; raced {
+		// Lost a race with a concurrent resolve; keep the incumbent so
+		// every caller copies from one canonical slice.
+		r = incumbent
+	} else {
+		s.byFile[path] = r
+	}
+	s.mu.Unlock()
+	return r, nil
 }
 
 // Validate runs every enabled manifest entry against the entity and returns

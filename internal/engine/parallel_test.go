@@ -1,7 +1,11 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -252,5 +256,48 @@ func TestSharedCompiledRulesConcurrent(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestCachedSourceFingerprintConcurrent pins what Fingerprint reports —
+// every file resolving a path reads, child first up its parent_cvl_file
+// chain, with the SHA-256 of its content — and that goroutines racing
+// Fingerprint against Resolve on one source all see the same sums.
+// make race and scripts/ci.sh run it under -race -count=10.
+func TestCachedSourceFingerprintConcurrent(t *testing.T) {
+	files := map[string]string{
+		"child.yaml":  "parent_cvl_file: parent.yaml\n---\nconfig_name: A\n",
+		"parent.yaml": "parent_cvl_file: grand.yaml\n---\nconfig_name: B\n",
+		"grand.yaml":  "config_name: C\n",
+	}
+	var want []RuleFileSum
+	for _, p := range []string{"child.yaml", "parent.yaml", "grand.yaml"} {
+		sum := sha256.Sum256([]byte(files[p]))
+		want = append(want, RuleFileSum{Path: p, SHA256: hex.EncodeToString(sum[:])})
+	}
+	src := NewCachedSource(func(path string) ([]byte, error) { return []byte(files[path]), nil })
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func(g int) {
+			if g%2 == 0 {
+				if _, err := src.Resolve("child.yaml"); err != nil {
+					errs <- err
+					return
+				}
+			}
+			got, err := src.Fingerprint("child.yaml")
+			if err == nil && !reflect.DeepEqual(got, want) {
+				err = fmt.Errorf("goroutine %d: fingerprint %v, want %v", g, got, want)
+			}
+			errs <- err
+		}(g)
+	}
+	for g := 0; g < 8; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if _, err := NewCachedSource(func(string) ([]byte, error) { return nil, errors.New("gone") }).Fingerprint("child.yaml"); err == nil {
+		t.Error("fingerprint of an unreadable rule file succeeded")
 	}
 }

@@ -271,6 +271,39 @@ func TestLintEndpointParentIsWarning(t *testing.T) {
 	}
 }
 
+// TestLintEndpointDeepNesting posts 5,000,000 '[' bytes, under
+// MaxLintBytes: the decoder's nesting bound turns them into one syntax
+// finding instead of a stack overflow that would end the process, and
+// the server goes on answering.
+func TestLintEndpointDeepNesting(t *testing.T) {
+	srv := testServer(t)
+	body := strings.Repeat("[", 5000000)
+	resp, err := http.Post(srv.URL+"/v1/lint", "application/yaml", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded lintResponse
+	err = json.NewDecoder(resp.Body).Decode(&decoded)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || decoded.Errors != 1 || len(decoded.Findings) != 1 {
+		t.Fatalf("status %d, lint = %+v", resp.StatusCode, decoded)
+	}
+	if f := decoded.Findings[0]; f.Code != "CVL001" || f.Line != 1 || f.Col != 10001 || !strings.Contains(f.Msg, "nested more than 10000 levels") {
+		t.Errorf("finding = %+v", f)
+	}
+	resp, err = http.Post(srv.URL+"/v1/lint", "application/yaml", strings.NewReader("config_nme: typo\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("next lint request: status %d", resp.StatusCode)
+	}
+}
+
 // TestLintEndpointSemanticToggle pins that the constraint-level CVL4xx
 // pass runs by default and that ?semantic=0 skips it.
 func TestLintEndpointSemanticToggle(t *testing.T) {

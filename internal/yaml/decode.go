@@ -5,6 +5,11 @@ import (
 	"strings"
 )
 
+// maxDepth bounds how deeply collections may nest, block and flow levels
+// counted together. Without a bound, a few megabytes of '[' would recurse
+// until the goroutine stack overflows, which recover cannot catch.
+const maxDepth = 10000
+
 // Decode parses a single YAML document. An empty input decodes to nil.
 // Inputs containing more than one document are rejected; use DecodeAll.
 func Decode(data []byte) (any, error) {
@@ -24,207 +29,324 @@ func Decode(data []byte) (any, error) {
 
 // DecodeAll parses a (possibly multi-document) YAML stream and returns one
 // value per document.
+//
+// The stream is read once. Each line is cut, measured and classified as it
+// is read into one line table shared by the whole stream; a document is
+// parsed from its sub-slice of the table as soon as its end is seen.
 func DecodeAll(data []byte) ([]any, error) {
-	raw := strings.Split(strings.ReplaceAll(string(data), "\r\n", "\n"), "\n")
-	var docs []any
-	var cur []srcLine
-	flush := func() error {
-		significant := false
-		for _, ln := range cur {
-			if !ln.blank {
-				significant = true
-				break
-			}
-		}
-		if !significant {
-			cur = nil
-			return nil
-		}
-		p := &parser{lines: cur}
-		v, err := p.parseBlock(0)
-		if err != nil {
-			return err
-		}
-		p.skipBlanks()
-		if p.pos < len(p.lines) {
-			ln := p.lines[p.pos]
-			return syntaxErrorf(ln.num, ln.indent+1, "unexpected content %q after document value", ln.text)
-		}
-		docs = append(docs, v)
-		cur = nil
-		return nil
-	}
-	for i, rawLine := range raw {
-		num := i + 1
-		trimmed := strings.TrimRight(rawLine, " \t")
-		bare := strings.TrimSpace(trimmed)
-		if bare == "---" || strings.HasPrefix(bare, "--- ") {
-			if err := flush(); err != nil {
+	src := string(data)
+	p := &parser{table: make([]srcLine, 0, strings.Count(src, "\n")+1)}
+	for num, rest := 1, src; ; num++ {
+		// "\r\n" and "\n" end a line; a lone '\r' stays part of it.
+		i := strings.IndexByte(rest, '\n')
+		if i < 0 {
+			if err := p.addLine(rest, num); err != nil {
 				return nil, err
 			}
-			rest := strings.TrimPrefix(bare, "---")
-			rest = strings.TrimSpace(stripComment(rest))
-			if rest != "" {
-				cur = append(cur, srcLine{num: num, indent: 0, text: rest})
-			}
-			continue
+			break
 		}
-		if bare == "..." {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			continue
+		line := rest[:i]
+		if i > 0 && line[i-1] == '\r' {
+			line = line[:i-1]
 		}
-		if strings.HasPrefix(bare, "%") && len(cur) == 0 {
-			continue // directive such as %YAML 1.1
-		}
-		if bare == "" || strings.HasPrefix(bare, "#") {
-			// Keep blank lines so block scalars can preserve them.
-			cur = append(cur, srcLine{num: num, indent: 0, text: "", blank: true, raw: rawLine})
-			continue
-		}
-		indent, err := indentOf(trimmed, num)
-		if err != nil {
+		if err := p.addLine(line, num); err != nil {
 			return nil, err
 		}
-		cur = append(cur, srcLine{num: num, indent: indent, text: trimmed[indent:], raw: rawLine})
+		rest = rest[i+1:]
 	}
-	if err := flush(); err != nil {
+	if err := p.endDocument(); err != nil {
 		return nil, err
 	}
-	return docs, nil
+	return p.docs, nil
 }
 
-// srcLine is one significant source line with its indentation resolved.
+// keyLenUnknown marks a line whose mapping key has not been measured yet.
+const keyLenUnknown = -2
+
+// srcLine is one source line with its indentation resolved.
 type srcLine struct {
+	text   string // content without leading indentation or trailing space
+	raw    string // original text, used by block scalars
 	num    int
 	indent int
-	text   string // content without leading indentation or trailing space
-	blank  bool   // blank or comment-only line (kept for block scalars)
-	raw    string // original text, used by block scalars
+	keyLen int  // cached mappingKeyLen(text), or keyLenUnknown
+	blank  bool // blank or comment-only line (kept for block scalars)
 }
 
+// mappingKeyLen returns mappingKeyLen(ln.text), measuring it once.
+func (ln *srcLine) mappingKeyLen() int {
+	if ln.keyLen == keyLenUnknown {
+		ln.keyLen = mappingKeyLen(ln.text)
+	}
+	return ln.keyLen
+}
+
+// parser holds the line table of a stream and the state of the document
+// being parsed. Collections are built on two scratch stacks, items for
+// sequences and entries for mappings: a collection pushes onto a stack as
+// it is parsed and is copied out, exactly sized, when it closes. A nested
+// collection closes before its parent pushes again, so one stack serves
+// every level.
 type parser struct {
-	lines []srcLine
-	pos   int
+	table       []srcLine // every line read so far
+	docStart    int       // index in table of the current document's first line
+	significant bool      // the current document has a non-blank line
+	docs        []any
+
+	lines   []srcLine // the document being parsed
+	pos     int
+	depth   int // collections open around the current position
+	items   []any
+	entries []entry
 }
 
-// peek returns the next significant (non-blank) line without consuming it.
-func (p *parser) peek() (srcLine, bool) {
+// addLine classifies one source line: a document marker ends the current
+// document, a directive before any content is skipped, and anything else
+// joins the current document.
+func (p *parser) addLine(raw string, num int) error {
+	end := len(raw)
+	for end > 0 && (raw[end-1] == ' ' || raw[end-1] == '\t') {
+		end--
+	}
+	trimmed := raw[:end]
+	indent := 0
+	for indent < len(trimmed) && trimmed[indent] == ' ' {
+		indent++
+	}
+	bare := strings.TrimSpace(trimmed[indent:])
+	switch {
+	case bare == "---" || strings.HasPrefix(bare, "--- "):
+		if err := p.endDocument(); err != nil {
+			return err
+		}
+		if rest := strings.TrimSpace(stripComment(bare[3:])); rest != "" {
+			p.significant = true
+			p.table = append(p.table, srcLine{num: num, text: rest, keyLen: keyLenUnknown})
+		}
+		return nil
+	case bare == "...":
+		return p.endDocument()
+	case strings.HasPrefix(bare, "%") && len(p.table) == p.docStart:
+		return nil // directive such as %YAML 1.1
+	case bare == "" || bare[0] == '#':
+		// Keep blank lines so block scalars can preserve them.
+		p.table = append(p.table, srcLine{num: num, blank: true})
+		return nil
+	}
+	if trimmed[indent] == '\t' {
+		return syntaxErrorf(num, indent+1, "tab characters are not allowed in indentation")
+	}
+	p.significant = true
+	p.table = append(p.table, srcLine{
+		text: trimmed[indent:], raw: raw,
+		num: num, indent: indent, keyLen: keyLenUnknown,
+	})
+	return nil
+}
+
+// endDocument parses the current document, unless it holds only blank
+// lines, and starts the next one.
+func (p *parser) endDocument() error {
+	lines := p.table[p.docStart:]
+	p.docStart = len(p.table)
+	if !p.significant {
+		return nil
+	}
+	p.significant = false
+	p.lines, p.pos = lines, 0
+	v, err := p.parseBlock(0)
+	if err != nil {
+		return err
+	}
+	p.skipBlanks()
+	if p.pos < len(p.lines) {
+		ln := &p.lines[p.pos]
+		return syntaxErrorf(ln.num, ln.indent+1, "unexpected content %q after document value", ln.text)
+	}
+	p.docs = append(p.docs, v)
+	return nil
+}
+
+// peek returns the next significant (non-blank) line without consuming it,
+// or nil at the end of the document.
+func (p *parser) peek() *srcLine {
 	for i := p.pos; i < len(p.lines); i++ {
 		if !p.lines[i].blank {
-			return p.lines[i], true
+			return &p.lines[i]
 		}
 	}
-	return srcLine{}, false
+	return nil
 }
 
-// advanceTo moves pos to the given significant line index.
+// skipBlanks moves pos to the next significant line.
 func (p *parser) skipBlanks() {
 	for p.pos < len(p.lines) && p.lines[p.pos].blank {
 		p.pos++
 	}
 }
 
+// enter opens one more level of collection nesting at line:col, failing
+// past maxDepth. The caller decrements depth when the collection closes.
+func (p *parser) enter(line, col int) error {
+	p.depth++
+	if p.depth > maxDepth {
+		return syntaxErrorf(line, col, "collections nested more than %d levels deep", maxDepth)
+	}
+	return nil
+}
+
 // parseBlock parses a block-level value whose content is indented at least
 // minIndent columns.
 func (p *parser) parseBlock(minIndent int) (any, error) {
-	ln, ok := p.peek()
-	if !ok || ln.indent < minIndent {
+	ln := p.peek()
+	if ln == nil || ln.indent < minIndent {
 		return nil, nil
 	}
-	if ln.text == "-" || strings.HasPrefix(ln.text, "- ") {
-		return p.parseSequence(ln.indent)
+	if isSequenceItem(ln.text) {
+		return p.parseSequence(ln)
 	}
-	if keyLen := mappingKeyLen(ln.text); keyLen >= 0 {
-		return p.parseMapping(ln.indent)
+	if ln.mappingKeyLen() >= 0 {
+		return p.parseMapping(ln)
 	}
 	// A bare scalar document (single line, or flow collection).
 	p.skipBlanks()
 	p.pos++
-	content := stripComment(ln.text)
-	return parseInline(content, ln.num, ln.indent)
+	return p.parseInline(stripComment(ln.text), ln.num, ln.indent)
 }
 
-func (p *parser) parseMapping(indent int) (any, error) {
-	m := NewMap()
+// parseMapping parses the block mapping whose first key line is first.
+func (p *parser) parseMapping(first *srcLine) (any, error) {
+	indent := first.indent
+	if err := p.enter(first.num, indent+1); err != nil {
+		return nil, err
+	}
+	base := len(p.entries)
+	var index map[string]int32
 	for {
-		ln, ok := p.peek()
-		if !ok || ln.indent != indent {
+		ln := p.peek()
+		if ln == nil || ln.indent != indent {
 			// Deeper indentation here means a stray continuation line.
-			if ok && ln.indent > indent {
+			if ln != nil && ln.indent > indent {
 				return nil, syntaxErrorf(ln.num, ln.indent+1, "unexpected indentation")
 			}
-			return m, nil
+			p.depth--
+			return p.closeMap(base, index), nil
 		}
-		keyLen := mappingKeyLen(ln.text)
+		keyLen := ln.mappingKeyLen()
 		if keyLen < 0 {
-			return nil, syntaxErrorf(ln.num, ln.indent+1, "expected 'key: value' mapping entry, got %q", ln.text)
+			return nil, syntaxErrorf(ln.num, indent+1, "expected 'key: value' mapping entry, got %q", ln.text)
 		}
 		key, err := parseKey(ln.text[:keyLen], ln.num)
 		if err != nil {
 			return nil, err
 		}
-		if m.Has(key) {
-			return nil, syntaxErrorf(ln.num, ln.indent+1, "duplicate mapping key %q", key)
+		if p.hasKey(base, index, key) {
+			return nil, syntaxErrorf(ln.num, indent+1, "duplicate mapping key %q", key)
 		}
 		rest := strings.TrimSpace(ln.text[keyLen+1:])
+		pos := Pos{Line: ln.num, Col: indent + 1}
 		p.skipBlanks()
 		p.pos++ // consume the key line
 		val, err := p.parseEntryValue(rest, ln)
 		if err != nil {
 			return nil, err
 		}
-		m.Set(key, val)
-		m.SetKeyPos(key, Pos{Line: ln.num, Col: ln.indent + 1})
+		index = p.pushEntry(base, index, entry{key: key, val: val, pos: pos})
 	}
+}
+
+// hasKey reports whether the mapping open at base already holds key.
+func (p *parser) hasKey(base int, index map[string]int32, key string) bool {
+	return indexOf(p.entries[base:], index, key) >= 0
+}
+
+// pushEntry adds e to the mapping open at base and returns its index,
+// which is built once the mapping outgrows a linear scan.
+func (p *parser) pushEntry(base int, index map[string]int32, e entry) map[string]int32 {
+	p.entries = append(p.entries, e)
+	switch n := len(p.entries) - base; {
+	case index != nil:
+		index[e.key] = int32(n - 1)
+	case n > linearScanMax:
+		index = newMapIndex(p.entries[base:])
+	}
+	return index
+}
+
+// closeMap copies the mapping open at base off the scratch stack.
+func (p *parser) closeMap(base int, index map[string]int32) *Map {
+	m := &Map{index: index}
+	if n := len(p.entries) - base; n > 0 {
+		m.entries = make([]entry, n)
+		copy(m.entries, p.entries[base:])
+		m.start = m.entries[0].pos
+	}
+	p.entries = p.entries[:base]
+	return m
+}
+
+// closeSeq copies the sequence open at base off the scratch stack.
+func (p *parser) closeSeq(base int) []any {
+	seq := make([]any, len(p.items)-base)
+	copy(seq, p.items[base:])
+	p.items = p.items[:base]
+	return seq
 }
 
 // parseEntryValue parses the value following "key:" or "- " where rest is
 // the remainder of the introducing line.
-func (p *parser) parseEntryValue(rest string, ln srcLine) (any, error) {
+func (p *parser) parseEntryValue(rest string, ln *srcLine) (any, error) {
 	restNoComment := strings.TrimSpace(stripComment(rest))
 	switch {
 	case isBlockScalarHeader(restNoComment):
 		return p.parseBlockScalar(restNoComment, ln.indent)
 	case restNoComment == "":
 		// Nested block or null.
-		next, ok := p.peek()
-		if ok && next.indent > ln.indent {
+		if next := p.peek(); next != nil && next.indent > ln.indent {
 			return p.parseBlock(ln.indent + 1)
 		}
 		return nil, nil
 	default:
-		return parseInline(restNoComment, ln.num, ln.indent)
+		return p.parseInline(restNoComment, ln.num, ln.indent)
 	}
 }
 
-func (p *parser) parseSequence(indent int) (any, error) {
-	seq := []any{}
+// isSequenceItem reports whether a line's text is a block sequence item.
+func isSequenceItem(text string) bool {
+	return text == "-" || strings.HasPrefix(text, "- ")
+}
+
+// parseSequence parses the block sequence whose first item line is first.
+func (p *parser) parseSequence(first *srcLine) (any, error) {
+	indent := first.indent
+	if err := p.enter(first.num, indent+1); err != nil {
+		return nil, err
+	}
+	base := len(p.items)
 	for {
-		ln, ok := p.peek()
-		if !ok || ln.indent != indent {
-			if ok && ln.indent > indent {
+		ln := p.peek()
+		if ln == nil || ln.indent != indent {
+			if ln != nil && ln.indent > indent {
 				return nil, syntaxErrorf(ln.num, ln.indent+1, "unexpected indentation")
 			}
-			return seq, nil
+			p.depth--
+			return p.closeSeq(base), nil
 		}
-		if ln.text != "-" && !strings.HasPrefix(ln.text, "- ") {
-			return nil, syntaxErrorf(ln.num, ln.indent+1, "expected sequence item, got %q", ln.text)
+		if !isSequenceItem(ln.text) {
+			return nil, syntaxErrorf(ln.num, indent+1, "expected sequence item, got %q", ln.text)
 		}
 		rest := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(ln.text, "-"), " "))
 		p.skipBlanks()
 		if rest == "" {
 			p.pos++ // bare "-": nested block item
-			next, ok := p.peek()
-			if ok && next.indent > indent {
+			if next := p.peek(); next != nil && next.indent > indent {
 				item, err := p.parseBlock(indent + 1)
 				if err != nil {
 					return nil, err
 				}
-				seq = append(seq, item)
+				p.items = append(p.items, item)
 			} else {
-				seq = append(seq, nil)
+				p.items = append(p.items, nil)
 			}
 			continue
 		}
@@ -233,12 +355,12 @@ func (p *parser) parseSequence(indent int) (any, error) {
 			// first mapping entry at the item's content indentation and parse a
 			// mapping from there.
 			offset := len(ln.text) - len(rest)
-			p.lines[p.pos] = srcLine{num: ln.num, indent: indent + offset, text: rest}
-			item, err := p.parseMapping(indent + offset)
+			*ln = srcLine{text: rest, num: ln.num, indent: indent + offset, keyLen: keyLen}
+			item, err := p.parseMapping(ln)
 			if err != nil {
 				return nil, err
 			}
-			seq = append(seq, item)
+			p.items = append(p.items, item)
 			continue
 		}
 		p.pos++
@@ -246,7 +368,7 @@ func (p *parser) parseSequence(indent int) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		seq = append(seq, item)
+		p.items = append(p.items, item)
 	}
 }
 
@@ -261,7 +383,7 @@ func (p *parser) parseBlockScalar(header string, parentIndent int) (any, error) 
 	var body []string
 	blockIndent := -1
 	for p.pos < len(p.lines) {
-		ln := p.lines[p.pos]
+		ln := &p.lines[p.pos]
 		if ln.blank {
 			body = append(body, "")
 			p.pos++
@@ -321,39 +443,58 @@ func foldLines(body []string) string {
 	return b.String()
 }
 
+// keyScanStop marks the bytes that can change mappingKeyLen's state outside
+// quotes; the scan skips every other byte.
+var keyScanStop = [256]bool{'\'': true, '"': true, '[': true, '{': true, ']': true, '}': true, ':': true, '#': true}
+
 // mappingKeyLen returns the byte length of the mapping key in line (the text
 // before the value-introducing colon), or -1 when line is not a mapping
 // entry. The colon must be outside quotes and followed by a space or EOL.
 func mappingKeyLen(line string) int {
-	inSingle, inDouble := false, false
 	depth := 0
 	for i := 0; i < len(line); i++ {
 		c := line[i]
-		switch {
-		case inSingle:
-			if c == '\'' {
-				inSingle = false
+		if !keyScanStop[c] {
+			continue
+		}
+		switch c {
+		case '\'':
+			j := strings.IndexByte(line[i+1:], '\'')
+			if j < 0 {
+				return -1
 			}
-		case inDouble:
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inDouble = false
+			i += j + 1
+		case '"':
+			if i = closingDoubleQuote(line, i+1); i < 0 {
+				return -1
 			}
-		case c == '\'':
-			inSingle = true
-		case c == '"':
-			inDouble = true
-		case c == '[' || c == '{':
+		case '[', '{':
 			depth++
-		case c == ']' || c == '}':
+		case ']', '}':
 			depth--
-		case c == ':' && depth == 0:
-			if i+1 == len(line) || line[i+1] == ' ' || line[i+1] == '\t' {
+		case ':':
+			if depth == 0 && (i+1 == len(line) || line[i+1] == ' ' || line[i+1] == '\t') {
 				return i
 			}
-		case c == '#' && depth == 0 && i > 0 && (line[i-1] == ' ' || line[i-1] == '\t'):
-			return -1
+		case '#':
+			if depth == 0 && i > 0 && (line[i-1] == ' ' || line[i-1] == '\t') {
+				return -1
+			}
+		}
+	}
+	return -1
+}
+
+// closingDoubleQuote returns the index of the '"' that closes a
+// double-quoted run whose content starts at i, skipping backslash escapes,
+// or -1 when the run is unterminated.
+func closingDoubleQuote(s string, i int) int {
+	for ; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++
+		case '"':
+			return i
 		}
 	}
 	return -1
@@ -383,14 +524,14 @@ func parseKey(s string, lineNum int) (string, error) {
 
 // parseInline parses a value that fits on one line: a flow collection, a
 // quoted string, or a plain scalar.
-func parseInline(s string, lineNum, col int) (any, error) {
+func (p *parser) parseInline(s string, lineNum, col int) (any, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return nil, nil
 	}
 	switch s[0] {
 	case '[', '{':
-		fp := &flowParser{src: s, line: lineNum}
+		fp := flowParser{p: p, src: s, line: lineNum}
 		v, err := fp.parseValue()
 		if err != nil {
 			return nil, err
@@ -520,8 +661,10 @@ func looksNumeric(s string) bool {
 	return c >= '0' && c <= '9' || c == '.'
 }
 
-// flowParser parses flow collections: [a, b] and {k: v}.
+// flowParser parses flow collections, [a, b] and {k: v}, onto the scratch
+// stacks of the block parser p.
 type flowParser struct {
+	p    *parser
 	src  string
 	pos  int
 	line int
@@ -582,19 +725,24 @@ func (f *flowParser) parsePlain() (any, error) {
 }
 
 func (f *flowParser) parseSeq() (any, error) {
+	p := f.p
+	if err := p.enter(f.line, f.pos+1); err != nil {
+		return nil, err
+	}
 	f.pos++ // consume '['
-	seq := []any{}
+	base := len(p.items)
 	f.skipSpace()
 	if f.pos < len(f.src) && f.src[f.pos] == ']' {
 		f.pos++
-		return seq, nil
+		p.depth--
+		return p.closeSeq(base), nil
 	}
 	for {
 		v, err := f.parseValue()
 		if err != nil {
 			return nil, err
 		}
-		seq = append(seq, v)
+		p.items = append(p.items, v)
 		f.skipSpace()
 		if f.pos >= len(f.src) {
 			return nil, f.errf("unterminated flow sequence")
@@ -604,7 +752,8 @@ func (f *flowParser) parseSeq() (any, error) {
 			f.pos++
 		case ']':
 			f.pos++
-			return seq, nil
+			p.depth--
+			return p.closeSeq(base), nil
 		default:
 			return nil, f.errf("expected ',' or ']' in flow sequence, got %q", f.src[f.pos])
 		}
@@ -612,12 +761,18 @@ func (f *flowParser) parseSeq() (any, error) {
 }
 
 func (f *flowParser) parseMap() (any, error) {
+	p := f.p
+	if err := p.enter(f.line, f.pos+1); err != nil {
+		return nil, err
+	}
 	f.pos++ // consume '{'
-	m := NewMap()
+	base := len(p.entries)
+	var index map[string]int32
 	f.skipSpace()
 	if f.pos < len(f.src) && f.src[f.pos] == '}' {
 		f.pos++
-		return m, nil
+		p.depth--
+		return p.closeMap(base, nil), nil
 	}
 	for {
 		f.skipSpace()
@@ -646,11 +801,10 @@ func (f *flowParser) parseMap() (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if m.Has(key) {
+		if p.hasKey(base, index, key) {
 			return nil, f.errf("duplicate flow mapping key %q", key)
 		}
-		m.Set(key, v)
-		m.SetKeyPos(key, Pos{Line: f.line, Col: keyStart + 1})
+		index = p.pushEntry(base, index, entry{key: key, val: v, pos: Pos{Line: f.line, Col: keyStart + 1}})
 		f.skipSpace()
 		if f.pos >= len(f.src) {
 			return nil, f.errf("unterminated flow mapping")
@@ -660,7 +814,8 @@ func (f *flowParser) parseMap() (any, error) {
 			f.pos++
 		case '}':
 			f.pos++
-			return m, nil
+			p.depth--
+			return p.closeMap(base, index), nil
 		default:
 			return nil, f.errf("expected ',' or '}' in flow mapping, got %q", f.src[f.pos])
 		}
@@ -682,43 +837,26 @@ func isBlockScalarHeader(s string) bool {
 // stripComment removes a trailing comment from a line, respecting quoting.
 // A '#' begins a comment only at line start or when preceded by whitespace.
 func stripComment(s string) string {
-	inSingle, inDouble := false, false
+	if strings.IndexByte(s, '#') < 0 {
+		return s
+	}
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case inSingle:
-			if c == '\'' {
-				inSingle = false
+		switch s[i] {
+		case '\'':
+			j := strings.IndexByte(s[i+1:], '\'')
+			if j < 0 {
+				return s
 			}
-		case inDouble:
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inDouble = false
+			i += j + 1
+		case '"':
+			if i = closingDoubleQuote(s, i+1); i < 0 {
+				return s
 			}
-		case c == '\'':
-			inSingle = true
-		case c == '"':
-			inDouble = true
-		case c == '#' && (i == 0 || s[i-1] == ' ' || s[i-1] == '\t'):
-			return strings.TrimRight(s[:i], " \t")
+		case '#':
+			if i == 0 || s[i-1] == ' ' || s[i-1] == '\t' {
+				return strings.TrimRight(s[:i], " \t")
+			}
 		}
 	}
 	return s
-}
-
-// indentOf counts leading spaces; tab indentation is a YAML error.
-func indentOf(s string, lineNum int) (int, error) {
-	n := 0
-	for n < len(s) {
-		switch s[n] {
-		case ' ':
-			n++
-		case '\t':
-			return 0, syntaxErrorf(lineNum, n+1, "tab characters are not allowed in indentation")
-		default:
-			return n, nil
-		}
-	}
-	return n, nil
 }

@@ -2,9 +2,11 @@ package yaml
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustDecode(t *testing.T, src string) any {
@@ -484,9 +486,12 @@ func TestKeyPosUnknownForProgrammaticMaps(t *testing.T) {
 	if p := m.KeyPos("k"); p.Line != 3 || p.Col != 2 {
 		t.Errorf("explicit key pos = %v", p)
 	}
-	m.Delete("k")
-	if p := m.KeyPos("k"); !p.IsZero() {
-		t.Errorf("deleted key pos = %v, want zero", p)
+	if m.Start() != (Pos{Line: 3, Col: 2}) {
+		t.Errorf("start after SetKeyPos = %v", m.Start())
+	}
+	m.SetKeyPos("absent", Pos{Line: 9, Col: 9})
+	if p := m.KeyPos("absent"); !p.IsZero() {
+		t.Errorf("absent key pos = %v, want zero", p)
 	}
 }
 
@@ -527,5 +532,91 @@ func TestParseQuotedEscapeFreeAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { _, _, _ = parseQuoted(src, 1) }); n != 0 {
 			t.Errorf("parseQuoted(%q) allocates %v times, want 0", src, n)
 		}
+	}
+}
+
+// TestDecodeNestingBound pins the nesting limit: a million nested flow
+// collections return a syntax error at the first level past the bound
+// instead of overflowing the goroutine stack, block levels count toward
+// the same bound, and a document at the bound still decodes.
+func TestDecodeNestingBound(t *testing.T) {
+	msg := fmt.Sprintf("collections nested more than %d levels deep", maxDepth)
+	for _, tc := range []struct {
+		name, src string
+		line, col int
+	}{
+		{"flow sequences", strings.Repeat("[", 1000000), 1, maxDepth + 1},
+		{"flow mappings", strings.Repeat("{a: ", 1000000), 1, 4*maxDepth + 1},
+		// Columns inside a flow value count from the start of the flow text.
+		{"block then flow", blockNest(100) + strings.Repeat("[", maxDepth), 100, maxDepth - 100 + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Decode([]byte(tc.src))
+			var se *SyntaxError
+			if !errors.As(err, &se) {
+				t.Fatalf("error = %v, want a *SyntaxError", err)
+			}
+			if se.Line != tc.line || se.Col != tc.col || se.Msg != msg {
+				t.Errorf("error = %d:%d %q, want %d:%d %q", se.Line, se.Col, se.Msg, tc.line, tc.col, msg)
+			}
+		})
+	}
+	atBound := strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth)
+	if _, err := Decode([]byte(atBound)); err != nil {
+		t.Errorf("%d nested sequences: %v", maxDepth, err)
+	}
+}
+
+// blockNest returns n nested block mappings, one key per level, with the
+// innermost key's value left open on the last line.
+func blockNest(n int) string {
+	var b strings.Builder
+	for i := 0; i < n-1; i++ {
+		b.WriteString(strings.Repeat(" ", i) + "k:\n")
+	}
+	b.WriteString(strings.Repeat(" ", n-1) + "k: ")
+	return b.String()
+}
+
+// TestDecodeWideMappingLinear pins linear-time duplicate detection: a
+// 200,000-key mapping, block or flow, decodes in seconds (a check that
+// rescans the keys per key would take minutes), and a duplicate of the
+// first key at the very end is still caught.
+func TestDecodeWideMappingLinear(t *testing.T) {
+	const n = 200000
+	var block, flow strings.Builder
+	flow.WriteString("{")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&block, "key%d: %d\n", i, i)
+		if i > 0 {
+			flow.WriteString(", ")
+		}
+		fmt.Fprintf(&flow, "key%d: %d", i, i)
+	}
+	start := time.Now()
+	v, err := Decode([]byte(block.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := asMap(t, v)
+	if m.Len() != n || m.KeyPos("key199999") != (Pos{Line: n, Col: 1}) {
+		t.Fatalf("len %d, last key at %v", m.Len(), m.KeyPos("key199999"))
+	}
+	if got, _ := m.Int("key123456"); got != 123456 {
+		t.Errorf("key123456 = %v", got)
+	}
+	_, err = Decode([]byte(block.String() + "key0: again\n"))
+	var se *SyntaxError
+	if !errors.As(err, &se) || se.Line != n+1 || se.Msg != `duplicate mapping key "key0"` {
+		t.Errorf("duplicate at the end: %v", err)
+	}
+	if v, err = Decode([]byte(flow.String() + "}")); err != nil || asMap(t, v).Len() != n {
+		t.Fatalf("flow mapping: %v", err)
+	}
+	if _, err = Decode([]byte(flow.String() + ", key0: again}")); err == nil || !strings.Contains(err.Error(), `duplicate flow mapping key "key0"`) {
+		t.Errorf("flow duplicate at the end: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("four 200,000-key decodes took %v, want under 10s", elapsed)
 	}
 }

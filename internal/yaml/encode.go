@@ -22,22 +22,6 @@ func Encode(v any) ([]byte, error) {
 	return []byte(out), nil
 }
 
-// EncodeAll renders multiple documents separated by "---" markers.
-func EncodeAll(docs []any) ([]byte, error) {
-	var b strings.Builder
-	for i, d := range docs {
-		if i > 0 {
-			b.WriteString("---\n")
-		}
-		enc, err := Encode(d)
-		if err != nil {
-			return nil, err
-		}
-		b.Write(enc)
-	}
-	return []byte(b.String()), nil
-}
-
 func encodeValue(b *strings.Builder, v any, indent int, topLevel bool) error {
 	switch val := v.(type) {
 	case nil:
@@ -94,7 +78,7 @@ func encodeValue(b *strings.Builder, v any, indent int, topLevel bool) error {
 func encodeMapEntries(b *strings.Builder, keys []string, get func(string) any, indent int) error {
 	for _, k := range keys {
 		writeIndent(b, indent)
-		b.WriteString(quoteIfNeeded(k))
+		b.WriteString(quoteKey(k))
 		b.WriteString(":")
 		if err := encodeInlineOrNested(b, get(k), indent); err != nil {
 			return err
@@ -168,6 +152,16 @@ func scalarString(v any) (string, error) {
 	default:
 		return "", fmt.Errorf("yaml: cannot encode value of type %T", v)
 	}
+}
+
+// quoteKey quotes a mapping key like quoteIfNeeded, and also when it holds
+// a quote or bracket anywhere: those open a quoted or nested run in the
+// decoder's search for the key's colon.
+func quoteKey(k string) string {
+	if strings.ContainsAny(k, "'\"[]{}") {
+		return strconv.Quote(k)
+	}
+	return quoteIfNeeded(k)
 }
 
 // quoteIfNeeded wraps s in double quotes when emitting it plain would change

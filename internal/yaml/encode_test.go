@@ -1,6 +1,7 @@
 package yaml
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -108,6 +109,10 @@ func TestEncodeDecodeRoundTripFixed(t *testing.T) {
 	sub := NewMap()
 	sub.Set("a b", "c: d")
 	sub.Set("empty", []any{})
+	// A quote or bracket inside a key must not hide the key's colon.
+	for _, k := range []string{`0"`, "it's", "a[b", "x}"} {
+		sub.Set(k, k)
+	}
 	m.Set("nested", sub)
 
 	enc, err := Encode(m)
@@ -280,13 +285,30 @@ func TestMapOperations(t *testing.T) {
 	if v, _ := m.Int("a"); v != 3 {
 		t.Errorf("a = %v", v)
 	}
-	m.Delete("a")
-	if m.Has("a") || m.Len() != 1 {
-		t.Errorf("delete failed: %v", m.Keys())
+	if k, v := m.At(1); k != "b" || v != int64(2) {
+		t.Errorf("At(1) = %q, %v", k, v)
 	}
-	m.Delete("missing") // no-op
-	if got := m.SortedKeys(); !reflect.DeepEqual(got, []string{"b"}) {
-		t.Errorf("sorted keys = %v", got)
+	// Past 16 keys lookups switch from a scan to an index; both must agree
+	// with insertion order, and an overwrite must still keep its slot.
+	for i := 0; i < 40; i++ {
+		m.Set(fmt.Sprintf("k%02d", i), i)
+	}
+	m.Set("k05", "again")
+	m.Set("b", int64(4))
+	if m.Len() != 42 {
+		t.Fatalf("len = %d, want 42", m.Len())
+	}
+	for i := 0; i < m.Len(); i++ {
+		k, v := m.At(i)
+		if got, ok := m.Get(k); !ok || got != v {
+			t.Errorf("Get(%q) = %v, %v; At(%d) holds %v", k, got, ok, i, v)
+		}
+	}
+	if k, v := m.At(7); k != "k05" || v != "again" {
+		t.Errorf("At(7) = %q, %v", k, v)
+	}
+	if v, _ := m.Int("b"); v != 4 || m.Has("missing") {
+		t.Errorf("b = %v, has missing = %v", v, m.Has("missing"))
 	}
 }
 
@@ -311,23 +333,5 @@ func TestMapNilReceiverSafe(t *testing.T) {
 	}
 	if _, ok := m.Get("x"); ok {
 		t.Error("nil map Get should report absent")
-	}
-}
-
-func TestEncodeAll(t *testing.T) {
-	m1 := NewMap()
-	m1.Set("a", int64(1))
-	m2 := NewMap()
-	m2.Set("b", int64(2))
-	out, err := EncodeAll([]any{m1, m2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	docs, err := DecodeAll(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 2 {
-		t.Fatalf("got %d docs from %q", len(docs), out)
 	}
 }

@@ -19,10 +19,7 @@
 //	null     -> nil
 package yaml
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Pos is a 1-based source position. The zero value means the position is
 // unknown (for example on a Map built programmatically rather than decoded).
@@ -41,21 +38,45 @@ func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 // *Map so that rule files keep their author-written key order, which matters
 // for linting, round-tripping, and stable report output.
 //
+// A Map is one slice of entries in key order, read by position with Len
+// and At. Lookups by key scan the entries while the map holds at most 16
+// keys and go through a hash index above that, so building or querying a
+// large mapping stays linear.
+//
 // Decoded maps additionally carry the source position of each key token
 // (see KeyPos and Start), so tools such as the CVL static analyzer can point
 // diagnostics at the offending line. Positions inside flow mappings
 // ({k: v}) are relative to the start of the flow text and therefore
 // approximate in column; block mappings are exact.
 type Map struct {
-	keys  []string
-	vals  map[string]any
-	pos   map[string]Pos
-	start Pos
+	entries []entry
+	index   map[string]int32 // key -> entry position; nil up to linearScanMax keys
+	start   Pos
 }
+
+// entry is one key of a Map with its value and key position.
+type entry struct {
+	key string
+	val any
+	pos Pos
+}
+
+// linearScanMax is the largest Map looked up by scanning its entries; a
+// larger one keeps a hash index.
+const linearScanMax = 16
 
 // NewMap returns an empty ordered map.
 func NewMap() *Map {
-	return &Map{vals: make(map[string]any)}
+	return &Map{}
+}
+
+// newMapIndex indexes entries by key.
+func newMapIndex(entries []entry) map[string]int32 {
+	index := make(map[string]int32, 2*len(entries))
+	for i := range entries {
+		index[entries[i].key] = int32(i)
+	}
+	return index
 }
 
 // Len reports the number of keys.
@@ -63,7 +84,14 @@ func (m *Map) Len() int {
 	if m == nil {
 		return 0
 	}
-	return len(m.keys)
+	return len(m.entries)
+}
+
+// At returns the key and value of the i-th entry in key order, for
+// 0 <= i < Len().
+func (m *Map) At(i int) (key string, value any) {
+	e := &m.entries[i]
+	return e.key, e.val
 }
 
 // Keys returns the keys in insertion order. The returned slice is a copy.
@@ -71,66 +99,87 @@ func (m *Map) Keys() []string {
 	if m == nil {
 		return nil
 	}
-	out := make([]string, len(m.keys))
-	copy(out, m.keys)
+	out := make([]string, len(m.entries))
+	for i := range m.entries {
+		out[i] = m.entries[i].key
+	}
 	return out
+}
+
+// find returns the position of key, or -1.
+func (m *Map) find(key string) int {
+	if m == nil {
+		return -1
+	}
+	return indexOf(m.entries, m.index, key)
+}
+
+// indexOf returns the position of key among entries, looked up in index
+// when there is one and scanned for otherwise, or -1.
+func indexOf(entries []entry, index map[string]int32, key string) int {
+	if index != nil {
+		if i, ok := index[key]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range entries {
+		if entries[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Get returns the value stored under key and whether it was present.
 func (m *Map) Get(key string) (any, bool) {
-	if m == nil {
+	i := m.find(key)
+	if i < 0 {
 		return nil, false
 	}
-	v, ok := m.vals[key]
-	return v, ok
+	return m.entries[i].val, true
 }
 
 // Has reports whether key is present.
 func (m *Map) Has(key string) bool {
-	_, ok := m.Get(key)
-	return ok
+	return m.find(key) >= 0
 }
 
 // Set stores value under key, preserving the original position when the key
 // already exists.
 func (m *Map) Set(key string, value any) {
-	if _, ok := m.vals[key]; !ok {
-		m.keys = append(m.keys, key)
-	}
-	m.vals[key] = value
-}
-
-// Delete removes key if present.
-func (m *Map) Delete(key string) {
-	if _, ok := m.vals[key]; !ok {
+	if i := m.find(key); i >= 0 {
+		m.entries[i].val = value
 		return
 	}
-	delete(m.vals, key)
-	delete(m.pos, key)
-	for i, k := range m.keys {
-		if k == key {
-			m.keys = append(m.keys[:i], m.keys[i+1:]...)
-			break
-		}
+	m.entries = append(m.entries, entry{key: key, val: value})
+	switch n := len(m.entries); {
+	case m.index != nil:
+		m.index[key] = int32(n - 1)
+	case n > linearScanMax:
+		m.index = newMapIndex(m.entries)
 	}
 }
 
 // KeyPos returns the source position of key's key token. The zero Pos is
 // returned for maps built programmatically or keys set after decoding.
 func (m *Map) KeyPos(key string) Pos {
-	if m == nil {
+	i := m.find(key)
+	if i < 0 {
 		return Pos{}
 	}
-	return m.pos[key]
+	return m.entries[i].pos
 }
 
-// SetKeyPos records the source position of key's key token. The first
-// recorded position also becomes the map's Start when none is set yet.
+// SetKeyPos records the source position of key's key token; an absent key
+// is ignored. The first recorded position also becomes the map's Start
+// when none is set yet.
 func (m *Map) SetKeyPos(key string, p Pos) {
-	if m.pos == nil {
-		m.pos = make(map[string]Pos)
+	i := m.find(key)
+	if i < 0 {
+		return
 	}
-	m.pos[key] = p
+	m.entries[i].pos = p
 	if m.start.IsZero() {
 		m.start = p
 	}
@@ -196,22 +245,15 @@ func (m *Map) Seq(key string) ([]any, bool) {
 	return s, ok
 }
 
-// SortedKeys returns the keys sorted lexicographically. Useful for
-// deterministic iteration where insertion order is irrelevant.
-func (m *Map) SortedKeys() []string {
-	out := m.Keys()
-	sort.Strings(out)
-	return out
-}
-
 // Equal reports deep equality with another map, ignoring key order.
 func (m *Map) Equal(other *Map) bool {
 	if m.Len() != other.Len() {
 		return false
 	}
-	for _, k := range m.keys {
-		ov, ok := other.Get(k)
-		if !ok || !valueEqual(m.vals[k], ov) {
+	for i := 0; i < m.Len(); i++ {
+		e := &m.entries[i]
+		ov, ok := other.Get(e.key)
+		if !ok || !valueEqual(e.val, ov) {
 			return false
 		}
 	}

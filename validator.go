@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"configvalidator/internal/crawler"
@@ -130,17 +129,11 @@ var ErrUnknownTarget = errors.New("unknown manifest entity")
 // parse the rule library once.
 type Validator struct {
 	manifest  *cvl.Manifest
-	reader    cvl.FileReader
 	source    *engine.CachedSource
 	engine    *engine.Engine
 	telemetry *telemetry.Collector
 	faults    *faults.Injector
 	cache     *crawler.ParseCache
-
-	// digestMu guards ruleFP, the memoized per-rule-file content hashes
-	// ConfigDigest folds into every entity digest.
-	digestMu sync.Mutex
-	ruleFP   map[string]string
 }
 
 // Option customizes a Validator.
@@ -284,7 +277,6 @@ func New(opts ...Option) (*Validator, error) {
 	eng.SetFaults(c.faults)
 	return &Validator{
 		manifest:  c.manifest,
-		reader:    c.reader,
 		source:    engine.NewCachedSource(c.reader),
 		engine:    eng,
 		telemetry: c.telemetry,
