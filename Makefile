@@ -40,10 +40,12 @@ analyze:
 	cat $$out
 
 # Fuzz smoke: a short randomized pass over the parsers that face
-# untrusted input — among them the journal record read from disk and the
-# shard-stream record read from a worker — and over the compiled tree
-# query against its reference (one -fuzz target per invocation, as go
-# test requires).
+# untrusted input — among them the journal record read from disk, the
+# shard-stream record read from a worker and the shard request body a
+# worker receives — and over the compiled tree query against its
+# reference (one -fuzz target per invocation, as go test requires). Each
+# shard request scans what it decodes, so its new inputs are minimized
+# for at most 2s instead of the default 60s, which would eat the run.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run FuzzDecode ./internal/yaml/
 	$(GO) test -fuzz FuzzSSHDParse -fuzztime $(FUZZTIME) -run FuzzSSHDParse ./internal/lens/
@@ -51,6 +53,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTreePath -fuzztime $(FUZZTIME) -run FuzzTreePath ./internal/configtree/
 	$(GO) test -fuzz FuzzJournalRecord -fuzztime $(FUZZTIME) -run FuzzJournalRecord ./internal/journal/
 	$(GO) test -fuzz FuzzStreamRecord -fuzztime $(FUZZTIME) -run FuzzStreamRecord ./internal/dist/
+	$(GO) test -fuzz FuzzShardRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzShardRequest ./internal/server/
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.

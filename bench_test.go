@@ -9,7 +9,9 @@ package configvalidator
 //	                and the CIS-CAT variant with simulated init cost).
 //	E5            — BenchmarkFleetScan* : production-scale image scanning.
 //	E6            — BenchmarkComposite : Listing-1 cross-entity rule.
-//	E8            — BenchmarkAblation* : design-choice ablations.
+//	E8            — BenchmarkAblation* : design-choice ablations (E8a,
+//	                natural format vs forced conversion, lives in
+//	                internal/lens beside its conversion code).
 
 import (
 	"bytes"
@@ -25,9 +27,7 @@ import (
 	"configvalidator/internal/entity"
 	"configvalidator/internal/fixtures"
 	"configvalidator/internal/frames"
-	"configvalidator/internal/lens"
 	"configvalidator/internal/rules"
-	"configvalidator/internal/schema"
 )
 
 // table2Host is the Table-2 workload: one synthetic Ubuntu host carrying
@@ -312,59 +312,6 @@ composite_rule: mysql.ssl-ca.CONFIGPATH=[mysqld].VALUE == "/etc/mysql/cacert.pem
 		if _, err := eng.Validate(host, manifest, engine.NewCachedSource(read)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- E8a: natural-format parsing vs forced conversion ---
-
-// BenchmarkAblationNaturalSchema queries the fstab table directly (the
-// paper's chosen design: keep the natural format).
-func BenchmarkAblationNaturalSchema(b *testing.B) {
-	host := table2Host()
-	content, err := host.ReadFile("/etc/fstab")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fstab := lens.NewFstab()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := fstab.Parse("/etc/fstab", content)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out, err := res.Table.Select(schema.Query{Constraints: "dir = ?", Args: []string{"/tmp"}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = out
-	}
-}
-
-// BenchmarkAblationConvertedSchema force-converts the table to a tree and
-// answers the same question through tree queries (the rejected design).
-func BenchmarkAblationConvertedSchema(b *testing.B) {
-	host := table2Host()
-	content, err := host.ReadFile("/etc/fstab")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fstab := lens.NewFstab()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := fstab.Parse("/etc/fstab", content)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tree := lens.TableToTree(res.Table)
-		found := false
-		for _, row := range tree.Find("row") {
-			if v, _ := row.ValueAt("dir"); v == "/tmp" {
-				found = true
-			}
-		}
-		_ = found
 	}
 }
 

@@ -311,8 +311,8 @@ func TestEvalFaultParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range cvl.FilterByEntityType(cvl.FilterByTags(rs, e.Tags), "host") {
-			if r.Type != cvl.TypeComposite {
+		for _, r := range rs {
+			if r.MatchesTags(e.Tags) && r.AppliesToType("host") && r.Type != cvl.TypeComposite {
 				sshdRules = append(sshdRules, r.Name)
 			}
 		}

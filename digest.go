@@ -24,8 +24,8 @@ import (
 //
 // The rule files are the ones resolving each entry's cvl_file reads: the
 // file and its whole parent_cvl_file chain, so an edit anywhere up the
-// chain changes the digest. A manifest entry's own parent_cvl_file key is
-// ignored, as the engine ignores it.
+// chain changes the digest. A manifest entry cannot name a parent of its
+// own: manifest parsing rejects a parent_cvl_file key.
 //
 // Known digest blind spot, accepted for cheapness: runtime feature
 // *outputs* are not executed (only the feature list participates). They

@@ -1,16 +1,16 @@
-// Package analysis implements the project-wide CVL static analyzer: a
-// multi-pass checker that takes a whole rule project (manifests, rule
-// files, and their inheritance parents) and emits positioned, coded
-// diagnostics.
+// Package analysis implements the CVL linter: a multi-pass static
+// analyzer that takes a rule project (manifests, rule files, and their
+// inheritance parents), or one file alone (AnalyzeFile), and emits
+// positioned, coded diagnostics.
 //
-// Where internal/cvl.Lint checks one file in isolation, this package
-// resolves the full parent_cvl_file inheritance graph (missing parents,
-// cycles, dead overrides/disables, silent shadowing), performs cross-file
-// semantic checks (undefined composite references, invalid regexes,
-// contradictory value matchers), and validates manifest reachability
-// (orphaned rule files, tag filters that select nothing). Every
-// diagnostic carries a stable code (CVL001…, see Catalog), a severity,
-// and a file:line:col position threaded up from the YAML decoder.
+// Beyond per-file syntax, keyword and style checks, it resolves the
+// parent_cvl_file inheritance graph (missing parents, cycles, dead
+// overrides/disables, silent shadowing), performs cross-file semantic
+// checks (undefined composite references, invalid regexes, contradictory
+// value matchers), and validates manifest reachability (orphaned rule
+// files, tag filters that select nothing). Every diagnostic carries a
+// stable code (CVL001…, see Catalog), a severity, and a file:line:col
+// position threaded up from the YAML decoder.
 //
 // Results render as human text, JSON, or SARIF 2.1.0 (render.go), and a
 // suppression baseline (baseline.go) lets existing findings be frozen so
@@ -126,13 +126,6 @@ func (p *Project) add(path string, content []byte, isManifest bool) {
 // Len reports how many files the project holds.
 func (p *Project) Len() int { return len(p.order) }
 
-// Paths returns the project file paths in insertion order.
-func (p *Project) Paths() []string {
-	out := make([]string, len(p.order))
-	copy(out, p.order)
-	return out
-}
-
 // IsManifestPath reports whether a file name denotes a manifest by
 // convention: its base name contains "manifest".
 func IsManifestPath(path string) bool {
@@ -162,15 +155,6 @@ func (p *Project) AddDir(dir string) error {
 		p.add(path, content, IsManifestPath(path))
 		return nil
 	})
-}
-
-// LoadDir builds a project from every YAML file under dir.
-func LoadDir(dir string) (*Project, error) {
-	p := NewProject()
-	if err := p.AddDir(dir); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // resolveRef resolves a file reference appearing in the file `from`: the
@@ -230,12 +214,6 @@ func countLevels(diags []Diagnostic) (errors, warnings int) {
 	return errors, warnings
 }
 
-// HasErrors reports whether any diagnostic is error level.
-func (r *Result) HasErrors() bool {
-	errs, _ := r.Counts()
-	return errs > 0
-}
-
 // Analyze runs every pass over the project and returns the sorted
 // diagnostics.
 func Analyze(p *Project, opts Options) *Result {
@@ -267,16 +245,11 @@ func Analyze(p *Project, opts Options) *Result {
 	return &Result{Diagnostics: a.diags, FilesChecked: p.Len()}
 }
 
-// AnalyzeFile analyzes a single rule file in isolation — the analyzer
-// equivalent of cvl.Lint, used by the lint HTTP endpoint. Parents outside
-// the file are reported as warnings, not errors.
-func AnalyzeFile(path string, content []byte) *Result {
-	return AnalyzeFileOpts(path, content, Options{})
-}
-
-// AnalyzeFileOpts is AnalyzeFile with analysis options; ExternalParents
-// is always forced on since a lone file cannot carry its parents.
-func AnalyzeFileOpts(path string, content []byte, opts Options) *Result {
+// AnalyzeFile analyzes a single rule file (or, by IsManifestPath, a
+// manifest) in isolation. ExternalParents is always forced on since a
+// lone file cannot carry its parents: they are reported as warnings, not
+// errors.
+func AnalyzeFile(path string, content []byte, opts Options) *Result {
 	p := NewProject()
 	if IsManifestPath(path) {
 		p.AddManifest(path, content)

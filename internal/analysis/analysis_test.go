@@ -207,12 +207,12 @@ func TestMissingParent(t *testing.T) {
 		t.Errorf("missing parent = %+v", d)
 	}
 	// ExternalParents downgrades to warning (single-file lint mode).
-	res = AnalyzeFile("f.yaml", []byte("parent_cvl_file: gone.yaml\n"))
+	res = AnalyzeFile("f.yaml", []byte("parent_cvl_file: gone.yaml\n"), Options{})
 	d = findCode(t, res, CodeMissingParent)
 	if d.Severity != SevWarning {
 		t.Errorf("external parent severity = %v", d.Severity)
 	}
-	if res.HasErrors() {
+	if errs, _ := res.Counts(); errs > 0 {
 		t.Errorf("single-file parent ref must not be an error: %v", res.Diagnostics)
 	}
 }
@@ -328,7 +328,7 @@ func TestStyleWarningsMirrorLint(t *testing.T) {
 			t.Errorf("missing %s in %v", code, codes(res))
 		}
 	}
-	if res.HasErrors() {
+	if errs, _ := res.Counts(); errs > 0 {
 		t.Errorf("style findings must be warnings: %v", res.Diagnostics)
 	}
 	res = analyzeOne(t, strings.Replace(cleanRule, "preferred_value_match: exact,any\n", "", 1))
@@ -437,14 +437,31 @@ composite_rule: web.some-key.CONFIGPATH=[main].VALUE == "x"
 	}
 }
 
+// TestManifestParentCVLFileChecked: no scan reads a manifest-level
+// parent_cvl_file, so the analyzer rejects the key (CVL301) instead of
+// following it — following it would count the named file as reachable and
+// silence the CVL303 that tells the author its rules never run.
 func TestManifestParentCVLFileChecked(t *testing.T) {
-	p := NewProject()
-	p.AddManifest("manifest.yaml", []byte("web:\n  cvl_file: web.yaml\n  parent_cvl_file: gone.yaml\n"))
-	p.AddRuleFile("web.yaml", []byte(cleanRule))
-	res := Analyze(p, Options{})
-	d := findCode(t, res, CodeMissingRuleFile)
-	if d.Line != 3 {
-		t.Errorf("manifest parent pos = %d", d.Line)
+	for _, parentPresent := range []bool{false, true} {
+		p := NewProject()
+		p.AddManifest("manifest.yaml", []byte("web:\n  cvl_file: web.yaml\n  parent_cvl_file: base.yaml\n"))
+		p.AddRuleFile("web.yaml", []byte(cleanRule))
+		if parentPresent {
+			p.AddRuleFile("base.yaml", []byte(cleanRule))
+		}
+		res := Analyze(p, Options{})
+		d := findCode(t, res, CodeBadManifest)
+		if d.File != "manifest.yaml" || d.Line != 3 || !strings.Contains(d.Msg, "parent_cvl_file") {
+			t.Errorf("manifest parent_cvl_file = %+v", d)
+		}
+		if hasCode(res, CodeMissingRuleFile) {
+			t.Errorf("the rejected key is still followed as a reference: %v", res.Diagnostics)
+		}
+		if parentPresent {
+			if d := findCode(t, res, CodeUnreachableFile); d.File != "base.yaml" {
+				t.Errorf("unreachable = %+v", d)
+			}
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func TestGeneratedRulesClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("format rules for %s: %v", path, err)
 		}
-		res := AnalyzeFile(fileNameFor(path), rendered)
+		res := AnalyzeFile(fileNameFor(path), rendered, Options{})
 		for _, d := range res.Diagnostics {
 			if d.Severity == SevError {
 				t.Errorf("generated rules for %s: %s", path, d)

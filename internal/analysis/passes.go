@@ -43,16 +43,14 @@ type fileInfo struct {
 
 // manEntity is one entity stanza of a manifest.
 type manEntity struct {
-	manifest  string
-	name      string
-	namePos   yaml.Pos
-	enabled   bool
-	cvlFile   string
-	cvlPos    yaml.Pos
-	parentCVL string
-	parentPos yaml.Pos
-	tags      []string
-	tagsPos   yaml.Pos
+	manifest string
+	name     string
+	namePos  yaml.Pos
+	enabled  bool
+	cvlFile  string
+	cvlPos   yaml.Pos
+	tags     []string
+	tagsPos  yaml.Pos
 }
 
 type analyzer struct {
@@ -256,7 +254,7 @@ func offendingKeyword(msg string) string {
 
 // --- pass 2: manifests ---
 
-var manifestKeys = []string{"enabled", "config_search_paths", "cvl_file", "parent_cvl_file", "rule_type", "tags"}
+var manifestKeys = []string{"enabled", "config_search_paths", "cvl_file", "rule_type", "tags"}
 
 func (a *analyzer) parseManifests() {
 	owner := map[string]string{} // entity name → manifest that defined it
@@ -307,9 +305,9 @@ func (a *analyzer) parseManifest(path string, content []byte, owner map[string]s
 					ent.cvlPos = pos
 				}
 			case "parent_cvl_file":
-				if err = asString(value, &ent.parentCVL); err == nil {
-					ent.parentPos = pos
-				}
+				// Scans never read the key; cvl.ParseManifest rejects it.
+				a.report(CodeBadManifest, path, pos, "", "entity %q: parent_cvl_file belongs in the rule file, not the manifest", name)
+				continue
 			case "rule_type":
 				var rt string
 				if err = asString(value, &rt); err == nil {
@@ -558,20 +556,13 @@ func (a *analyzer) checkComposites() {
 	for _, ent := range a.entities {
 		entityNames = append(entityNames, ent.name)
 		var files []string
-		for _, ref := range []struct {
-			path string
-			pos  yaml.Pos
-		}{{ent.cvlFile, ent.cvlPos}, {ent.parentCVL, ent.parentPos}} {
-			if ref.path == "" {
-				continue
+		if ent.cvlFile != "" {
+			if target, found := a.p.resolveRef(ent.manifest, ent.cvlFile); found && a.files[target] != nil {
+				files = []string{target}
+			} else {
+				a.report(CodeMissingRuleFile, ent.manifest, ent.cvlPos, "",
+					"entity %q references rule file %q, which is not in the project", ent.name, ent.cvlFile)
 			}
-			target, found := a.p.resolveRef(ent.manifest, ref.path)
-			if !found || a.files[target] == nil {
-				a.report(CodeMissingRuleFile, ent.manifest, ref.pos, "",
-					"entity %q references rule file %q, which is not in the project", ent.name, ref.path)
-				continue
-			}
-			files = append(files, target)
 		}
 		entityFiles[ent.name] = files
 	}
@@ -655,13 +646,11 @@ func (a *analyzer) checkReachability() {
 		}
 	}
 	for _, ent := range a.entities {
-		for _, ref := range []string{ent.cvlFile, ent.parentCVL} {
-			if ref == "" {
-				continue
-			}
-			if target, found := a.p.resolveRef(ent.manifest, ref); found {
-				mark(target)
-			}
+		if ent.cvlFile == "" {
+			continue
+		}
+		if target, found := a.p.resolveRef(ent.manifest, ent.cvlFile); found {
+			mark(target)
 		}
 	}
 	for _, path := range a.ruleFiles {

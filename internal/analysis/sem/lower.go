@@ -114,12 +114,6 @@ func Lower(unit string, rules []*cvl.Rule) *IR {
 	return ir
 }
 
-// LowerRule lowers a single rule outside any rule set, for pairwise
-// comparisons such as inheritance replacement checks.
-func LowerRule(r *cvl.Rule) *RuleIR {
-	return lowerRule(r)
-}
-
 func lowerRule(r *cvl.Rule) *RuleIR {
 	ri := &RuleIR{Rule: r, AbsentPass: r.AbsentPass}
 	switch r.Type {

@@ -179,7 +179,7 @@ func treeRule(name string, pref, nonpref []string) *cvl.Rule {
 }
 
 func TestLowerPassViol(t *testing.T) {
-	ri := LowerRule(treeRule("Port", []string{"22"}, nil))
+	ri := lowerRule(treeRule("Port", []string{"22"}, nil))
 	if ri.Pass == nil || ri.Viol == nil {
 		t.Fatalf("expected pass and viol sets")
 	}
@@ -195,7 +195,7 @@ func TestLowerPassViol(t *testing.T) {
 }
 
 func TestLowerUnsat(t *testing.T) {
-	ri := LowerRule(treeRule("X", []string{"a"}, []string{"a"}))
+	ri := lowerRule(treeRule("X", []string{"a"}, []string{"a"}))
 	if !ri.Pass.ProvablyEmpty() {
 		t.Fatalf("preferring and rejecting the same value is unsatisfiable")
 	}
@@ -211,7 +211,7 @@ func TestLowerSchemaRowRegion(t *testing.T) {
 		QueryConstraintsValue: []string{"1024"},
 		ExpectRows:            "0",
 	}
-	ri := LowerRule(r)
+	ri := lowerRule(r)
 	if ri.RowMode != RowForbid || ri.RowCol != "port" {
 		t.Fatalf("unexpected row lowering: mode=%v col=%q", ri.RowMode, ri.RowCol)
 	}
@@ -225,11 +225,11 @@ func TestLowerSchemaRowRegion(t *testing.T) {
 
 func TestLowerPathConflict(t *testing.T) {
 	r := &cvl.Rule{Type: cvl.TypePath, Name: "/etc/shadow", Permission: 0o644, MaxPermission: 0o600}
-	if !LowerRule(r).CanNeverPass {
+	if !lowerRule(r).CanNeverPass {
 		t.Fatalf("0644 exceeds max 0600: rule can never pass")
 	}
 	r2 := &cvl.Rule{Type: cvl.TypePath, Name: "/etc/passwd", Permission: 0o600, MaxPermission: 0o644}
-	if LowerRule(r2).CanNeverPass {
+	if lowerRule(r2).CanNeverPass {
 		t.Fatalf("0600 within max 0644 is satisfiable")
 	}
 }

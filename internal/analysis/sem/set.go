@@ -267,9 +267,6 @@ func hullOf(a, b interval) interval {
 // Describe returns a short human rendering of the set.
 func (s *Set) Describe() string { return s.desc }
 
-// IsAny reports whether the set is the universe.
-func (s *Set) IsAny() bool { return s.kind == kindAny }
-
 // ProvablyEmpty reports whether the set is certainly empty. Opaque sets
 // are never provably empty.
 func (s *Set) ProvablyEmpty() bool {

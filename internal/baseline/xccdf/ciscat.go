@@ -39,6 +39,3 @@ func (c *CISCAT) Evaluate(ent entity.Entity) []RuleResult {
 	time.Sleep(c.initCost)
 	return c.engine.Evaluate(ent)
 }
-
-// InitCost reports the simulated startup overhead.
-func (c *CISCAT) InitCost() time.Duration { return c.initCost }

@@ -37,17 +37,6 @@ func Load(benchXML, ovalXML []byte) (*Engine, error) {
 	return &Engine{docs: docs, regex: make(map[string]*regexp.Regexp)}, nil
 }
 
-// RuleCount returns the number of selected rules in the benchmark.
-func (e *Engine) RuleCount() int {
-	n := 0
-	for _, r := range e.docs.Benchmark.Rules {
-		if r.Selected {
-			n++
-		}
-	}
-	return n
-}
-
 // Evaluate runs every selected rule against the entity.
 func (e *Engine) Evaluate(ent entity.Entity) []RuleResult {
 	out := make([]RuleResult, 0, len(e.docs.Benchmark.Rules))

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"configvalidator/internal/configtree"
 	"configvalidator/internal/entity"
 	"configvalidator/internal/lens"
 )
@@ -159,10 +160,10 @@ func TestClientCrawl(t *testing.T) {
 		t.Fatal(err)
 	}
 	open := 0
-	for _, rule := range res.Tree.Find("security_groups/rules") {
-		prefix, _ := rule.ValueAt("remote_ip_prefix")
-		portMin, _ := rule.ValueAt("port_range_min")
-		if prefix == "0.0.0.0/0" && portMin == "22" {
+	for _, rule := range res.Tree.AppendFind(nil, configtree.Compile("security_groups/rules")) {
+		prefix, _ := rule.Child("remote_ip_prefix")
+		portMin, _ := rule.Child("port_range_min")
+		if prefix != nil && prefix.Value == "0.0.0.0/0" && portMin != nil && portMin.Value == "22" {
 			open++
 		}
 	}
@@ -203,7 +204,7 @@ func TestIdentityConfigOverAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := res.Tree.ValueAt("identity/admin_token_enabled"); v != "true" {
-		t.Errorf("admin_token_enabled = %q", v)
+	if n := res.Tree.AppendFind(nil, configtree.Compile("identity/admin_token_enabled")); len(n) != 1 || n[0].Value != "true" {
+		t.Errorf("admin_token_enabled = %v", n)
 	}
 }

@@ -20,31 +20,25 @@ func benchTree() *Node {
 	return root
 }
 
-func BenchmarkFindExact(b *testing.B) {
+func BenchmarkAppendFindExact(b *testing.B) {
 	root := benchTree()
+	q := Compile("http/server/ssl_protocols")
+	buf := make([]*Node, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if nodes := root.Find("http/server/ssl_protocols"); len(nodes) != 50 {
+		if nodes := root.AppendFind(buf[:0], q); len(nodes) != 50 {
 			b.Fatal(len(nodes))
 		}
 	}
 }
 
-func BenchmarkFindIndexed(b *testing.B) {
+func BenchmarkAppendFindIndexed(b *testing.B) {
 	root := benchTree()
+	q := Compile("http/server[25]/listen")
+	buf := make([]*Node, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := root.Get("http/server[25]/listen"); !ok {
-			b.Fatal("missing")
-		}
-	}
-}
-
-func BenchmarkFindDescendant(b *testing.B) {
-	root := benchTree()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if nodes := root.Find("**/proxy_pass"); len(nodes) != 50 {
+		if nodes := root.AppendFind(buf[:0], q); len(nodes) != 1 {
 			b.Fatal(len(nodes))
 		}
 	}

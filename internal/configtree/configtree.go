@@ -6,18 +6,19 @@
 // a label, an optional scalar value, and ordered children. Repeated labels
 // are allowed (an nginx configuration may contain several "server" blocks).
 // Nodes are addressed with slash-separated paths supporting per-segment
-// globs, 1-based indices for repeated labels, and a "**" descendant
-// wildcard:
+// globs, 1-based indices for repeated labels, and a "**" wildcard that
+// spans zero or more levels:
 //
 //	server/listen        every listen directive in every server block
 //	server[2]/listen     listen directives of the second server block only
 //	*/ssl_*              any ssl_-prefixed key one level down
-//	**/PermitRootLogin   the key at any depth
+//	**/PermitRootLogin   the key at any depth, directly under the root too
+//
+// Compile parses an expression once; AppendFind runs it against a tree.
 package configtree
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -49,29 +50,12 @@ func (n *Node) Add(label, value string) *Node {
 	return child
 }
 
-// AddNode appends an existing node as a child and returns it.
-func (n *Node) AddNode(child *Node) *Node {
-	n.Children = append(n.Children, child)
-	return child
-}
-
-// Section appends (or reuses the last) child section with the given label
-// and returns it. Unlike Add it leaves Value empty.
+// Section appends a child section with the given label and returns it.
+// Unlike Add it leaves Value empty.
 func (n *Node) Section(label string) *Node {
 	child := &Node{Label: label, File: n.File}
 	n.Children = append(n.Children, child)
 	return child
-}
-
-// ChildrenByLabel returns all direct children whose label equals label.
-func (n *Node) ChildrenByLabel(label string) []*Node {
-	var out []*Node
-	for _, c := range n.Children {
-		if c.Label == label {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Child returns the first direct child with the given label.
@@ -82,43 +66,6 @@ func (n *Node) Child(label string) (*Node, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Find returns every node matching the path expression, in document order.
-// An empty path matches the receiver itself. Find parses the expression on
-// every call; code that runs one expression against many trees should
-// Compile it once and use AppendFind.
-func (n *Node) Find(path string) []*Node {
-	segs := splitPath(path)
-	if len(segs) == 0 {
-		return []*Node{n}
-	}
-	current := []*Node{n}
-	for _, seg := range segs {
-		var next []*Node
-		if seg.descend {
-			for _, c := range current {
-				c.walkAll(func(d *Node) {
-					if seg.match(d.Label) {
-						next = append(next, d)
-					}
-				})
-			}
-			// Overlapping "**" roots can reach the same descendant
-			// through more than one ancestor; plain child expansion
-			// cannot duplicate (every node has one parent).
-			next = dedup(next)
-		} else {
-			for _, c := range current {
-				next = append(next, c.matchChildren(seg)...)
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		current = next
-	}
-	return current
 }
 
 // Query is a compiled path expression: parse it once with Compile and run
@@ -144,11 +91,12 @@ func Compile(path string) Query {
 	return q
 }
 
-// AppendFind appends the nodes q matches to dst — the same nodes, in the
-// same order, that Find returns for q's expression — and returns the
-// extended slice. It walks the tree depth-first without building
-// per-segment node lists, so with a reused dst it does not allocate. A nil
-// receiver matches nothing.
+// AppendFind appends the nodes q matches to dst and returns the extended
+// slice. An empty expression matches the receiver itself; a node reached
+// along two routes (possible only with two "**" segments) is returned
+// once. It walks the tree depth-first without building per-segment node
+// lists, so with a reused dst it does not allocate. A nil receiver
+// matches nothing.
 func (n *Node) AppendFind(dst []*Node, q Query) []*Node {
 	if n == nil {
 		return dst
@@ -162,25 +110,27 @@ func (n *Node) AppendFind(dst []*Node, q Query) []*Node {
 }
 
 // appendMatches appends the nodes segs match below n. Depth-first
-// expansion visits matches in the order of Find's level-by-level
-// expansion: both concatenate each node's matches in document order. A
-// "**" segment recurses with itself still leading, so every descendant
-// is tried in pre-order. (One self-recursive function, rather than a
-// separate descendant walk, keeps dst off the heap in callers.)
+// expansion visits matches in the order of a level-by-level expansion
+// (the reference in fuzz_test.go): both concatenate each node's matches
+// in document order. A "**" segment first matches zero levels (the rest
+// of the expression at n itself), then recurses into each child with
+// itself still leading, so n and every descendant are tried in
+// pre-order. (One self-recursive function, rather than a separate
+// descendant walk, keeps dst off the heap in callers.)
 func (n *Node) appendMatches(dst []*Node, segs []segment) []*Node {
 	if len(segs) == 0 {
 		return append(dst, n)
 	}
 	seg, rest := &segs[0], segs[1:]
+	if seg.descend {
+		dst = n.appendMatches(dst, rest)
+		for _, c := range n.Children {
+			dst = c.appendMatches(dst, segs)
+		}
+		return dst
+	}
 	nth := 0
 	for _, c := range n.Children {
-		if seg.descend {
-			if seg.match(c.Label) {
-				dst = c.appendMatches(dst, rest)
-			}
-			dst = c.appendMatches(dst, segs)
-			continue
-		}
 		if !seg.match(c.Label) {
 			continue
 		}
@@ -191,34 +141,6 @@ func (n *Node) appendMatches(dst []*Node, segs []segment) []*Node {
 		dst = c.appendMatches(dst, rest)
 	}
 	return dst
-}
-
-// Get returns the first node matching the path expression.
-func (n *Node) Get(path string) (*Node, bool) {
-	matches := n.Find(path)
-	if len(matches) == 0 {
-		return nil, false
-	}
-	return matches[0], true
-}
-
-// ValueAt returns the value of the first node matching path.
-func (n *Node) ValueAt(path string) (string, bool) {
-	node, ok := n.Get(path)
-	if !ok {
-		return "", false
-	}
-	return node.Value, true
-}
-
-// ValuesAt returns the values of every node matching path.
-func (n *Node) ValuesAt(path string) []string {
-	matches := n.Find(path)
-	out := make([]string, len(matches))
-	for i, m := range matches {
-		out[i] = m.Value
-	}
-	return out
 }
 
 // Put creates (or reuses) the nodes along a plain path (no globs or
@@ -264,28 +186,6 @@ func (n *Node) walk(prefix string, fn func(string, *Node) bool) bool {
 		}
 	}
 	return true
-}
-
-// walkAll visits all descendants (excluding the receiver).
-func (n *Node) walkAll(fn func(*Node)) {
-	for _, c := range n.Children {
-		fn(c)
-		c.walkAll(fn)
-	}
-}
-
-// Leaves returns all descendant nodes that have no children.
-func (n *Node) Leaves() []*Node {
-	var out []*Node
-	n.walkAll(func(d *Node) {
-		if len(d.Children) == 0 {
-			out = append(out, d)
-		}
-	})
-	if len(n.Children) == 0 {
-		out = append(out, n)
-	}
-	return out
 }
 
 // Size returns the total number of nodes in the tree including the receiver.
@@ -354,7 +254,7 @@ type segment struct {
 	label   string   // label pattern, may contain * wildcards
 	parts   []string // label split at '*', when it holds a partial wildcard
 	index   int      // 1-based index among matching siblings; 0 = all
-	descend bool     // true for "**": match at any depth
+	descend bool     // true for "**": zero or more levels
 }
 
 func splitPath(path string) []segment {
@@ -369,7 +269,7 @@ func splitPath(path string) []segment {
 			continue
 		}
 		if p == "**" {
-			segs = append(segs, segment{label: "*", descend: true})
+			segs = append(segs, segment{descend: true})
 			continue
 		}
 		s := segment{label: p}
@@ -385,22 +285,6 @@ func splitPath(path string) []segment {
 		segs = append(segs, s)
 	}
 	return segs
-}
-
-func (n *Node) matchChildren(seg segment) []*Node {
-	var out []*Node
-	nth := 0
-	for _, c := range n.Children {
-		if !seg.match(c.Label) {
-			continue
-		}
-		nth++
-		if seg.index != 0 && nth != seg.index {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 // match matches the segment's label pattern against label, where '*'
@@ -438,12 +322,4 @@ func dedup(nodes []*Node) []*Node {
 		out = append(out, n)
 	}
 	return out
-}
-
-// SortChildren orders the direct children by label (stable), which is
-// useful for deterministic output of unordered sources.
-func (n *Node) SortChildren() {
-	sort.SliceStable(n.Children, func(i, j int) bool {
-		return n.Children[i].Label < n.Children[j].Label
-	})
 }

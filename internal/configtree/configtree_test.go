@@ -23,9 +23,32 @@ func buildNginxLike() *Node {
 	return root
 }
 
+// query runs path through the compiled matcher, the one the engine uses.
+func query(root *Node, path string) []*Node {
+	return root.AppendFind(nil, Compile(path))
+}
+
+// values returns the values of every node path matches.
+func values(root *Node, path string) []string {
+	var out []string
+	for _, n := range query(root, path) {
+		out = append(out, n.Value)
+	}
+	return out
+}
+
+// first returns the value of the first node path matches.
+func first(root *Node, path string) (string, bool) {
+	nodes := query(root, path)
+	if len(nodes) == 0 {
+		return "", false
+	}
+	return nodes[0].Value, true
+}
+
 func TestFindExactPath(t *testing.T) {
 	root := buildNginxLike()
-	got := root.ValuesAt("http/server/listen")
+	got := values(root, "http/server/listen")
 	want := []string{"80", "443 ssl"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("listen values = %v, want %v", got, want)
@@ -34,27 +57,27 @@ func TestFindExactPath(t *testing.T) {
 
 func TestFindIndexedSegment(t *testing.T) {
 	root := buildNginxLike()
-	if v, ok := root.ValueAt("http/server[2]/listen"); !ok || v != "443 ssl" {
+	if v, ok := first(root, "http/server[2]/listen"); !ok || v != "443 ssl" {
 		t.Errorf("server[2]/listen = %q ok=%v", v, ok)
 	}
-	if v, ok := root.ValueAt("http/server[1]/server_name"); !ok || v != "a.example.com" {
+	if v, ok := first(root, "http/server[1]/server_name"); !ok || v != "a.example.com" {
 		t.Errorf("server[1]/server_name = %q ok=%v", v, ok)
 	}
-	if _, ok := root.Get("http/server[3]"); ok {
+	if _, ok := first(root, "http/server[3]"); ok {
 		t.Error("server[3] should not exist")
 	}
 }
 
 func TestFindGlobSegment(t *testing.T) {
 	root := buildNginxLike()
-	got := root.ValuesAt("http/server/ssl_*")
+	got := values(root, "http/server/ssl_*")
 	if len(got) != 2 {
 		t.Fatalf("ssl_* matches = %v", got)
 	}
 	if got[0] != "TLSv1.2 TLSv1.3" {
 		t.Errorf("first ssl value = %q", got[0])
 	}
-	all := root.Find("http/*/server_name")
+	all := query(root, "http/*/server_name")
 	if len(all) != 2 {
 		t.Errorf("*/server_name matched %d nodes", len(all))
 	}
@@ -62,33 +85,62 @@ func TestFindGlobSegment(t *testing.T) {
 
 func TestFindDescendant(t *testing.T) {
 	root := buildNginxLike()
-	nodes := root.Find("**/ssl_protocols")
+	nodes := query(root, "**/ssl_protocols")
 	if len(nodes) != 1 || nodes[0].Value != "TLSv1.2 TLSv1.3" {
 		t.Errorf("descendant search = %v", nodes)
 	}
-	listens := root.Find("**/listen")
+	listens := query(root, "**/listen")
 	if len(listens) != 2 {
 		t.Errorf("**/listen matched %d", len(listens))
+	}
+}
+
+// TestDescendantSpansZeroOrMoreLevels pins "**" as descendant-or-self: a
+// key directly under the root matches "**/key" just as a nested one does.
+func TestDescendantSpansZeroOrMoreLevels(t *testing.T) {
+	root := New("sshd_config")
+	root.Add("PermitRootLogin", "yes")
+	match := root.Section("Match")
+	match.Add("PermitRootLogin", "no")
+	deep := match.Section("Inner")
+	deep.Add("PermitRootLogin", "deep")
+	deep.Add("PermitRootLogin", "deeper")
+	for _, tt := range []struct {
+		path string
+		want []string
+	}{
+		{"**/PermitRootLogin", []string{"yes", "no", "deep", "deeper"}}, // "**" spans 0, 1 and 2 levels
+		{"**/Match", []string{""}},                                      // zero levels: a root child
+		{"**", []string{"", "yes", "", "no", "", "deep", "deeper"}},     // the root itself and every descendant
+		{"Match/**/PermitRootLogin", []string{"no", "deep", "deeper"}},  // zero levels below Match, then one
+		{"**/PermitRootLogin[2]", []string{"deeper"}},                   // the index counts siblings under each parent
+		{"**/Inner/**/PermitRootLogin", []string{"deep", "deeper"}},     // two "**" segments, each node once
+		{"**/**/PermitRootLogin", []string{"yes", "no", "deep", "deeper"}},
+		{"**/Missing", nil},
+	} {
+		if got := values(root, tt.path); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("%s = %q, want %q", tt.path, got, tt.want)
+		}
 	}
 }
 
 func TestFindEmptyPathIsSelf(t *testing.T) {
 	root := buildNginxLike()
 	for _, p := range []string{"", "/", "//"} {
-		nodes := root.Find(p)
+		nodes := query(root, p)
 		if len(nodes) != 1 || nodes[0] != root {
-			t.Errorf("Find(%q) = %v, want self", p, nodes)
+			t.Errorf("query %q = %v, want self", p, nodes)
 		}
 	}
 }
 
 func TestFindMissing(t *testing.T) {
 	root := buildNginxLike()
-	if nodes := root.Find("http/upstream"); nodes != nil {
+	if nodes := query(root, "http/upstream"); nodes != nil {
 		t.Errorf("missing path returned %v", nodes)
 	}
-	if _, ok := root.ValueAt("nope/nope"); ok {
-		t.Error("missing path ValueAt should report absent")
+	if _, ok := first(root, "nope/nope"); ok {
+		t.Error("missing path should report absent")
 	}
 }
 
@@ -100,11 +152,11 @@ func TestPutAndGet(t *testing.T) {
 	if _, err := root.Put("net/ipv4/tcp_syncookies", "1"); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := root.ValueAt("net/ipv4/ip_forward"); v != "0" {
+	if v, _ := first(root, "net/ipv4/ip_forward"); v != "0" {
 		t.Errorf("ip_forward = %q", v)
 	}
 	// Put reuses intermediate nodes.
-	ipv4 := root.Find("net/ipv4")
+	ipv4 := query(root, "net/ipv4")
 	if len(ipv4) != 1 {
 		t.Fatalf("expected one net/ipv4 node, got %d", len(ipv4))
 	}
@@ -115,7 +167,7 @@ func TestPutAndGet(t *testing.T) {
 	if _, err := root.Put("net/ipv4/ip_forward", "1"); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := root.ValueAt("net/ipv4/ip_forward"); v != "1" {
+	if v, _ := first(root, "net/ipv4/ip_forward"); v != "1" {
 		t.Errorf("ip_forward after overwrite = %q", v)
 	}
 }
@@ -147,23 +199,6 @@ func TestWalkOrderAndStop(t *testing.T) {
 	})
 	if count != 3 {
 		t.Errorf("early stop visited %d", count)
-	}
-}
-
-func TestLeaves(t *testing.T) {
-	root := buildNginxLike()
-	leaves := root.Leaves()
-	for _, l := range leaves {
-		if len(l.Children) != 0 {
-			t.Errorf("leaf %q has children", l.Label)
-		}
-	}
-	if len(leaves) != 7 {
-		t.Errorf("leaf count = %d, want 7", len(leaves))
-	}
-	single := New("only")
-	if got := single.Leaves(); len(got) != 1 || got[0] != single {
-		t.Errorf("single-node leaves = %v", got)
 	}
 }
 
@@ -232,23 +267,8 @@ func TestMatchGlob(t *testing.T) {
 	}
 }
 
-func TestSortChildren(t *testing.T) {
-	root := New("r")
-	root.Add("c", "3")
-	root.Add("a", "1")
-	root.Add("b", "2")
-	root.SortChildren()
-	labels := make([]string, len(root.Children))
-	for i, c := range root.Children {
-		labels[i] = c.Label
-	}
-	if !reflect.DeepEqual(labels, []string{"a", "b", "c"}) {
-		t.Errorf("sorted labels = %v", labels)
-	}
-}
-
-// TestQuickPutThenFind checks the property: after Put(path, v), ValueAt(path)
-// returns v, for random plain paths.
+// TestQuickPutThenFind checks the property: after Put(path, v), a query
+// for path returns v, for random plain paths.
 func TestQuickPutThenFind(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	labels := []string{"alpha", "beta", "gamma", "delta", "eps"}
@@ -273,14 +293,14 @@ func TestQuickPutThenFind(t *testing.T) {
 			last[path] = val
 		}
 		for _, e := range inserted {
-			got, ok := root.ValueAt(e.path)
+			got, ok := first(root, e.path)
 			if !ok {
 				t.Fatalf("iteration %d: path %q not found after Put", i, e.path)
 			}
 			// A later Put to the same path (or to a prefix extension that
 			// reuses a node) may overwrite; compare against last write.
 			if want := last[e.path]; got != want && !isPrefixOfAnother(e.path, last) {
-				t.Fatalf("iteration %d: ValueAt(%q) = %q, want %q", i, e.path, got, want)
+				t.Fatalf("iteration %d: query %q = %q, want %q", i, e.path, got, want)
 			}
 		}
 	}
@@ -312,9 +332,9 @@ func TestQuickGlobSuperset(t *testing.T) {
 		}
 		for _, l1 := range labels {
 			for _, l2 := range labels {
-				exact := root.Find(l1 + "/" + l2)
-				glob := root.Find("*/" + l2)
-				star := root.Find("**/" + l2)
+				exact := query(root, l1+"/"+l2)
+				glob := query(root, "*/"+l2)
+				star := query(root, "**/"+l2)
 				if !containsAll(glob, exact) {
 					t.Fatalf("glob */%s missing exact %s/%s results", l2, l1, l2)
 				}
@@ -351,9 +371,12 @@ func TestAppendFindReusesDst(t *testing.T) {
 		s.Add("ssl_protocols", "TLSv1.2")
 	}
 	var buf [8]*Node
-	for _, path := range []string{"http/server/listen", "**/ssl_*", "http/server[2]/listen", "missing"} {
+	for _, tt := range []struct {
+		path string
+		want int
+	}{{"http/server/listen", 3}, {"**/ssl_*", 3}, {"http/server[2]/listen", 1}, {"missing", 0}} {
+		path, want := tt.path, tt.want
 		q := Compile(path)
-		want := len(root.Find(path))
 		if n := testing.AllocsPerRun(100, func() {
 			if got := len(root.AppendFind(buf[:0], q)); got != want {
 				t.Fatalf("%s: %d nodes, want %d", path, got, want)

@@ -29,9 +29,64 @@ func fuzzTree(shape []byte) *Node {
 	return root
 }
 
+// find is the reference the compiled matcher is held to: it expands the
+// whole list of matched nodes one segment at a time. "**" takes each
+// node itself and then its descendants in pre-order (zero or more
+// levels). An empty path matches n itself.
+func (n *Node) find(path string) []*Node {
+	current := []*Node{n}
+	for _, seg := range splitPath(path) {
+		var next []*Node
+		for _, c := range current {
+			if seg.descend {
+				next = append(next, c)
+				next = c.walkAll(next)
+			} else {
+				next = append(next, c.matchChildren(seg)...)
+			}
+		}
+		if seg.descend {
+			// Overlapping "**" roots can reach the same descendant
+			// through more than one ancestor; plain child expansion
+			// cannot duplicate (every node has one parent).
+			next = dedup(next)
+		}
+		if len(next) == 0 {
+			return nil
+		}
+		current = next
+	}
+	return current
+}
+
+// walkAll appends all descendants of n (excluding n) in pre-order.
+func (n *Node) walkAll(dst []*Node) []*Node {
+	for _, c := range n.Children {
+		dst = append(dst, c)
+		dst = c.walkAll(dst)
+	}
+	return dst
+}
+
+func (n *Node) matchChildren(seg segment) []*Node {
+	var out []*Node
+	nth := 0
+	for _, c := range n.Children {
+		if !seg.match(c.Label) {
+			continue
+		}
+		nth++
+		if seg.index != 0 && nth != seg.index {
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
 // FuzzTreePath holds the compiled query path to the reference: for any
 // generated tree and path expression, AppendFind(nil, Compile(p)) returns
-// exactly Find(p), node for node, and appending after a prefix leaves the
+// exactly find(p), node for node, and appending after a prefix leaves the
 // prefix alone.
 //
 //	go test -fuzz FuzzTreePath -fuzztime 10s ./internal/configtree/
@@ -49,6 +104,8 @@ func FuzzTreePath(f *testing.F) {
 		{nested, "**/a/**/b"},
 		{nested, "a/**/b"},
 		{nested, "**/**"},
+		{nested, "**"},
+		{nested, "**/a[2]"},
 		{nested, "*/b"},
 		{nested, "a*/b*"},
 		{nested, "a[2]/a"},
@@ -60,10 +117,10 @@ func FuzzTreePath(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, shape []byte, path string) {
 		root := fuzzTree(shape)
-		want := root.Find(path)
+		want := root.find(path)
 		q := Compile(path)
 		if got := root.AppendFind(nil, q); !sameNodes(got, want) {
-			t.Fatalf("AppendFind(%q) = %s, Find = %s", path, nodeIDs(got), nodeIDs(want))
+			t.Fatalf("AppendFind(%q) = %s, find = %s", path, nodeIDs(got), nodeIDs(want))
 		}
 		prefix := []*Node{root, root}
 		got := root.AppendFind(prefix, q)

@@ -3,6 +3,7 @@ package convert
 import (
 	"testing"
 
+	"configvalidator/internal/analysis"
 	"configvalidator/internal/baseline"
 	"configvalidator/internal/baseline/xccdf"
 	"configvalidator/internal/cvl"
@@ -147,8 +148,9 @@ func TestConvertedRulesFormatToValidCVL(t *testing.T) {
 	if len(back.Rules) != len(res.Rules) {
 		t.Errorf("%d rules in, %d out", len(res.Rules), len(back.Rules))
 	}
-	if diags := cvl.Lint("imported.yaml", out); cvl.HasErrors(diags) {
-		t.Errorf("imported rules have lint errors: %v", diags)
+	lint := analysis.AnalyzeFile("imported.yaml", out, analysis.Options{})
+	if errs, _ := lint.Counts(); errs > 0 {
+		t.Errorf("imported rules have lint errors: %v", lint.Diagnostics)
 	}
 }
 

@@ -36,9 +36,6 @@ type FileConfig struct {
 type Options struct {
 	// MaxFileSize skips files larger than this many bytes (0 = 16 MiB).
 	MaxFileSize int64
-	// IncludeUnrecognized records files with no matching lens (with a nil
-	// Result); by default they are skipped silently.
-	IncludeUnrecognized bool
 	// Faults arms fault injection on lens parsing (faults.OpParse). Nil —
 	// the production default — is inert and costs one nil check.
 	Faults *faults.Injector
@@ -66,8 +63,8 @@ func New(registry *lens.Registry, opts Options) *Crawler {
 	return &Crawler{registry: registry, opts: opts}
 }
 
-// Registry exposes the lens registry the crawler uses.
-func (c *Crawler) Registry() *lens.Registry { return c.registry }
+// Cached reports whether the crawler shares a parse cache (Options.Cache).
+func (c *Crawler) Cached() bool { return c.opts.Cache != nil }
 
 // CrawlPaths walks each search path on the entity and normalizes every
 // recognized configuration file: Discover followed by Load on each file.
@@ -92,10 +89,10 @@ func (c *Crawler) CrawlPaths(e entity.Entity, searchPaths []string) ([]*FileConf
 	return configs, nil
 }
 
-// Discover is the walk half of CrawlPaths: it lists the recognized files
-// under the search paths as FileConfigs with Path, LensName and Info set
-// but nothing read, sorted by path and deduplicated. It touches only
-// entity metadata, and a Walk failure aborts it.
+// Discover is the walk half of CrawlPaths: it lists the files a lens
+// recognizes under the search paths as FileConfigs with Path, LensName
+// and Info set but nothing read, sorted by path and deduplicated. It
+// touches only entity metadata, and a Walk failure aborts it.
 func (c *Crawler) Discover(e entity.Entity, searchPaths []string) ([]*FileConfig, error) {
 	var out []*FileConfig
 	for _, root := range searchPaths {
@@ -105,8 +102,6 @@ func (c *Crawler) Discover(e entity.Entity, searchPaths []string) ([]*FileConfig
 			}
 			if l, ok := c.registry.ForFile(fi.Path); ok {
 				out = append(out, &FileConfig{Path: fi.Path, LensName: l.Name(), Info: fi})
-			} else if c.opts.IncludeUnrecognized {
-				out = append(out, &FileConfig{Path: fi.Path, Info: fi})
 			}
 			return nil
 		})
@@ -131,7 +126,7 @@ func (c *Crawler) Discover(e entity.Entity, searchPaths []string) ([]*FileConfig
 func (c *Crawler) Load(e entity.Entity, fc *FileConfig) {
 	l, ok := c.registry.ForFile(fc.Path)
 	if !ok {
-		return // kept by IncludeUnrecognized; nothing to parse
+		return // no lens: nothing to parse
 	}
 	if fc.Info.Size > c.opts.MaxFileSize {
 		fc.Err = fmt.Errorf("crawler: %s: file size %d exceeds limit %d", fc.Path, fc.Info.Size, c.opts.MaxFileSize)

@@ -33,8 +33,8 @@ func TestCrawlPaths(t *testing.T) {
 	if !ok || sshd.LensName != "sshd" || sshd.Err != nil {
 		t.Fatalf("sshd config = %+v", sshd)
 	}
-	if v, _ := sshd.Result.Tree.ValueAt("PermitRootLogin"); v != "no" {
-		t.Errorf("PermitRootLogin = %q", v)
+	if n, ok := sshd.Result.Tree.Child("PermitRootLogin"); !ok || n.Value != "no" {
+		t.Errorf("PermitRootLogin = %+v", n)
 	}
 	fstab, ok := byPath["/etc/fstab"]
 	if !ok || fstab.Result.Kind != lens.KindSchema {
@@ -84,23 +84,6 @@ func TestCrawlSortedOutput(t *testing.T) {
 	}
 }
 
-func TestCrawlIncludeUnrecognized(t *testing.T) {
-	c := New(nil, Options{IncludeUnrecognized: true})
-	configs, err := c.CrawlPaths(testEntity(), []string{"/etc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, fc := range configs {
-		if fc.Path == "/etc/motd" && fc.Result == nil && fc.Err == nil {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("unrecognized file not included")
-	}
-}
-
 func TestCrawlMaxFileSize(t *testing.T) {
 	m := entity.NewMem("h", entity.TypeHost)
 	m.AddFile("/etc/sysctl.conf", []byte(strings.Repeat("net.ipv4.ip_forward = 0\n", 100)))
@@ -132,10 +115,10 @@ func TestCrawlFilePathDirectly(t *testing.T) {
 
 func TestDefaultRegistryUsedWhenNil(t *testing.T) {
 	c := New(nil, Options{})
-	if c.Registry() == nil {
+	if c.registry == nil {
 		t.Fatal("nil registry")
 	}
-	if _, ok := c.Registry().ByName("nginx"); !ok {
+	if l, ok := c.registry.ForFile("/etc/nginx/nginx.conf"); !ok || l.Name() != "nginx" {
 		t.Error("default registry missing nginx lens")
 	}
 }

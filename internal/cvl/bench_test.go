@@ -40,13 +40,3 @@ func BenchmarkEvalComposite(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkLint(b *testing.B) {
-	content := []byte(listing2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if diags := Lint("r.yaml", content); HasErrors(diags) {
-			b.Fatal(diags)
-		}
-	}
-}

@@ -22,20 +22,6 @@ func TestKeywordGroupString(t *testing.T) {
 	}
 }
 
-func TestLintLevelAndDiagnosticString(t *testing.T) {
-	if LintError.String() != "error" || LintWarning.String() != "warning" {
-		t.Error("lint level names")
-	}
-	d := Diagnostic{Level: LintWarning, Rule: "x", Msg: "m"}
-	if got := d.String(); got != `warning: rule "x": m` {
-		t.Errorf("diagnostic = %q", got)
-	}
-	d2 := Diagnostic{Level: LintError, Msg: "m"}
-	if got := d2.String(); got != "error: m" {
-		t.Errorf("diagnostic without rule = %q", got)
-	}
-}
-
 func TestCompositeRefsNestedCollect(t *testing.T) {
 	expr, err := ParseComposite("!(a.x && b.y) || c.z")
 	if err != nil {
@@ -44,35 +30,6 @@ func TestCompositeRefsNestedCollect(t *testing.T) {
 	refs := expr.Refs()
 	if len(refs) != 3 || refs[0].Entity != "a" || refs[2].Key != "z" {
 		t.Errorf("refs = %+v", refs)
-	}
-}
-
-func TestLintSequenceAndScalarDocuments(t *testing.T) {
-	// Sequence with a non-mapping element.
-	diags := Lint("f.yaml", []byte("- config_name: a\n- just_a_string\n"))
-	if !HasErrors(diags) {
-		t.Errorf("non-mapping sequence element not reported: %v", diags)
-	}
-	// A scalar document.
-	diags = Lint("f.yaml", []byte("scalar-doc\n"))
-	if !HasErrors(diags) {
-		t.Errorf("scalar document not reported: %v", diags)
-	}
-	// Regression for the old silent-skip path: a parent-only document must
-	// not error (single-file lint cannot resolve it), but it must no longer
-	// pass silently either — the unresolved parent is surfaced as a warning
-	// pointing authors at project analysis.
-	diags = Lint("f.yaml", []byte("parent_cvl_file: base.yaml\n"))
-	if HasErrors(diags) {
-		t.Errorf("parent directive errored: %v", diags)
-	}
-	if len(diags) != 1 || diags[0].Level != LintWarning || !strings.Contains(diags[0].Msg, "base.yaml") {
-		t.Errorf("unresolved parent not warned: %v", diags)
-	}
-	// A non-string parent is an error.
-	diags = Lint("f.yaml", []byte("parent_cvl_file: [a, b]\n"))
-	if !HasErrors(diags) {
-		t.Errorf("non-string parent not reported: %v", diags)
 	}
 }
 
@@ -144,13 +101,19 @@ func TestManifestNullEntityAndTags(t *testing.T) {
 	if _, err := ParseManifest("m.yaml", []byte("nginx: null\n")); err == nil {
 		t.Error("null entity accepted")
 	}
-	m, err := ParseManifest("m.yaml", []byte("nginx:\n  cvl_file: x\n  tags: [\"#a\"]\n  rule_type: config_tree\n  parent_cvl_file: p.yaml\n"))
+	m, err := ParseManifest("m.yaml", []byte("nginx:\n  cvl_file: x\n  tags: [\"#a\"]\n  rule_type: config_tree\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := m.Entries[0]
-	if len(e.Tags) != 1 || e.RuleType != "config_tree" || e.ParentCVLFile != "p.yaml" {
+	if len(e.Tags) != 1 || e.RuleType != "config_tree" {
 		t.Errorf("entry = %+v", e)
+	}
+	// No scan reads a manifest-level parent; the directive belongs in the
+	// rule file, so the manifest rejects it rather than ignore it.
+	_, err = ParseManifest("m.yaml", []byte("nginx:\n  cvl_file: x\n  parent_cvl_file: p.yaml\n"))
+	if err == nil || !strings.Contains(err.Error(), "belongs in the rule file") {
+		t.Errorf("manifest parent_cvl_file: err = %v", err)
 	}
 	if _, err := ParseManifest("m.yaml", []byte("nginx:\n  cvl_file: x\n  tags: 5\n")); err == nil {
 		t.Error("bad tags accepted")

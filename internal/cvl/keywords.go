@@ -42,7 +42,7 @@ var Keywords = map[string]KeywordGroup{
 	"enabled":                   GroupCommon, // manifest: entity on/off switch
 	"config_search_paths":       GroupCommon, // manifest: where to look for config files
 	"cvl_file":                  GroupCommon, // manifest: entity rule file
-	"parent_cvl_file":           GroupCommon, // manifest/rule file: inheritance parent
+	"parent_cvl_file":           GroupCommon, // rule file: inheritance parent
 	"rule_type":                 GroupCommon, // explicit rule type declaration
 	"tags":                      GroupCommon, // compliance/filter tags
 	"preferred_value":           GroupCommon, // values to match

@@ -84,30 +84,3 @@ func mergeRules(parent, child []*Rule) []*Rule {
 	}
 	return compact
 }
-
-// FilterByTags returns the rules carrying at least one of the given tags.
-// An empty tag list returns all rules.
-func FilterByTags(rules []*Rule, tags []string) []*Rule {
-	if len(tags) == 0 {
-		return rules
-	}
-	out := make([]*Rule, 0, len(rules))
-	for _, r := range rules {
-		if r.MatchesTags(tags) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FilterByEntityType returns the rules applicable to the given entity type
-// name. Rules with no applies_to restriction always apply.
-func FilterByEntityType(rules []*Rule, entityType string) []*Rule {
-	out := make([]*Rule, 0, len(rules))
-	for _, r := range rules {
-		if r.AppliesToType(entityType) {
-			out = append(out, r)
-		}
-	}
-	return out
-}

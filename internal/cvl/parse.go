@@ -317,9 +317,7 @@ func ParseManifest(path string, content []byte) (*Manifest, error) {
 					return nil, manifestErr(path, name, key, err)
 				}
 			case "parent_cvl_file":
-				if err := setString(&entry.ParentCVLFile, value); err != nil {
-					return nil, manifestErr(path, name, key, err)
-				}
+				return nil, fmt.Errorf("cvl: manifest %s: entity %q: parent_cvl_file belongs in the rule file, not the manifest", path, name)
 			case "rule_type":
 				if err := setString(&entry.RuleType, value); err != nil {
 					return nil, manifestErr(path, name, key, err)

@@ -32,26 +32,3 @@ func TestCompositeParserNoPanic(t *testing.T) {
 		}()
 	}
 }
-
-// TestRuleParserNoPanic mutates valid rule documents.
-func TestRuleParserNoPanic(t *testing.T) {
-	r := rand.New(rand.NewSource(56))
-	seeds := []string{listing1, listing2, listing3, listing4}
-	alphabet := []byte("abc:-[]{}#'\"\n\t _,")
-	for i := 0; i < 1500; i++ {
-		input := []byte(seeds[r.Intn(len(seeds))])
-		for j := 0; j < 1+r.Intn(6); j++ {
-			pos := r.Intn(len(input))
-			input[pos] = alphabet[r.Intn(len(alphabet))]
-		}
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("panic on mutated rule: %v\n%s", p, input)
-				}
-			}()
-			_, _ = ParseRuleFile("fuzz.yaml", input)
-			_ = Lint("fuzz.yaml", input)
-		}()
-	}
-}

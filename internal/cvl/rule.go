@@ -287,8 +287,6 @@ type ManifestEntry struct {
 	ConfigSearchPaths []string
 	// CVLFile is the rule specification file for the entity.
 	CVLFile string
-	// ParentCVLFile optionally names a parent rule file to inherit from.
-	ParentCVLFile string
 	// RuleType optionally declares the dominant rule type for the entity.
 	RuleType string
 	// Tags optionally restrict which rules run (any-match).

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"configvalidator/internal/analysis"
 	"configvalidator/internal/cvl"
 	"configvalidator/internal/engine"
 	"configvalidator/internal/entity"
@@ -126,8 +127,9 @@ func TestGeneratedRulesFormatAndLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := cvl.Lint("generated.yaml", out); cvl.HasErrors(diags) {
-		t.Errorf("generated rules have lint errors: %v\n%s", diags, out)
+	res := analysis.AnalyzeFile("generated.yaml", out, analysis.Options{})
+	if errs, _ := res.Counts(); errs > 0 {
+		t.Errorf("generated rules have lint errors: %v\n%s", res.Diagnostics, out)
 	}
 }
 

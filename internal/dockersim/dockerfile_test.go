@@ -62,11 +62,11 @@ func TestParseDockerfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := db.Get("nginx"); !ok || p.Version != "1.10.3" {
+	if p, ok := findPackage(db, "nginx"); !ok || p.Version != "1.10.3" {
 		t.Errorf("nginx pkg = %+v ok=%v", p, ok)
 	}
 	// Base image package retained.
-	if _, ok := db.Get("openssh-server"); !ok {
+	if _, ok := findPackage(db, "openssh-server"); !ok {
 		t.Error("base package lost")
 	}
 	// RUN rm produced a whiteout over the base file.

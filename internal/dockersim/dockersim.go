@@ -277,11 +277,6 @@ func (c *Container) WriteFile(path string, data []byte, mode fs.FileMode) {
 	c.RW.Entries = append(c.RW.Entries, FileEntry{Path: path, Data: data, Mode: mode})
 }
 
-// DeleteFile records a runtime deletion (whiteout in the RW layer).
-func (c *Container) DeleteFile(path string) {
-	c.RW.Entries = append(c.RW.Entries, FileEntry{Path: path, Whiteout: true})
-}
-
 // SetFeature attaches extra runtime state to the container.
 func (c *Container) SetFeature(name, output string) {
 	c.features[name] = output
@@ -315,56 +310,6 @@ func (c *Container) inspectFeature() string {
 		fmt.Fprintf(&b, "Mount %s\n", mnt)
 	}
 	return b.String()
-}
-
-// ChangeKind classifies a container filesystem change, following
-// `docker diff` (A = added, C = changed, D = deleted).
-type ChangeKind byte
-
-// Change kinds.
-const (
-	ChangeAdded    ChangeKind = 'A'
-	ChangeModified ChangeKind = 'C'
-	ChangeDeleted  ChangeKind = 'D'
-)
-
-// Change is one entry of a container diff.
-type Change struct {
-	Kind ChangeKind
-	Path string
-}
-
-// String renders the change in docker-diff notation ("C /etc/passwd").
-func (c Change) String() string { return string(c.Kind) + " " + c.Path }
-
-// Diff reports the container's filesystem changes relative to its image —
-// the `docker diff` analogue, and the raw material for drift detection on
-// running containers.
-func (c *Container) Diff() []Change {
-	imageFS := c.Image.Entity()
-	var out []Change
-	seen := make(map[string]bool)
-	for _, e := range c.RW.Entries {
-		if seen[e.Path] {
-			continue
-		}
-		seen[e.Path] = true
-		path := entity.Clean(e.Path)
-		_, statErr := imageFS.Stat(path)
-		existed := statErr == nil
-		switch {
-		case e.Whiteout && existed:
-			out = append(out, Change{Kind: ChangeDeleted, Path: path})
-		case e.Whiteout:
-			// Deleting something the image never had: no visible change.
-		case existed:
-			out = append(out, Change{Kind: ChangeModified, Path: path})
-		default:
-			out = append(out, Change{Kind: ChangeAdded, Path: path})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
 }
 
 // Registry stores images and containers, standing in for a Docker daemon +
@@ -419,23 +364,4 @@ func (r *Registry) Run(id, ref string) (*Container, error) {
 	c.State = StateRunning
 	r.containers[id] = c
 	return c, nil
-}
-
-// Container retrieves a container by id.
-func (r *Registry) Container(id string) (*Container, error) {
-	c, ok := r.containers[id]
-	if !ok {
-		return nil, fmt.Errorf("dockersim: container %q not found", id)
-	}
-	return c, nil
-}
-
-// Containers lists all container ids, sorted.
-func (r *Registry) Containers() []string {
-	out := make([]string, 0, len(r.containers))
-	for id := range r.containers {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }

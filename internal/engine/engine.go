@@ -40,15 +40,6 @@ type Options struct {
 	// reads (every built-in entity backend does: they are immutable
 	// snapshots or read-only filesystem views).
 	Parallelism int
-
-	// EvalCacheSize bounds the verdict memo for tree and schema rules,
-	// which are pure functions of (rule, parsed configs): when a shared
-	// crawler.ParseCache makes two entities' configs the same Results,
-	// the verdict is reused instead of re-evaluated (see evalcache.go).
-	// 0 (the default) disables memoization — the correct setting
-	// whenever no parse cache is attached; < 0 enables it with
-	// DefaultEvalCacheSize.
-	EvalCacheSize int
 }
 
 // Engine applies CVL rules to entities.
@@ -65,12 +56,20 @@ func New(c *crawler.Crawler) *Engine {
 	return NewWithOptions(c, Options{})
 }
 
-// NewWithOptions creates an engine with explicit execution options.
+// NewWithOptions creates an engine with explicit execution options. When
+// the crawler has a parse cache, the engine also memoizes verdicts: tree
+// and schema rules are pure functions of (rule, parsed configs), so when
+// the cache makes two entities' configs the same Results the verdict is
+// reused instead of re-evaluated (see evalcache.go).
 func NewWithOptions(c *crawler.Crawler, opts Options) *Engine {
 	if c == nil {
 		c = crawler.New(nil, crawler.Options{})
 	}
-	return &Engine{crawler: c, opts: opts, memo: newEvalMemo(opts.EvalCacheSize)}
+	e := &Engine{crawler: c, opts: opts}
+	if c.Cached() {
+		e.memo = newEvalMemo()
+	}
+	return e
 }
 
 // parallelism resolves Options.Parallelism to an effective worker count.
@@ -663,17 +662,11 @@ func matchesFileContext(filePath string, contexts []string) bool {
 	return false
 }
 
-// anyTreeHasKey reports whether a candidate tree holds the required key,
-// at any depth or directly under its root.
+// anyTreeHasKey reports whether a candidate tree holds the required key
+// at any depth, directly under its root included.
 func (c *compiledRule) anyTreeHasKey(configs []*crawler.FileConfig, req *requiredKey, scratch []*configtree.Node) bool {
 	for _, fc := range configs {
-		if !c.treeCandidate(fc) {
-			continue
-		}
-		if len(fc.Result.Tree.AppendFind(scratch, req.anywhere)) > 0 {
-			return true
-		}
-		if _, ok := fc.Result.Tree.Child(req.key); ok {
+		if c.treeCandidate(fc) && len(fc.Result.Tree.AppendFind(scratch, req.anywhere)) > 0 {
 			return true
 		}
 	}
@@ -899,19 +892,22 @@ func (r *runResolver) ConfigValue(entityName, key, section string) (string, bool
 	if !ok {
 		return "", false
 	}
-	var queries []string
-	slashKey := strings.ReplaceAll(key, ".", "/")
+	prefix := ""
 	if section != "" {
-		queries = append(queries, section+"/"+key, section+"/"+slashKey, "**/"+section+"/"+key)
-	} else {
-		queries = append(queries, key, slashKey, "**/"+key)
+		prefix = section + "/"
 	}
+	queries := [...]configtree.Query{
+		configtree.Compile(prefix + key),
+		configtree.Compile(prefix + strings.ReplaceAll(key, ".", "/")),
+		configtree.Compile("**/" + prefix + key),
+	}
+	var scratch [8]*configtree.Node
 	for _, fc := range run.configs {
 		if fc.Err != nil || fc.Result == nil || fc.Result.Kind != lens.KindTree || fc.Result.Tree == nil {
 			continue
 		}
 		for _, q := range queries {
-			if nodes := fc.Result.Tree.Find(q); len(nodes) > 0 {
+			if nodes := fc.Result.Tree.AppendFind(scratch[:0], q); len(nodes) > 0 {
 				return nodes[0].Value, true
 			}
 		}

@@ -18,13 +18,12 @@ import (
 // rules read file metadata that no signature captures, and composites read
 // other rules' per-entity outcomes; neither is memoized.
 //
-// Only worth enabling together with a crawler.ParseCache — without one,
-// every scan allocates fresh Results, no signature ever repeats, and the
-// memo is pure overhead.
+// An engine builds the memo only when its crawler has a
+// crawler.ParseCache — without one, every scan allocates fresh Results, no
+// signature ever repeats, and the memo is pure overhead.
 
-// DefaultEvalCacheSize bounds the verdict memo of an engine constructed
-// with EvalCacheSize < 0.
-const DefaultEvalCacheSize = 1 << 16
+// maxMemoVerdicts bounds the verdict memo.
+const maxMemoVerdicts = 1 << 16
 
 // evalMemo is a bounded concurrent two-level map of rule verdicts: config
 // signature → rule → verdict. The signature level is resolved once per
@@ -47,14 +46,8 @@ type sigVerdicts struct {
 	m    map[*cvl.Rule]verdict
 }
 
-func newEvalMemo(capacity int) *evalMemo {
-	if capacity < 0 {
-		capacity = DefaultEvalCacheSize
-	}
-	if capacity == 0 {
-		return nil
-	}
-	return &evalMemo{cap: capacity, m: make(map[string]*sigVerdicts)}
+func newEvalMemo() *evalMemo {
+	return &evalMemo{cap: maxMemoVerdicts, m: make(map[string]*sigVerdicts)}
 }
 
 // forSig resolves the verdict table for one signature, creating it on

@@ -12,6 +12,16 @@ import (
 	"configvalidator/internal/pkgdb"
 )
 
+// findPackage looks a package up by name in db.
+func findPackage(db *pkgdb.DB, name string) (pkgdb.Package, bool) {
+	for _, p := range db.All() {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return pkgdb.Package{}, false
+}
+
 func TestClean(t *testing.T) {
 	tests := []struct{ in, want string }{
 		{"/etc/ssh/sshd_config", "/etc/ssh/sshd_config"},
@@ -169,8 +179,8 @@ func TestMemPackagesAndFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Len() != 2 {
-		t.Errorf("packages = %d", db.Len())
+	if len(db.All()) != 2 {
+		t.Errorf("packages = %d", len(db.All()))
 	}
 	m.SetFeature("mysql.ssl", "have_ssl: YES")
 	out, err := m.RunFeature("mysql.ssl")
@@ -254,7 +264,7 @@ func TestOSDirEntity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := db.Get("nginx"); !ok || p.Version != "1.10.3" {
+	if p, ok := findPackage(db, "nginx"); !ok || p.Version != "1.10.3" {
 		t.Errorf("nginx pkg = %+v ok=%v", p, ok)
 	}
 
@@ -270,7 +280,7 @@ func TestOSDirEntity(t *testing.T) {
 func TestOSDirNoPackages(t *testing.T) {
 	e := NewOSDir("empty", TypeHost, t.TempDir())
 	db, err := e.Packages()
-	if err != nil || db.Len() != 0 {
+	if err != nil || len(db.All()) != 0 {
 		t.Errorf("empty packages = %v, %v", db, err)
 	}
 }

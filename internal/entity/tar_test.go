@@ -51,7 +51,7 @@ func TestTarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := db.Get("nginx"); !ok || p.Version != "1.10.3" {
+	if p, ok := findPackage(db, "nginx"); !ok || p.Version != "1.10.3" {
 		t.Errorf("pkg = %+v ok=%v", p, ok)
 	}
 }

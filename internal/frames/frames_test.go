@@ -11,6 +11,16 @@ import (
 	"configvalidator/internal/pkgdb"
 )
 
+// findPackage looks a package up by name in db.
+func findPackage(db *pkgdb.DB, name string) (pkgdb.Package, bool) {
+	for _, p := range db.All() {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return pkgdb.Package{}, false
+}
+
 func sampleEntity() *entity.Mem {
 	m := entity.NewMem("web-01", entity.TypeHost)
 	m.AddFile("/etc/ssh/sshd_config", []byte("PermitRootLogin no\nPort 22\n"),
@@ -100,7 +110,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := db.Get("nginx"); !ok || p.Version != "1.10.3" || p.Status != "install ok installed" {
+	if p, ok := findPackage(db, "nginx"); !ok || p.Version != "1.10.3" || p.Status != "install ok installed" {
 		t.Errorf("nginx = %+v ok=%v", p, ok)
 	}
 	out, err := m.RunFeature("sysctl.runtime")

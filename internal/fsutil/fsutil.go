@@ -79,15 +79,6 @@ func WriteAtomic(path string, perm fs.FileMode, write func(io.Writer) error) (er
 	return nil
 }
 
-// WriteFileAtomic is WriteAtomic for in-memory content — the atomic
-// counterpart of os.WriteFile.
-func WriteFileAtomic(path string, data []byte, perm fs.FileMode) error {
-	return WriteAtomic(path, perm, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 // SyncDir fsyncs a directory, making a just-completed rename or create in
 // it durable. Filesystems that do not support directory fsync (some
 // network mounts) report EINVAL/ENOTSUP; that is tolerated — the rename

@@ -9,9 +9,17 @@ import (
 	"testing"
 )
 
+// writeString writes s to path through WriteAtomic.
+func writeString(path, s string, perm os.FileMode) error {
+	return WriteAtomic(path, perm, func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
+	})
+}
+
 func TestWriteFileAtomicCreates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "artifact.json")
-	if err := WriteFileAtomic(path, []byte("payload"), 0o644); err != nil {
+	if err := writeString(path, "payload", 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -35,7 +43,7 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	if err := os.WriteFile(path, []byte("old"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("new content"), 0o644); err != nil {
+	if err := writeString(path, "new content", 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(path)
@@ -77,7 +85,7 @@ func TestWriteAtomicFailureLeavesTargetUntouched(t *testing.T) {
 }
 
 func TestWriteAtomicMissingDir(t *testing.T) {
-	err := WriteFileAtomic(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x"), 0o644)
+	err := writeString(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), "x", 0o644)
 	if err == nil {
 		t.Fatal("want error for missing parent directory")
 	}

@@ -1,8 +1,13 @@
 package lens
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"configvalidator/internal/configtree"
+	"configvalidator/internal/fixtures"
+	"configvalidator/internal/schema"
 )
 
 func benchParse(b *testing.B, l Lens, path, src string) {
@@ -54,5 +59,95 @@ func BenchmarkRenderNginx(b *testing.B) {
 		if _, err := l.Render(res.Tree); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// --- E8a: natural-format parsing vs forced conversion (DESIGN.md) ---
+
+// tableToTree converts a schema table into an equivalent tree, the forced
+// conversion the natural-format ablation measures: rows become numbered
+// sections whose children are column nodes.
+func tableToTree(t *schema.Table) *configtree.Node {
+	root := configtree.New(t.Name)
+	root.File = t.File
+	for i, row := range t.Rows {
+		rowNode := root.Section("row")
+		rowNode.Value = fmt.Sprintf("%d", i+1)
+		for c, col := range t.Columns {
+			rowNode.Add(col, row[c])
+		}
+	}
+	return root
+}
+
+// treeToTable flattens a tree into a two-column (path, value) table, the
+// inverse direction of the natural-format ablation.
+func treeToTable(n *configtree.Node) *schema.Table {
+	t := schema.New(n.Label, "path", "value")
+	t.File = n.File
+	n.Walk(func(p string, node *configtree.Node) bool {
+		if node == n {
+			return true
+		}
+		rel := strings.TrimPrefix(p, n.Label+"/")
+		_ = t.AddRow(rel, node.Value)
+		return true
+	})
+	return t
+}
+
+// ablationFstab is the fstab of the Table-2 benchmark host.
+func ablationFstab(b *testing.B) []byte {
+	host, _ := fixtures.SystemHost("bench-host", fixtures.Profile{Seed: 1234, MisconfigRate: 0.2})
+	content, err := host.ReadFile("/etc/fstab")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return content
+}
+
+// BenchmarkAblationNaturalSchema queries the fstab table directly (the
+// paper's chosen design: keep the natural format).
+func BenchmarkAblationNaturalSchema(b *testing.B) {
+	content := ablationFstab(b)
+	fstab := NewFstab()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := fstab.Parse("/etc/fstab", content)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := res.Table.Select(schema.Query{Constraints: "dir = ?", Args: []string{"/tmp"}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		_ = out
+	}
+}
+
+// BenchmarkAblationConvertedSchema force-converts the table to a tree and
+// answers the same question through tree queries (the rejected design).
+func BenchmarkAblationConvertedSchema(b *testing.B) {
+	content := ablationFstab(b)
+	fstab := NewFstab()
+	rows, dir := configtree.Compile("row"), configtree.Compile("dir")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := fstab.Parse("/etc/fstab", content)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tree := tableToTree(res.Table)
+		found := false
+		for _, row := range tree.AppendFind(nil, rows) {
+			for _, d := range row.AppendFind(nil, dir) {
+				if d.Value == "/tmp" {
+					found = true
+				}
+			}
+		}
+		_ = found
 	}
 }

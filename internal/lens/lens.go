@@ -110,7 +110,6 @@ func parseErrorf(lens, path string, line int, format string, args ...any) error 
 // Registry maps file-name patterns to lenses.
 type Registry struct {
 	entries []registryEntry
-	byName  map[string]Lens
 
 	// fileMu guards fileMemo, the path → selection memo for ForFile. A
 	// fleet scan asks the same question for the same small set of paths
@@ -128,35 +127,19 @@ type registryEntry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]Lens)}
+	return &Registry{}
 }
 
 // Register associates a lens with one or more base-name glob patterns
 // (path.Match syntax, applied to the file's base name) or, when the pattern
 // contains a '/', to a suffix of the full path.
 func (r *Registry) Register(l Lens, patterns ...string) {
-	r.byName[l.Name()] = l
 	for _, p := range patterns {
 		r.entries = append(r.entries, registryEntry{pattern: p, lens: l})
 	}
 	r.fileMu.Lock()
 	r.fileMemo = nil
 	r.fileMu.Unlock()
-}
-
-// ByName returns the lens registered under the given name.
-func (r *Registry) ByName(name string) (Lens, bool) {
-	l, ok := r.byName[name]
-	return l, ok
-}
-
-// Names returns the registered lens names (unordered).
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	return out
 }
 
 // ForFile selects the lens for a file path. Patterns are checked in
@@ -247,38 +230,6 @@ func Default() *Registry {
 	r.Register(NewINI("ini"), "*.ini")
 	r.Register(NewKeyValue("keyvalue", "="), "*.conf")
 	return r
-}
-
-// TableToTree converts a schema table into an equivalent tree, used by the
-// natural-format ablation (DESIGN.md E8a): rows become numbered sections
-// whose children are column nodes.
-func TableToTree(t *schema.Table) *configtree.Node {
-	root := configtree.New(t.Name)
-	root.File = t.File
-	for i, row := range t.Rows {
-		rowNode := root.Section("row")
-		rowNode.Value = fmt.Sprintf("%d", i+1)
-		for c, col := range t.Columns {
-			rowNode.Add(col, row[c])
-		}
-	}
-	return root
-}
-
-// TreeToTable flattens a tree into a two-column (path, value) table, the
-// inverse direction of the natural-format ablation.
-func TreeToTable(n *configtree.Node) *schema.Table {
-	t := schema.New(n.Label, "path", "value")
-	t.File = n.File
-	n.Walk(func(p string, node *configtree.Node) bool {
-		if node == n {
-			return true
-		}
-		rel := strings.TrimPrefix(p, n.Label+"/")
-		_ = t.AddRow(rel, node.Value)
-		return true
-	})
-	return t
 }
 
 // stripLineComment removes a trailing comment introduced by marker when it

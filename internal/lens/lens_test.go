@@ -4,8 +4,39 @@ import (
 	"strings"
 	"testing"
 
+	"configvalidator/internal/configtree"
 	"configvalidator/internal/schema"
 )
+
+// findAll returns the nodes path matches in tree.
+func findAll(tree *configtree.Node, path string) []*configtree.Node {
+	return tree.AppendFind(nil, configtree.Compile(path))
+}
+
+// nodeAt returns the first node path matches in tree.
+func nodeAt(tree *configtree.Node, path string) (*configtree.Node, bool) {
+	if nodes := findAll(tree, path); len(nodes) > 0 {
+		return nodes[0], true
+	}
+	return nil, false
+}
+
+// valueAt returns the value of the first node path matches in tree.
+func valueAt(tree *configtree.Node, path string) (string, bool) {
+	if n, ok := nodeAt(tree, path); ok {
+		return n.Value, true
+	}
+	return "", false
+}
+
+// valuesAt returns the values of every node path matches in tree.
+func valuesAt(tree *configtree.Node, path string) []string {
+	var out []string
+	for _, n := range findAll(tree, path) {
+		out = append(out, n.Value)
+	}
+	return out
+}
 
 // sel builds a one-constraint query with placeholder args.
 func sel(constraints string, args ...string) schema.Query {
@@ -74,21 +105,6 @@ func TestRegistrySelection(t *testing.T) {
 	}
 }
 
-func TestRegistryByName(t *testing.T) {
-	r := Default()
-	for _, name := range []string{"nginx", "apache", "mysql", "hadoop", "sshd", "sysctl", "fstab", "passwd", "group", "audit", "modprobe"} {
-		if _, ok := r.ByName(name); !ok {
-			t.Errorf("lens %q not registered by name", name)
-		}
-	}
-	if _, ok := r.ByName("bogus"); ok {
-		t.Error("bogus lens found")
-	}
-	if len(r.Names()) < 11 {
-		t.Errorf("expected >= 11 lens names, got %d", len(r.Names()))
-	}
-}
-
 func TestRegistryParseUnknown(t *testing.T) {
 	r := Default()
 	if _, err := r.Parse("/no/lens/for.this", nil); err == nil {
@@ -120,26 +136,26 @@ http {
 func TestNginxLens(t *testing.T) {
 	res := parseWith(t, NewNginx(), "nginx.conf", sampleNginx)
 	tree := res.Tree
-	if v, _ := tree.ValueAt("user"); v != "www-data" {
+	if v, _ := valueAt(tree, "user"); v != "www-data" {
 		t.Errorf("user = %q", v)
 	}
-	listens := tree.ValuesAt("http/server/listen")
+	listens := valuesAt(tree, "http/server/listen")
 	if len(listens) != 2 || listens[1] != "443 ssl" {
 		t.Errorf("listens = %v", listens)
 	}
-	if v, _ := tree.ValueAt("http/server[2]/ssl_protocols"); v != "TLSv1.2 TLSv1.3" {
+	if v, _ := valueAt(tree, "http/server[2]/ssl_protocols"); v != "TLSv1.2 TLSv1.3" {
 		t.Errorf("ssl_protocols = %q", v)
 	}
 	// Quoted argument is unquoted.
-	if v, _ := tree.ValueAt("http/server[2]/ssl_certificate"); v != "/etc/ssl/cert.pem" {
+	if v, _ := valueAt(tree, "http/server[2]/ssl_certificate"); v != "/etc/ssl/cert.pem" {
 		t.Errorf("ssl_certificate = %q", v)
 	}
 	// Block arguments stored as section value.
-	loc, ok := tree.Get("http/server[2]/location")
+	loc, ok := nodeAt(tree, "http/server[2]/location")
 	if !ok || loc.Value != "/api" {
 		t.Errorf("location = %+v", loc)
 	}
-	if v, _ := tree.ValueAt("http/server[2]/location/proxy_pass"); v != "http://backend" {
+	if v, _ := valueAt(tree, "http/server[2]/location/proxy_pass"); v != "http://backend" {
 		t.Errorf("proxy_pass = %q", v)
 	}
 }
@@ -183,17 +199,17 @@ Timeout 300
 func TestApacheLens(t *testing.T) {
 	res := parseWith(t, NewApache(), "apache2.conf", sampleApache)
 	tree := res.Tree
-	if v, _ := tree.ValueAt("ServerRoot"); v != `"/etc/apache2"` {
+	if v, _ := valueAt(tree, "ServerRoot"); v != `"/etc/apache2"` {
 		t.Errorf("ServerRoot = %q", v)
 	}
-	if v, _ := tree.ValueAt("Directory[1]/AllowOverride"); v != "None" {
+	if v, _ := valueAt(tree, "Directory[1]/AllowOverride"); v != "None" {
 		t.Errorf("AllowOverride = %q", v)
 	}
-	vh, ok := tree.Get("VirtualHost")
+	vh, ok := nodeAt(tree, "VirtualHost")
 	if !ok || vh.Value != "*:80" {
 		t.Fatalf("VirtualHost = %+v", vh)
 	}
-	if v, _ := tree.ValueAt("VirtualHost/Directory/Options"); v != "Indexes" {
+	if v, _ := valueAt(tree, "VirtualHost/Directory/Options"); v != "Indexes" {
 		t.Errorf("nested Options = %q", v)
 	}
 }
@@ -231,19 +247,19 @@ ssl-cert = /etc/mysql/server-cert.pem
 func TestINILens(t *testing.T) {
 	res := parseWith(t, NewINI("mysql"), "my.cnf", sampleMyCnf)
 	tree := res.Tree
-	if v, _ := tree.ValueAt("client/port"); v != "3306" {
+	if v, _ := valueAt(tree, "client/port"); v != "3306" {
 		t.Errorf("client/port = %q", v)
 	}
-	if v, _ := tree.ValueAt("mysqld/bind-address"); v != "127.0.0.1" {
+	if v, _ := valueAt(tree, "mysqld/bind-address"); v != "127.0.0.1" {
 		t.Errorf("bind-address = %q", v)
 	}
-	if _, ok := tree.Get("mysqld/skip-networking"); !ok {
+	if _, ok := nodeAt(tree, "mysqld/skip-networking"); !ok {
 		t.Error("bare flag key missing")
 	}
-	if v, _ := tree.ValueAt("mysqld/ssl-ca"); v != "/etc/mysql/cacert.pem" {
+	if v, _ := valueAt(tree, "mysqld/ssl-ca"); v != "/etc/mysql/cacert.pem" {
 		t.Errorf("ssl-ca = %q (quotes should be stripped)", v)
 	}
-	if v, _ := tree.ValueAt("mysqld/#include"); v != "includedir /etc/mysql/conf.d/" {
+	if v, _ := valueAt(tree, "mysqld/#include"); v != "includedir /etc/mysql/conf.d/" {
 		t.Errorf("#include = %q", v)
 	}
 }
@@ -272,17 +288,17 @@ Match User sftpuser
 func TestSSHDLens(t *testing.T) {
 	res := parseWith(t, NewSSHD(), "sshd_config", sampleSSHD)
 	tree := res.Tree
-	if v, _ := tree.ValueAt("PermitRootLogin"); v != "no" {
+	if v, _ := valueAt(tree, "PermitRootLogin"); v != "no" {
 		t.Errorf("PermitRootLogin = %q", v)
 	}
-	if v, _ := tree.ValueAt("Port"); v != "22" {
+	if v, _ := valueAt(tree, "Port"); v != "22" {
 		t.Errorf("Port = %q", v)
 	}
-	match, ok := tree.Get("Match")
+	match, ok := nodeAt(tree, "Match")
 	if !ok || match.Value != "User sftpuser" {
 		t.Fatalf("Match = %+v", match)
 	}
-	if v, _ := tree.ValueAt("Match/ChrootDirectory"); v != "/srv/sftp" {
+	if v, _ := valueAt(tree, "Match/ChrootDirectory"); v != "/srv/sftp" {
 		t.Errorf("ChrootDirectory = %q", v)
 	}
 	// Directives inside Match do not leak to top level.
@@ -293,10 +309,10 @@ func TestSSHDLens(t *testing.T) {
 
 func TestSSHDEqualsSyntax(t *testing.T) {
 	res := parseWith(t, NewSSHD(), "sshd_config", "PermitRootLogin=no\nPort = 2222\n")
-	if v, _ := res.Tree.ValueAt("PermitRootLogin"); v != "no" {
+	if v, _ := valueAt(res.Tree, "PermitRootLogin"); v != "no" {
 		t.Errorf("PermitRootLogin = %q", v)
 	}
-	if v, _ := res.Tree.ValueAt("Port"); v != "2222" {
+	if v, _ := valueAt(res.Tree, "Port"); v != "2222" {
 		t.Errorf("Port = %q", v)
 	}
 }
@@ -312,17 +328,17 @@ fs.suid_dumpable=0
 func TestSysctlLens(t *testing.T) {
 	res := parseWith(t, NewSysctl(), "sysctl.conf", sampleSysctl)
 	tree := res.Tree
-	if v, _ := tree.ValueAt("net/ipv4/ip_forward"); v != "0" {
+	if v, _ := valueAt(tree, "net/ipv4/ip_forward"); v != "0" {
 		t.Errorf("ip_forward = %q", v)
 	}
-	if v, _ := tree.ValueAt("kernel/randomize_va_space"); v != "2" {
+	if v, _ := valueAt(tree, "kernel/randomize_va_space"); v != "2" {
 		t.Errorf("randomize_va_space = %q", v)
 	}
-	if v, _ := tree.ValueAt("fs/suid_dumpable"); v != "0" {
+	if v, _ := valueAt(tree, "fs/suid_dumpable"); v != "0" {
 		t.Errorf("suid_dumpable (no spaces) = %q", v)
 	}
 	// Shared prefixes merge into one subtree.
-	ipv4 := tree.Find("net/ipv4")
+	ipv4 := findAll(tree, "net/ipv4")
 	if len(ipv4) != 1 {
 		t.Errorf("net/ipv4 nodes = %d, want 1", len(ipv4))
 	}
@@ -336,10 +352,10 @@ func TestSysctlLensError(t *testing.T) {
 
 func TestKeyValueLens(t *testing.T) {
 	res := parseWith(t, NewKeyValue("kv", "="), "app.conf", "a = 1\nb=2\n# comment\n")
-	if v, _ := res.Tree.ValueAt("a"); v != "1" {
+	if v, _ := valueAt(res.Tree, "a"); v != "1" {
 		t.Errorf("a = %q", v)
 	}
-	if v, _ := res.Tree.ValueAt("b"); v != "2" {
+	if v, _ := valueAt(res.Tree, "b"); v != "2" {
 		t.Errorf("b = %q", v)
 	}
 	if _, err := NewKeyValue("kv", "=").Parse("f", []byte("novalue\n")); err == nil {
@@ -351,16 +367,16 @@ func TestPropertiesLens(t *testing.T) {
 	src := "app.name=demo\napp.port: 8080\npath.with\\=equals=v\nmultiline=a\\\n  b\nflagonly\n"
 	res := parseWith(t, NewProperties(), "server.properties", src)
 	tree := res.Tree
-	if v, _ := tree.ValueAt("app.name"); v != "demo" {
+	if v, _ := valueAt(tree, "app.name"); v != "demo" {
 		t.Errorf("app.name = %q", v)
 	}
-	if v, _ := tree.ValueAt("app.port"); v != "8080" {
+	if v, _ := valueAt(tree, "app.port"); v != "8080" {
 		t.Errorf("app.port = %q", v)
 	}
-	if v, _ := tree.ValueAt("path.with=equals"); v != "v" {
+	if v, _ := valueAt(tree, "path.with=equals"); v != "v" {
 		t.Errorf("escaped key = %q", v)
 	}
-	if v, _ := tree.ValueAt("multiline"); v != "ab" {
+	if v, _ := valueAt(tree, "multiline"); v != "ab" {
 		t.Errorf("multiline = %q", v)
 	}
 	if _, ok := tree.Child("flagonly"); !ok {
@@ -385,13 +401,13 @@ const sampleHadoop = `<?xml version="1.0"?>
 func TestHadoopXMLLens(t *testing.T) {
 	res := parseWith(t, NewHadoopXML(), "core-site.xml", sampleHadoop)
 	tree := res.Tree
-	if v, _ := tree.ValueAt("dfs.permissions.enabled"); v != "true" {
+	if v, _ := valueAt(tree, "dfs.permissions.enabled"); v != "true" {
 		t.Errorf("dfs.permissions.enabled = %q", v)
 	}
-	if v, _ := tree.ValueAt("dfs.permissions.enabled/final"); v != "true" {
+	if v, _ := valueAt(tree, "dfs.permissions.enabled/final"); v != "true" {
 		t.Errorf("final = %q", v)
 	}
-	if v, _ := tree.ValueAt("hadoop.security.authentication"); v != "kerberos" {
+	if v, _ := valueAt(tree, "hadoop.security.authentication"); v != "kerberos" {
 		t.Errorf("authentication = %q", v)
 	}
 }
@@ -417,17 +433,17 @@ func TestJSONLens(t *testing.T) {
 }`
 	res := parseWith(t, NewJSON("dockerdaemon"), "daemon.json", src)
 	tree := res.Tree
-	if v, _ := tree.ValueAt("icc"); v != "false" {
+	if v, _ := valueAt(tree, "icc"); v != "false" {
 		t.Errorf("icc = %q", v)
 	}
-	hosts := tree.ValuesAt("hosts")
+	hosts := valuesAt(tree, "hosts")
 	if len(hosts) != 2 || hosts[1] != "tcp://0.0.0.0:2376" {
 		t.Errorf("hosts = %v", hosts)
 	}
-	if v, _ := tree.ValueAt("default-ulimits/nofile/Soft"); v != "1024" {
+	if v, _ := valueAt(tree, "default-ulimits/nofile/Soft"); v != "1024" {
 		t.Errorf("nested = %q", v)
 	}
-	if v, ok := tree.ValueAt("nothing"); !ok || v != "" {
+	if v, ok := valueAt(tree, "nothing"); !ok || v != "" {
 		t.Errorf("null value = %q ok=%v", v, ok)
 	}
 	if _, err := NewJSON("json").Parse("f", []byte("{bad")); err == nil {
@@ -448,12 +464,8 @@ func TestFstabLens(t *testing.T) {
 	if tbl.Len() != 3 {
 		t.Fatalf("rows = %d", tbl.Len())
 	}
-	dirs, err := tbl.Column("dir")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dirs[1] != "/tmp" {
-		t.Errorf("dirs = %v", dirs)
+	if dir, ok := tbl.ColumnIndex("dir"); !ok || tbl.Rows[1][dir] != "/tmp" {
+		t.Errorf("rows = %v", tbl.Rows)
 	}
 	// Optional trailing columns default to empty.
 	if tbl.Rows[2][4] != "" || tbl.Rows[2][5] != "" {
@@ -570,18 +582,18 @@ func TestModprobeLens(t *testing.T) {
 
 func TestTableToTreeRoundTrip(t *testing.T) {
 	res := parseWith(t, NewFstab(), "/etc/fstab", sampleFstab)
-	tree := TableToTree(res.Table)
-	if v, _ := tree.ValueAt("row[2]/dir"); v != "/tmp" {
+	tree := tableToTree(res.Table)
+	if v, _ := valueAt(tree, "row[2]/dir"); v != "/tmp" {
 		t.Errorf("row[2]/dir = %q", v)
 	}
-	if got := len(tree.Find("row*")); got != 3 {
+	if got := len(findAll(tree, "row*")); got != 3 {
 		t.Errorf("row sections = %d", got)
 	}
 }
 
 func TestTreeToTable(t *testing.T) {
 	res := parseWith(t, NewSysctl(), "sysctl.conf", sampleSysctl)
-	tbl := TreeToTable(res.Tree)
+	tbl := treeToTable(res.Tree)
 	out, err := tbl.Select(sel("path = ?", "net/ipv4/ip_forward"))
 	if err != nil {
 		t.Fatal(err)

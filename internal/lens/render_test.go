@@ -61,7 +61,7 @@ func TestRenderAfterEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, ok := res.Tree.Get("PermitRootLogin")
+	node, ok := nodeAt(res.Tree, "PermitRootLogin")
 	if !ok {
 		t.Fatal("key missing")
 	}
@@ -74,10 +74,10 @@ func TestRenderAfterEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := back.Tree.ValueAt("PermitRootLogin"); v != "no" {
+	if v, _ := valueAt(back.Tree, "PermitRootLogin"); v != "no" {
 		t.Errorf("edited value = %q\nrendered:\n%s", v, rendered)
 	}
-	if v, _ := back.Tree.ValueAt("Port"); v != "22" {
+	if v, _ := valueAt(back.Tree, "Port"); v != "22" {
 		t.Errorf("untouched value = %q", v)
 	}
 }

@@ -17,10 +17,13 @@ func TestLensesNoPanicOnGarbage(t *testing.T) {
 	}
 	alphabet := []byte("abcdefgh {};=:#<>/\\\"'\n\t-.*!$()[]0123456789")
 	reg := Default()
-	lenses := make([]Lens, 0, 16)
-	for _, name := range reg.Names() {
-		l, _ := reg.ByName(name)
-		lenses = append(lenses, l)
+	var lenses []Lens
+	seen := map[string]bool{}
+	for _, e := range reg.entries {
+		if !seen[e.lens.Name()] {
+			seen[e.lens.Name()] = true
+			lenses = append(lenses, e.lens)
+		}
 	}
 	for i := 0; i < 2000; i++ {
 		var input []byte

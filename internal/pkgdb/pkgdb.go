@@ -22,12 +22,6 @@ type Package struct {
 	Status string
 }
 
-// Installed reports whether the package status marks it installed. An empty
-// status is treated as installed (sources that don't track status).
-func (p Package) Installed() bool {
-	return p.Status == "" || strings.HasSuffix(p.Status, "installed")
-}
-
 // DB is a queryable package database.
 type DB struct {
 	packages map[string]Package
@@ -41,15 +35,6 @@ func New(packages []Package) *DB {
 	}
 	return db
 }
-
-// Get returns the named package.
-func (db *DB) Get(name string) (Package, bool) {
-	p, ok := db.packages[name]
-	return p, ok
-}
-
-// Len returns the number of packages.
-func (db *DB) Len() int { return len(db.packages) }
 
 // All returns every package sorted by name.
 func (db *DB) All() []Package {
@@ -264,9 +249,4 @@ func compareNumeric(a, b string) int {
 		return 1
 	}
 	return strings.Compare(a, b)
-}
-
-// SatisfiesMin reports whether the installed version is at least min.
-func SatisfiesMin(installed, min string) bool {
-	return CompareVersions(installed, min) >= 0
 }

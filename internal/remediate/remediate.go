@@ -173,7 +173,7 @@ func applyFix(tree *configtree.Node, rule *cvl.Rule, fix string) (bool, error) {
 		if trimmed := trimSlashes(p); trimmed != "" {
 			query = trimmed + "/" + rule.Name
 		}
-		for _, node := range tree.Find(query) {
+		for _, node := range tree.AppendFind(nil, configtree.Compile(query)) {
 			node.Value = fix
 			edited = true
 		}
@@ -191,7 +191,7 @@ func applyFix(tree *configtree.Node, rule *cvl.Rule, fix string) (bool, error) {
 		if containsPattern(trimmed) {
 			continue // cannot insert along a glob path
 		}
-		if parents := tree.Find(trimmed); len(parents) > 0 {
+		if parents := tree.AppendFind(nil, configtree.Compile(trimmed)); len(parents) > 0 {
 			parents[0].Add(rule.Name, fix)
 			return true, nil
 		}

@@ -3,6 +3,7 @@ package rules
 import (
 	"testing"
 
+	"configvalidator/internal/analysis"
 	"configvalidator/internal/cvl"
 )
 
@@ -35,8 +36,13 @@ func TestExtendedPackComposition(t *testing.T) {
 		t.Errorf("extended rules = %d, want 12", total)
 	}
 	// The base library is untouched: Table-1 still counts 135.
-	if n, err := TotalRules(); err != nil || n != 135 {
-		t.Errorf("base rules = %d, %v", n, err)
+	all, err := All()
+	base := 0
+	for _, rs := range all {
+		base += len(rs)
+	}
+	if err != nil || base != 135 {
+		t.Errorf("base rules = %d, %v", base, err)
 	}
 }
 
@@ -44,8 +50,9 @@ func TestExtendedPackLintClean(t *testing.T) {
 	files := ExtendedFiles()
 	for _, target := range ExtendedTargets() {
 		content := files[target.RuleFile]
-		if diags := cvl.Lint(target.RuleFile, []byte(content)); cvl.HasErrors(diags) {
-			t.Errorf("%s: %v", target.RuleFile, diags)
+		res := analysis.AnalyzeFile(target.RuleFile, []byte(content), analysis.Options{})
+		if errs, _ := res.Counts(); errs > 0 {
+			t.Errorf("%s: %v", target.RuleFile, res.Diagnostics)
 		}
 	}
 }

@@ -8,7 +8,6 @@ package rules
 
 import (
 	"fmt"
-	"sort"
 
 	"configvalidator/internal/cvl"
 )
@@ -127,49 +126,4 @@ func All() (map[string][]*cvl.Rule, error) {
 		out[t.Name] = rules
 	}
 	return out, nil
-}
-
-// TotalRules returns the total number of built-in rules across all targets.
-func TotalRules() (int, error) {
-	all, err := All()
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, rs := range all {
-		total += len(rs)
-	}
-	return total, nil
-}
-
-// CoverageByStandard counts rules per leading compliance tag (the first
-// "#"-prefixed tag of each rule).
-func CoverageByStandard() (map[string]int, error) {
-	all, err := All()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int)
-	for _, rs := range all {
-		for _, r := range rs {
-			for _, tag := range r.Tags {
-				if len(tag) > 0 && tag[0] == '#' {
-					out[tag]++
-					break
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// SortedTargetNames returns target names sorted alphabetically.
-func SortedTargetNames() []string {
-	ts := Targets()
-	names := make([]string, len(ts))
-	for i, t := range ts {
-		names[i] = t.Name
-	}
-	sort.Strings(names)
-	return names
 }

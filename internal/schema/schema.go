@@ -60,19 +60,6 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 	return -1, false
 }
 
-// Column returns all values of the named column.
-func (t *Table) Column(name string) ([]string, error) {
-	idx, ok := t.ColumnIndex(name)
-	if !ok {
-		return nil, fmt.Errorf("schema: table %s has no column %q", t.Name, name)
-	}
-	out := make([]string, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r[idx]
-	}
-	return out, nil
-}
-
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.Rows) }
 

@@ -167,20 +167,6 @@ func TestAddRowPadding(t *testing.T) {
 	}
 }
 
-func TestColumn(t *testing.T) {
-	tbl := fstabTable(t)
-	dirs, err := tbl.Column("dir")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dirs, []string{"/", "/tmp", "/var", "/dev/shm"}) {
-		t.Errorf("dirs = %v", dirs)
-	}
-	if _, err := tbl.Column("nope"); err == nil {
-		t.Error("unknown column should error")
-	}
-}
-
 func TestLikeMatch(t *testing.T) {
 	tests := []struct {
 		pattern, s string

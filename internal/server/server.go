@@ -429,7 +429,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	// warnings here, since the request body has no surrounding project.
 	// ?semantic=0 (or false) skips the constraint-level CVL4xx pass.
 	semantic := r.URL.Query().Get("semantic")
-	result := analysis.AnalyzeFileOpts("request.yaml", content, analysis.Options{
+	result := analysis.AnalyzeFile("request.yaml", content, analysis.Options{
 		NoSemantic: semantic == "0" || semantic == "false",
 	})
 	resp := lintResponse{Findings: make([]analysis.JSONDiagnostic, 0, len(result.Diagnostics))}

@@ -46,7 +46,7 @@ func shardServer(t *testing.T, journalDir string, delay time.Duration) (*Server,
 // shardBody packs n fixture images into a shard request body, returning
 // the body and the entity names in feed order. Digests are synthetic —
 // the endpoint only echoes them.
-func shardBody(t *testing.T, n int) (*bytes.Buffer, []string) {
+func shardBody(t testing.TB, n int) (*bytes.Buffer, []string) {
 	t.Helper()
 	var body bytes.Buffer
 	names := make([]string, 0, n)

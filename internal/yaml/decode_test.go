@@ -9,6 +9,25 @@ import (
 	"time"
 )
 
+// seqAt, boolAt and intAt read a value of one type from m.
+func seqAt(m *Map, key string) ([]any, bool) {
+	v, _ := m.Get(key)
+	s, ok := v.([]any)
+	return s, ok
+}
+
+func boolAt(m *Map, key string) (bool, bool) {
+	v, _ := m.Get(key)
+	b, ok := v.(bool)
+	return b, ok
+}
+
+func intAt(m *Map, key string) (int64, bool) {
+	v, _ := m.Get(key)
+	n, ok := v.(int64)
+	return n, ok
+}
+
 func mustDecode(t *testing.T, src string) any {
 	t.Helper()
 	v, err := Decode([]byte(src))
@@ -87,10 +106,10 @@ none: null
 	if v, _ := m.String("name"); v != "nginx" {
 		t.Errorf("name = %v", v)
 	}
-	if v, _ := m.Bool("enabled"); v != true {
+	if v, _ := boolAt(m, "enabled"); v != true {
 		t.Errorf("enabled = %v", v)
 	}
-	if v, _ := m.Int("port"); v != 8080 {
+	if v, _ := intAt(m, "port"); v != 8080 {
 		t.Errorf("port = %v", v)
 	}
 	if v, ok := m.Get("none"); !ok || v != nil {
@@ -112,10 +131,10 @@ nginx:
 	if !ok {
 		t.Fatal("nginx key missing or not a map")
 	}
-	if v, _ := nginx.Bool("enabled"); !v {
+	if v, _ := boolAt(nginx, "enabled"); !v {
 		t.Error("enabled should be true")
 	}
-	paths, ok := nginx.Seq("config_search_paths")
+	paths, ok := seqAt(nginx, "config_search_paths")
 	if !ok || len(paths) != 1 || paths[0] != "/etc/nginx" {
 		t.Errorf("config_search_paths = %v", paths)
 	}
@@ -138,26 +157,26 @@ inline_map: {a: 1, b: "x"}
 nested: [[1, 2], {k: [3]}]
 `
 	m := asMap(t, mustDecode(t, src))
-	if v, _ := m.Seq("preferred_value"); !reflect.DeepEqual(v, []any{"TLSv1.2", "TLSv1.3"}) {
+	if v, _ := seqAt(m, "preferred_value"); !reflect.DeepEqual(v, []any{"TLSv1.2", "TLSv1.3"}) {
 		t.Errorf("preferred_value = %#v", v)
 	}
-	if v, _ := m.Seq("tags"); !reflect.DeepEqual(v, []any{"#security", "#ssl", "#owasp"}) {
+	if v, _ := seqAt(m, "tags"); !reflect.DeepEqual(v, []any{"#security", "#ssl", "#owasp"}) {
 		t.Errorf("tags = %#v", v)
 	}
-	if v, _ := m.Seq("mixed"); !reflect.DeepEqual(v, []any{int64(1), "two", 3.0, true, nil}) {
+	if v, _ := seqAt(m, "mixed"); !reflect.DeepEqual(v, []any{int64(1), "two", 3.0, true, nil}) {
 		t.Errorf("mixed = %#v", v)
 	}
-	if v, _ := m.Seq("empty_seq"); len(v) != 0 {
+	if v, _ := seqAt(m, "empty_seq"); len(v) != 0 {
 		t.Errorf("empty_seq = %#v", v)
 	}
 	if v, ok := m.Map("empty_map"); !ok || v.Len() != 0 {
 		t.Errorf("empty_map = %#v", v)
 	}
 	im, _ := m.Map("inline_map")
-	if v, _ := im.Int("a"); v != 1 {
+	if v, _ := intAt(im, "a"); v != 1 {
 		t.Errorf("inline_map.a = %v", v)
 	}
-	nested, _ := m.Seq("nested")
+	nested, _ := seqAt(m, "nested")
 	if len(nested) != 2 {
 		t.Fatalf("nested = %#v", nested)
 	}
@@ -191,7 +210,7 @@ func TestDecodeBlockSequence(t *testing.T) {
 	if !ok {
 		t.Fatalf("nested missing: %#v", item)
 	}
-	if n, _ := nested.Int("x"); n != 1 {
+	if n, _ := intAt(nested, "x"); n != 1 {
 		t.Errorf("x = %v", n)
 	}
 }
@@ -205,7 +224,7 @@ rules:
     preferred_value: [ "2" ]
 `
 	m := asMap(t, mustDecode(t, src))
-	rules, ok := m.Seq("rules")
+	rules, ok := seqAt(m, "rules")
 	if !ok || len(rules) != 2 {
 		t.Fatalf("rules = %#v", rules)
 	}
@@ -213,7 +232,7 @@ rules:
 	if v, _ := r0.String("config_name"); v != "PermitRootLogin" {
 		t.Errorf("rule 0 config_name = %v", v)
 	}
-	pv, _ := r0.Seq("preferred_value")
+	pv, _ := seqAt(r0, "preferred_value")
 	if !reflect.DeepEqual(pv, []any{"no"}) {
 		t.Errorf("rule 0 preferred_value = %#v", pv)
 	}
@@ -292,10 +311,10 @@ b: 2
 	if len(docs) != 3 {
 		t.Fatalf("got %d docs", len(docs))
 	}
-	if n, _ := docs[0].(*Map).Int("a"); n != 1 {
+	if n, _ := intAt(docs[0].(*Map), "a"); n != 1 {
 		t.Errorf("doc0 a = %v", n)
 	}
-	if n, _ := docs[1].(*Map).Int("b"); n != 2 {
+	if n, _ := intAt(docs[1].(*Map), "b"); n != 2 {
 		t.Errorf("doc1 b = %v", n)
 	}
 	if seq := docs[2].([]any); seq[0] != "x" {
@@ -327,7 +346,7 @@ file_context: ["nginx.conf", "sites -enabled"]
 	if v, _ := m.String("non_preferred_value_match"); v != "substr ,any" {
 		t.Errorf("non_preferred_value_match = %q", v)
 	}
-	roc, _ := m.Seq("require_other_configs")
+	roc, _ := seqAt(m, "require_other_configs")
 	if !reflect.DeepEqual(roc, []any{"listen", "ssl_certificate", "ssl_certificate_key"}) {
 		t.Errorf("require_other_configs = %#v", roc)
 	}
@@ -379,7 +398,7 @@ func TestSyntaxErrorPosition(t *testing.T) {
 func TestDecodeCRLF(t *testing.T) {
 	src := "a: 1\r\nb: two\r\n"
 	m := asMap(t, mustDecode(t, src))
-	if v, _ := m.Int("a"); v != 1 {
+	if v, _ := intAt(m, "a"); v != 1 {
 		t.Errorf("a = %v", v)
 	}
 	if v, _ := m.String("b"); v != "two" {
@@ -393,10 +412,10 @@ func TestDecodeQuotedKeys(t *testing.T) {
 'single key': 2
 `
 	m := asMap(t, mustDecode(t, src))
-	if v, _ := m.Int("quoted key"); v != 1 {
+	if v, _ := intAt(m, "quoted key"); v != 1 {
 		t.Errorf("quoted key = %v", v)
 	}
-	if v, _ := m.Int("single key"); v != 2 {
+	if v, _ := intAt(m, "single key"); v != 2 {
 		t.Errorf("single key = %v", v)
 	}
 }
@@ -404,7 +423,7 @@ func TestDecodeQuotedKeys(t *testing.T) {
 func TestDecodeDirectiveSkipped(t *testing.T) {
 	src := "%YAML 1.1\n---\na: 1\n"
 	m := asMap(t, mustDecode(t, src))
-	if v, _ := m.Int("a"); v != 1 {
+	if v, _ := intAt(m, "a"); v != 1 {
 		t.Errorf("a = %v", v)
 	}
 }
@@ -452,7 +471,7 @@ list:
 	if p := m.Start(); p.Line != 1 || p.Col != 1 {
 		t.Errorf("start = %v", p)
 	}
-	seq, _ := m.Seq("list")
+	seq, _ := seqAt(m, "list")
 	item := seq[0].(*Map)
 	if p := item.KeyPos("item_key"); p.Line != 5 || p.Col != 5 {
 		t.Errorf("item_key pos = %v", p)
@@ -602,7 +621,7 @@ func TestDecodeWideMappingLinear(t *testing.T) {
 	if m.Len() != n || m.KeyPos("key199999") != (Pos{Line: n, Col: 1}) {
 		t.Fatalf("len %d, last key at %v", m.Len(), m.KeyPos("key199999"))
 	}
-	if got, _ := m.Int("key123456"); got != 123456 {
+	if got, _ := intAt(m, "key123456"); got != 123456 {
 		t.Errorf("key123456 = %v", got)
 	}
 	_, err = Decode([]byte(block.String() + "key0: again\n"))

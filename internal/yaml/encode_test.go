@@ -282,7 +282,7 @@ func TestMapOperations(t *testing.T) {
 	if got := m.Keys(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Errorf("keys = %v", got)
 	}
-	if v, _ := m.Int("a"); v != 3 {
+	if v, _ := intAt(m, "a"); v != 3 {
 		t.Errorf("a = %v", v)
 	}
 	if k, v := m.At(1); k != "b" || v != int64(2) {
@@ -307,7 +307,7 @@ func TestMapOperations(t *testing.T) {
 	if k, v := m.At(7); k != "k05" || v != "again" {
 		t.Errorf("At(7) = %q, %v", k, v)
 	}
-	if v, _ := m.Int("b"); v != 4 || m.Has("missing") {
+	if v, _ := intAt(m, "b"); v != 4 || m.Has("missing") {
 		t.Errorf("b = %v, has missing = %v", v, m.Has("missing"))
 	}
 }

@@ -205,26 +205,6 @@ func (m *Map) String(key string) (string, bool) {
 	return s, ok
 }
 
-// Bool returns the value under key when it is a bool.
-func (m *Map) Bool(key string) (bool, bool) {
-	v, ok := m.Get(key)
-	if !ok {
-		return false, false
-	}
-	b, ok := v.(bool)
-	return b, ok
-}
-
-// Int returns the value under key when it is an integer.
-func (m *Map) Int(key string) (int64, bool) {
-	v, ok := m.Get(key)
-	if !ok {
-		return 0, false
-	}
-	n, ok := v.(int64)
-	return n, ok
-}
-
 // Map returns the value under key when it is a nested mapping.
 func (m *Map) Map(key string) (*Map, bool) {
 	v, ok := m.Get(key)
@@ -233,16 +213,6 @@ func (m *Map) Map(key string) (*Map, bool) {
 	}
 	mm, ok := v.(*Map)
 	return mm, ok
-}
-
-// Seq returns the value under key when it is a sequence.
-func (m *Map) Seq(key string) ([]any, bool) {
-	v, ok := m.Get(key)
-	if !ok {
-		return nil, false
-	}
-	s, ok := v.([]any)
-	return s, ok
 }
 
 // Equal reports deep equality with another map, ignoring key order.

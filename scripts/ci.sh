@@ -50,9 +50,10 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 ./scripts/enospc_smoke.sh
 
 # Fuzz smoke over the untrusted-input parsers (journal and shard-stream
-# records among them), and the compiled tree
+# records and the shard request body among them), and the compiled tree
 # query against its reference; go test accepts one -fuzz target per
-# invocation, so each runs separately.
+# invocation, so each runs separately. A shard request scans what it
+# decodes, so its new inputs are minimized for at most 2s, not 60s.
 fuzztime="${FUZZTIME:-10s}"
 go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run FuzzDecode ./internal/yaml/
 go test -fuzz FuzzSSHDParse -fuzztime "$fuzztime" -run FuzzSSHDParse ./internal/lens/
@@ -60,3 +61,4 @@ go test -fuzz FuzzFramesRead -fuzztime "$fuzztime" -run FuzzFramesRead ./interna
 go test -fuzz FuzzTreePath -fuzztime "$fuzztime" -run FuzzTreePath ./internal/configtree/
 go test -fuzz FuzzJournalRecord -fuzztime "$fuzztime" -run FuzzJournalRecord ./internal/journal/
 go test -fuzz FuzzStreamRecord -fuzztime "$fuzztime" -run FuzzStreamRecord ./internal/dist/
+go test -fuzz FuzzShardRequest -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzShardRequest ./internal/server/

@@ -265,15 +265,7 @@ func New(opts ...Option) (*Validator, error) {
 		}
 		c.crawlOpt.Cache = c.parseCache
 	}
-	engOpts := engine.Options{Parallelism: c.parallelism}
-	if c.parseCache != nil {
-		// With a parse cache, identical file content across entities
-		// shares one parsed Result — which also makes tree/schema rule
-		// verdicts content-addressable, so turn on the engine's verdict
-		// memo (pure overhead without the cache).
-		engOpts.EvalCacheSize = -1
-	}
-	eng := engine.NewWithOptions(crawler.New(c.registry, c.crawlOpt), engOpts)
+	eng := engine.NewWithOptions(crawler.New(c.registry, c.crawlOpt), engine.Options{Parallelism: c.parallelism})
 	eng.SetFaults(c.faults)
 	return &Validator{
 		manifest:  c.manifest,

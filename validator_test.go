@@ -11,6 +11,7 @@ import (
 	"configvalidator/internal/cvl"
 	"configvalidator/internal/dockersim"
 	"configvalidator/internal/engine"
+	"configvalidator/internal/entity"
 	"configvalidator/internal/fixtures"
 	"configvalidator/internal/frames"
 )
@@ -186,6 +187,41 @@ func TestCustomManifest(t *testing.T) {
 	}
 	if len(rep.Results) != 1 || rep.Results[0].Status != StatusPass {
 		t.Errorf("custom manifest results = %+v", rep.Results)
+	}
+}
+
+// TestDescendantConfigPathSeesRootKeys: config_path "**" spans zero or
+// more levels, so a rule scoped to it judges a key directly under the file
+// root exactly as config_path "" does — it does not report the key absent.
+func TestDescendantConfigPathSeesRootKeys(t *testing.T) {
+	host := entity.NewMem("h", entity.TypeHost)
+	host.AddFile("/etc/ssh/sshd_config", []byte("Port 22\nPermitRootLogin yes\n"))
+	for _, tt := range []struct {
+		rule, detail string
+	}{
+		{`config_path: ["**"]` + "\nnon_preferred_value: [\"yes\"]\nabsent_pass: true\n", `value "yes" matches a non-preferred value`},
+		{`config_path: [""]` + "\nnon_preferred_value: [\"yes\"]\nabsent_pass: true\n", `value "yes" matches a non-preferred value`},
+		{`config_path: ["**"]` + "\npreferred_value: [\"no\"]\n", `value "yes" does not match the preferred values`},
+	} {
+		files := map[string]string{"r.yaml": "config_name: PermitRootLogin\n" + tt.rule}
+		m, err := cvl.ParseManifest("m.yaml", []byte("sshd:\n  config_search_paths: [/etc/ssh]\n  cvl_file: r.yaml\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := New(WithManifest(m, func(p string) ([]byte, error) { return []byte(files[p]), nil }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := v.Validate(host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Results) != 1 {
+			t.Fatalf("%q: %d results", tt.rule, len(rep.Results))
+		}
+		if r := rep.Results[0]; r.Status != StatusFail || r.Detail != tt.detail {
+			t.Errorf("%q on PermitRootLogin yes: %+v, want FAIL with %q", tt.rule, r, tt.detail)
+		}
 	}
 }
 
