@@ -41,18 +41,21 @@ analyze:
 
 # Fuzz smoke: a short randomized pass over the parsers that face
 # untrusted input — among them the journal record read from disk, the
-# shard-stream record read from a worker and the shard request body a
-# worker receives — and over the compiled tree query against its
-# reference (one -fuzz target per invocation, as go test requires). Each
-# shard request scans what it decodes, so its new inputs are minimized
-# for at most 2s instead of the default 60s, which would eat the run.
+# shard-stream record read from a worker and the shard request body and
+# request lines a worker receives, the frame and request-line codecs
+# against encoding/json — and over the compiled tree query against its
+# reference (one -fuzz target per invocation, as go test requires). A
+# shard request scans what it decodes and the codec targets run
+# encoding/json beside them, so their new inputs are minimized for at
+# most 2s instead of the default 60s, which would eat the run.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run FuzzDecode ./internal/yaml/
 	$(GO) test -fuzz FuzzSSHDParse -fuzztime $(FUZZTIME) -run FuzzSSHDParse ./internal/lens/
-	$(GO) test -fuzz FuzzFramesRead -fuzztime $(FUZZTIME) -run FuzzFramesRead ./internal/frames/
+	$(GO) test -fuzz FuzzFramesRead -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzFramesRead ./internal/frames/
 	$(GO) test -fuzz FuzzTreePath -fuzztime $(FUZZTIME) -run FuzzTreePath ./internal/configtree/
 	$(GO) test -fuzz FuzzJournalRecord -fuzztime $(FUZZTIME) -run FuzzJournalRecord ./internal/journal/
 	$(GO) test -fuzz FuzzStreamRecord -fuzztime $(FUZZTIME) -run FuzzStreamRecord ./internal/dist/
+	$(GO) test -fuzz FuzzEntityRecord -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzEntityRecord ./internal/dist/
 	$(GO) test -fuzz FuzzShardRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzShardRequest ./internal/server/
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,

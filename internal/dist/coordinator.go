@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
@@ -125,6 +125,12 @@ func (o Options) withDefaults() Options {
 type Coordinator struct {
 	workers []string
 	opts    Options
+
+	// decoders are the stream decoders idle between leases. Reusing them
+	// keeps their rule tables, so a run builds each distinct rule once per
+	// decoder instead of once per result.
+	decMu    sync.Mutex
+	decoders []*journal.Decoder
 }
 
 // NewCoordinator builds a Coordinator over worker base URLs (e.g.
@@ -164,11 +170,15 @@ type shard struct {
 
 // payload concatenates the shard's request-body lines.
 func (s *shard) payload() []byte {
-	var buf bytes.Buffer
+	n := 0
 	for _, it := range s.items {
-		buf.Write(it.line)
+		n += len(it.line)
 	}
-	return buf.Bytes()
+	buf := make([]byte, 0, n)
+	for _, it := range s.items {
+		buf = append(buf, it.line...)
+	}
+	return buf
 }
 
 // run is the per-Schedule state shared by the producer, dispatcher, and
@@ -196,6 +206,10 @@ type run struct {
 	// name, first writer wins.
 	mu      sync.Mutex
 	emitted map[string]bool
+
+	// frame is the producer goroutine's frame-encoding buffer, reused for
+	// every entity it packs.
+	frame []byte
 
 	// stallWarn and logf come from the coordinator's Options; jrnlOnce and
 	// stallOnce gate the one-shot operator logs for coordinator-journal
@@ -398,17 +412,12 @@ func (c *Coordinator) pack(r *run, v *configvalidator.Validator, ent configvalid
 		r.emit(configvalidator.FleetResult{Entity: name, Err: fmt.Errorf("capture frame: %w", err)}, digest)
 		return item{}, true
 	}
-	var fb bytes.Buffer
-	if err := frame.Write(&fb); err != nil {
-		r.emit(configvalidator.FleetResult{Entity: name, Err: fmt.Errorf("encode frame: %w", err)}, digest)
-		return item{}, true
-	}
-	line, err := json.Marshal(EntityRecord{Name: name, Digest: digest, Frame: fb.Bytes()})
-	if err != nil {
-		r.emit(configvalidator.FleetResult{Entity: name, Err: fmt.Errorf("encode entity record: %w", err)}, digest)
-		return item{}, true
-	}
-	return item{name: name, digest: digest, line: append(line, '\n')}, false
+	r.frame = frame.Append(r.frame[:0])
+	rec := EntityRecord{Name: name, Digest: digest, Frame: r.frame}
+	// Room for the base64 frame and the name and digest escaped at worst.
+	size := 32 + base64.StdEncoding.EncodedLen(len(r.frame)) + 6*(len(name)+len(digest))
+	line := append(AppendEntityRecord(make([]byte, 0, size), &rec), '\n')
+	return item{name: name, digest: digest, line: line}, false
 }
 
 // acquireWorker blocks until a worker is available, every worker is dead,
@@ -511,7 +520,8 @@ func (c *Coordinator) leaseShard(r *run, w string, s *shard) error {
 
 	watchdog := time.NewTimer(c.opts.LeaseTTL)
 	defer watchdog.Stop()
-	var dec journal.Decoder
+	dec := c.decoder()
+	defer c.releaseDecoder(dec)
 	for {
 		select {
 		case line, ok := <-lines:
@@ -524,7 +534,7 @@ func (c *Coordinator) leaseShard(r *run, w string, s *shard) error {
 				}
 				return fmt.Errorf("shard stream ended early: %w", err)
 			}
-			rec, err := decodeStreamRecord(&dec, line)
+			rec, err := decodeStreamRecord(dec, line)
 			if err != nil {
 				return fmt.Errorf("bad stream record: %w", err)
 			}
@@ -567,6 +577,25 @@ func (c *Coordinator) leaseShard(r *run, w string, s *shard) error {
 			return context.Cause(r.ctx)
 		}
 	}
+}
+
+// decoder takes an idle stream decoder, or makes one.
+func (c *Coordinator) decoder() *journal.Decoder {
+	c.decMu.Lock()
+	defer c.decMu.Unlock()
+	if n := len(c.decoders); n > 0 {
+		d := c.decoders[n-1]
+		c.decoders = c.decoders[:n-1]
+		return d
+	}
+	return new(journal.Decoder)
+}
+
+// releaseDecoder returns a stream decoder for the next lease.
+func (c *Coordinator) releaseDecoder(d *journal.Decoder) {
+	c.decMu.Lock()
+	c.decoders = append(c.decoders, d)
+	c.decMu.Unlock()
 }
 
 // remoteResult reconstructs a worker's streamed result as a FleetResult.

@@ -27,11 +27,14 @@
 // as a liveness signal; the coordinator revokes the lease when the stream
 // goes silent past the lease TTL.
 //
-// Workers write StreamRecords and the coordinator reads them with a
-// hand-written codec built on internal/journal's (AppendStreamRecord,
-// decodeStreamRecord). Each line is exactly the bytes json.Marshal
-// writes, so a coordinator still talks to a worker that uses
-// encoding/json, and the reverse. Request bodies stay on encoding/json.
+// Both directions use hand-written codecs on internal/jsonwire: the
+// coordinator writes request lines with AppendEntityRecord and workers read
+// them with DecodeEntityRecord; workers write StreamRecords with
+// AppendStreamRecord and the coordinator reads them with
+// decodeStreamRecord, whose reports decode straight into engine.Report
+// through a journal.Decoder that interns rules. Every line is exactly the
+// bytes json.Marshal writes, so a coordinator still talks to a worker that
+// uses encoding/json, and the reverse.
 //
 // Workers serve the endpoint behind the validation service's existing
 // admission gate, so coordinator backpressure ties directly into the
@@ -39,14 +42,18 @@
 package dist
 
 import (
+	"encoding/base64"
 	"fmt"
 	"strconv"
 
 	"configvalidator/internal/journal"
+	"configvalidator/internal/jsonwire"
 )
 
 // EntityRecord is one request-body line: an entity to scan, shipped as a
-// serialized configuration frame.
+// serialized configuration frame. Its json tags name the fields of the
+// line AppendEntityRecord writes; tests hold the codec to encoding/json
+// through them.
 type EntityRecord struct {
 	// Name is the entity's name; unique within a fleet run.
 	Name string `json:"name"`
@@ -77,41 +84,101 @@ const (
 	TypeDegradedJournal = "degraded-journal"
 )
 
-// StreamRecord is one response line from a worker.
+// StreamRecord is one response line from a worker: the JSON object
+// AppendStreamRecord writes, with keys type, entity, digest, resumed, err,
+// err_kind, report and scanned in that order, each but type omitted when
+// empty.
 type StreamRecord struct {
-	Type string `json:"type"`
+	Type string
 	// Entity and Digest identify the completed entity (Type "result");
 	// Digest echoes the request's EntityRecord.Digest.
-	Entity string `json:"entity,omitempty"`
-	Digest string `json:"digest,omitempty"`
+	Entity string
+	Digest string
 	// Resumed reports the worker replayed the result from its local
 	// journal segment instead of re-scanning.
-	Resumed bool `json:"resumed,omitempty"`
+	Resumed bool
 	// Err and ErrKind carry a failed scan: the error text and its
 	// ErrorsByKind classification, computed worker-side where the error
 	// chain still exists.
-	Err     string `json:"err,omitempty"`
-	ErrKind string `json:"err_kind,omitempty"`
+	Err     string
+	ErrKind string
 	// Report is the completed report in its journaled form, which
 	// reconstructs byte-identically on the coordinator.
-	Report *journal.ReportRecord `json:"report,omitempty"`
+	Report *journal.ReportRecord
 	// Scanned is the running result count (heartbeats) or the final count
 	// (done trailer).
-	Scanned int `json:"scanned,omitempty"`
+	Scanned int
+}
+
+// AppendEntityRecord appends rec's JSON encoding to dst, byte-identical to
+// json.Marshal(rec), without a trailing newline.
+func AppendEntityRecord(dst []byte, rec *EntityRecord) []byte {
+	dst = append(dst, `{"name":`...)
+	dst = jsonwire.AppendString(dst, rec.Name)
+	dst = jsonwire.AppendField(dst, "digest", rec.Digest)
+	if rec.Frame == nil {
+		return append(dst, `,"frame":null}`...)
+	}
+	dst = append(dst, `,"frame":"`...)
+	dst = base64.StdEncoding.AppendEncode(dst, rec.Frame)
+	return append(dst, '"', '}')
+}
+
+// entityRecordKeys are EntityRecord's JSON keys, for matching keys in
+// another case.
+var entityRecordKeys = []string{"name", "digest", "frame"}
+
+// DecodeEntityRecord decodes the next value of a request body from d into
+// *rec, as json.Decoder decodes it into a fresh EntityRecord, key case
+// folding included; Name and Digest own their memory, and the frame
+// reuses rec.Frame's capacity. Request lines may be separated by any JSON
+// whitespace; d.More reports whether another follows.
+func DecodeEntityRecord(d *jsonwire.Decoder, rec *EntityRecord) error {
+	*rec = EntityRecord{Frame: rec.Frame[:0]}
+	sawFrame := false
+	field := func(key string) bool {
+		switch key {
+		case "name":
+			d.OwnedString(&rec.Name)
+		case "digest":
+			d.OwnedString(&rec.Digest)
+		case "frame":
+			d.Bytes(&rec.Frame)
+			sawFrame = true
+		default:
+			return false
+		}
+		return true
+	}
+	if d.Object() {
+		for i := 0; ; i++ {
+			key, ok := d.Member(i)
+			if !ok {
+				break
+			}
+			if !field(key) && !field(jsonwire.FoldKey(key, entityRecordKeys)) {
+				d.Skip()
+			}
+		}
+	}
+	if !sawFrame {
+		rec.Frame = nil
+	}
+	return d.Err()
 }
 
 // AppendStreamRecord appends rec's JSON encoding to dst, byte-identical to
 // json.Marshal(rec), without a trailing newline.
 func AppendStreamRecord(dst []byte, rec *StreamRecord) []byte {
 	dst = append(dst, `{"type":`...)
-	dst = journal.AppendString(dst, rec.Type)
-	dst = journal.AppendField(dst, "entity", rec.Entity)
-	dst = journal.AppendField(dst, "digest", rec.Digest)
+	dst = jsonwire.AppendString(dst, rec.Type)
+	dst = jsonwire.AppendField(dst, "entity", rec.Entity)
+	dst = jsonwire.AppendField(dst, "digest", rec.Digest)
 	if rec.Resumed {
 		dst = append(dst, `,"resumed":true`...)
 	}
-	dst = journal.AppendField(dst, "err", rec.Err)
-	dst = journal.AppendField(dst, "err_kind", rec.ErrKind)
+	dst = jsonwire.AppendField(dst, "err", rec.Err)
+	dst = jsonwire.AppendField(dst, "err_kind", rec.ErrKind)
 	if rec.Report != nil {
 		dst = append(dst, `,"report":`...)
 		dst = journal.AppendReport(dst, rec.Report)

@@ -10,31 +10,79 @@ import (
 	"strings"
 	"testing"
 
+	"configvalidator/internal/cvl"
+	"configvalidator/internal/engine"
 	"configvalidator/internal/journal"
 )
 
 // encoding/json is the stream codec's oracle: AppendStreamRecord must
 // write json.Marshal's bytes and decodeStreamRecord must return
 // json.Unmarshal's value, so a coordinator and a worker interoperate with
-// a peer that still uses encoding/json.
+// a peer that still uses encoding/json. The oracle schema carries the
+// report as the journal codec's text, which internal/journal holds to its
+// own oracle; here the report must round-trip through that text.
+
+type oracleStream struct {
+	Type    string          `json:"type"`
+	Entity  string          `json:"entity,omitempty"`
+	Digest  string          `json:"digest,omitempty"`
+	Resumed bool            `json:"resumed,omitempty"`
+	Err     string          `json:"err,omitempty"`
+	ErrKind string          `json:"err_kind,omitempty"`
+	Report  json.RawMessage `json:"report,omitempty"`
+	Scanned int             `json:"scanned,omitempty"`
+}
+
+// oracleOf is rec in the oracle schema.
+func oracleOf(rec StreamRecord) oracleStream {
+	o := oracleStream{Type: rec.Type, Entity: rec.Entity, Digest: rec.Digest, Resumed: rec.Resumed,
+		Err: rec.Err, ErrKind: rec.ErrKind, Scanned: rec.Scanned}
+	if rec.Report != nil {
+		o.Report = journal.AppendReport(nil, rec.Report)
+	}
+	return o
+}
+
+// streamOf is the record an oracle value decodes to: its report as a
+// fresh journal.Decoder reads the report's text.
+func streamOf(t testing.TB, o oracleStream) StreamRecord {
+	t.Helper()
+	rec := StreamRecord{Type: o.Type, Entity: o.Entity, Digest: o.Digest, Resumed: o.Resumed,
+		Err: o.Err, ErrKind: o.ErrKind, Scanned: o.Scanned}
+	if o.Report != nil {
+		var d journal.Decoder
+		d.Reset(string(o.Report))
+		d.Report(&rec.Report)
+		if err := d.End(); err != nil {
+			t.Fatalf("report %q: %v", o.Report, err)
+		}
+	}
+	return rec
+}
 
 func decodeLine(line string) (StreamRecord, error) {
 	var d journal.Decoder
 	return decodeStreamRecord(&d, line)
 }
 
+func oracleMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // checkStreamRecord requires rec to encode to json.Marshal's bytes and
 // those bytes to decode to json.Unmarshal's value.
 func checkStreamRecord(t *testing.T, rec StreamRecord) {
 	t.Helper()
-	want, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleMarshal(t, oracleOf(rec))
 	if got := AppendStreamRecord(nil, &rec); !bytes.Equal(got, want) {
 		t.Fatalf("encoding differs from json.Marshal\n got: %q\nwant: %q", got, want)
 	}
-	var wantRec StreamRecord
+	var wantRec oracleStream
 	if err := json.Unmarshal(want, &wantRec); err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +90,8 @@ func checkStreamRecord(t *testing.T, rec StreamRecord) {
 	if err != nil {
 		t.Fatalf("decode %q: %v", want, err)
 	}
-	if !reflect.DeepEqual(got, wantRec) {
-		t.Fatalf("decoded %q\n got: %#v\nwant: %#v", want, got, wantRec)
+	if w := streamOf(t, wantRec); !reflect.DeepEqual(got, w) {
+		t.Fatalf("decoded %q\n got: %#v\nwant: %#v", want, got, w)
 	}
 }
 
@@ -71,15 +119,16 @@ func streamFromBytes(data []byte) StreamRecord {
 	if len(parts) < 3 {
 		return rec
 	}
-	rec.Report = &journal.ReportRecord{Entity: next(), Type: next(), Results: []journal.ResultRecord{}}
+	rep := &engine.Report{EntityName: next(), EntityType: next(), Results: []*engine.Result{}}
 	for len(parts) > 1 {
-		r := journal.ResultRecord{Entity: next(), ManifestEntity: next(), Message: next(), Detail: next()}
-		r.Status = small(r.Message) % 5
+		r := &engine.Result{EntityName: next(), ManifestEntity: next(), Message: next(), Detail: next()}
+		r.Status = engine.Status(small(r.Message) % 5)
 		if small(r.Detail)%2 == 0 {
-			r.Rule = &journal.RuleRecord{Name: next(), Type: next(), Tags: []string{next(), next()}, Severity: next()}
+			r.Rule = &cvl.Rule{Name: next(), Type: cvl.RuleType(small(next()) % 7), Tags: []string{next(), next()}, Severity: next()}
 		}
-		rec.Report.Results = append(rec.Report.Results, r)
+		rep.Results = append(rep.Results, r)
 	}
+	rec.Report = journal.NewReportRecord(rep)
 	return rec
 }
 
@@ -98,7 +147,7 @@ func TestStreamCodecMatchesEncodingJSON(t *testing.T) {
 		{Type: TypeHeartbeat},
 		{Type: TypeDone, Scanned: 8},
 		{Type: TypeDegradedJournal, Err: "no space left on device"},
-		{Type: TypeResult, Entity: "e", Digest: "d", Resumed: true, Report: &journal.ReportRecord{}},
+		{Type: TypeResult, Entity: "e", Digest: "d", Resumed: true, Report: journal.NewReportRecord(&engine.Report{})},
 		{Type: TypeResult, Entity: "e", Err: "boom", ErrKind: "panic"},
 	} {
 		checkStreamRecord(t, rec)
@@ -124,11 +173,7 @@ func FuzzStreamRecord(f *testing.F) {
 			return
 		}
 		enc := AppendStreamRecord(nil, &got)
-		want, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc, want) {
+		if want := oracleMarshal(t, oracleOf(got)); !bytes.Equal(enc, want) {
 			t.Fatalf("re-encoding differs from json.Marshal\n got: %q\nwant: %q", enc, want)
 		}
 		again, err := decodeLine(string(enc))
@@ -147,12 +192,12 @@ func FuzzStreamRecord(f *testing.F) {
 // line it came from.
 func TestDecodedEntityDoesNotPinLine(t *testing.T) {
 	const lines = 1000
-	rep := &journal.ReportRecord{Entity: "app", Type: "image", Results: make([]journal.ResultRecord, 124)}
+	rep := &engine.Report{EntityName: "app", EntityType: "image", Results: make([]*engine.Result, 124)}
 	for i := range rep.Results {
-		rep.Results[i] = journal.ResultRecord{
-			Entity: "app", ManifestEntity: "nginx", Status: i % 4,
+		rep.Results[i] = &engine.Result{
+			EntityName: "app", ManifestEntity: "nginx", Status: engine.Status(i % 4),
 			Message: strings.Repeat("message ", 16), Detail: strings.Repeat("detail ", 8),
-			Rule: &journal.RuleRecord{Name: fmt.Sprintf("rule-%d", i), Type: "config_tree", Tags: []string{"#cis"}},
+			Rule: &cvl.Rule{Name: fmt.Sprintf("rule-%d", i), Type: cvl.TypeTree, Tags: []string{"#cis"}},
 		}
 	}
 	var d journal.Decoder
@@ -162,7 +207,7 @@ func TestDecodedEntityDoesNotPinLine(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < lines; i++ {
-		rec := StreamRecord{Type: TypeResult, Entity: fmt.Sprintf("app-%04d:v1", i), Digest: "d", Report: rep}
+		rec := StreamRecord{Type: TypeResult, Entity: fmt.Sprintf("app-%04d:v1", i), Digest: "d", Report: journal.NewReportRecord(rep)}
 		buf = AppendStreamRecord(buf[:0], &rec)
 		got, err := decodeStreamRecord(&d, string(buf))
 		if err != nil {

@@ -4,29 +4,39 @@
 // (paper §2.2 and [24]). A frame is a JSON-lines stream: a header record
 // followed by directory, file, package, and feature records.
 //
+// Frames are written and read by a hand-written codec on internal/jsonwire:
+// Append and Write produce exactly the bytes a json.Encoder writes for
+// the records, and Read decodes a stream from memory, accepting what
+// json.Unmarshal accepted line by line (whitespace, escapes, unknown
+// keys, nulls, keys in another case). Every string a decoded frame keeps
+// owns its memory, so a frame never pins the text it was read from.
+//
 // The round-trip property that makes touchless validation sound is that
 // validating a frame yields the same results as validating the live entity
 // it was captured from; the integration tests assert this.
 package frames
 
 import (
-	"bufio"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"strconv"
+	"strings"
 	"time"
 
 	"configvalidator/internal/entity"
+	"configvalidator/internal/jsonwire"
 	"configvalidator/internal/pkgdb"
 )
 
 // Version is the frame format version written by this package.
 const Version = 1
 
-// record is one JSON line of a frame stream.
+// record is one JSON line of a frame stream. Its json tags name the fields
+// Append writes, in order; tests hold the codec to encoding/json through
+// them.
 type record struct {
 	Type string `json:"type"`
 
@@ -149,77 +159,127 @@ func Capture(e entity.Entity, roots []string, now time.Time) (*Frame, error) {
 	return f, nil
 }
 
-// Write serializes the frame as JSON lines.
+// Write serializes the frame as JSON lines in one write: exactly the bytes
+// a json.Encoder writes for its records.
 func (f *Frame) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	header := record{
-		Type:       "frame",
-		Name:       f.Name,
-		EntityType: f.EntityType.String(),
-		Version:    Version,
-		Captured:   f.Captured.Format(time.RFC3339),
-	}
-	if err := enc.Encode(header); err != nil {
-		return fmt.Errorf("write header: %w", err)
-	}
-	for _, d := range f.dirs {
-		rec := record{Type: "dir", Path: d.path, Mode: uint32(d.mode), UID: d.uid, GID: d.gid}
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("write dir %s: %w", d.path, err)
-		}
-	}
-	for _, fe := range f.files {
-		rec := record{
-			Type:    "file",
-			Path:    fe.path,
-			Mode:    uint32(fe.mode),
-			UID:     fe.uid,
-			GID:     fe.gid,
-			Content: base64.StdEncoding.EncodeToString(fe.content),
-		}
-		if !fe.modTime.IsZero() {
-			rec.ModTime = fe.modTime.Format(time.RFC3339Nano)
-		}
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("write file %s: %w", fe.path, err)
-		}
-	}
-	for _, p := range f.packages {
-		rec := record{Type: "package", Name: p.Name, PkgVersion: p.Version, Arch: p.Architecture, Status: p.Status}
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("write package %s: %w", p.Name, err)
-		}
-	}
-	for _, ft := range f.features {
-		rec := record{Type: "feature", Name: ft.name, Output: ft.output}
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("write feature %s: %w", ft.name, err)
-		}
+	if _, err := w.Write(f.Append(make([]byte, 0, f.sizeHint()))); err != nil {
+		return fmt.Errorf("frames: write: %w", err)
 	}
 	return nil
 }
 
-// Read parses a frame stream written by Write.
+// sizeHint estimates the length of the frame's encoding.
+func (f *Frame) sizeHint() int {
+	n := 128 + 64*len(f.dirs) + 128*len(f.packages)
+	for i := range f.files {
+		n += 128 + len(f.files[i].path) + base64.StdEncoding.EncodedLen(len(f.files[i].content))
+	}
+	for _, ft := range f.features {
+		n += 64 + len(ft.name) + len(ft.output)
+	}
+	return n
+}
+
+// Append appends the frame's JSON lines to dst, as Write writes them: one
+// record per line, each the bytes json.Marshal writes for a record with
+// omitempty fields, HTML-safe escaping and content in base64.
+func (f *Frame) Append(dst []byte) []byte {
+	dst = append(dst, `{"type":"frame"`...)
+	dst = jsonwire.AppendField(dst, "name", f.Name)
+	dst = jsonwire.AppendField(dst, "entity_type", f.EntityType.String())
+	dst = append(dst, `,"version":`...)
+	dst = strconv.AppendInt(dst, Version, 10)
+	// RFC 3339 timestamps hold no byte JSON escapes.
+	dst = append(dst, `,"captured":"`...)
+	dst = f.Captured.AppendFormat(dst, time.RFC3339)
+	dst = append(dst, "\"}\n"...)
+	for i := range f.dirs {
+		d := &f.dirs[i]
+		dst = appendMeta(append(dst, `{"type":"dir"`...), d.path, d.mode, d.uid, d.gid)
+		dst = append(dst, "}\n"...)
+	}
+	for i := range f.files {
+		fe := &f.files[i]
+		dst = appendMeta(append(dst, `{"type":"file"`...), fe.path, fe.mode, fe.uid, fe.gid)
+		if !fe.modTime.IsZero() {
+			dst = append(dst, `,"mtime":"`...)
+			dst = append(fe.modTime.AppendFormat(dst, time.RFC3339Nano), '"')
+		}
+		if len(fe.content) > 0 {
+			dst = append(dst, `,"content":"`...)
+			dst = append(base64.StdEncoding.AppendEncode(dst, fe.content), '"')
+		}
+		dst = append(dst, "}\n"...)
+	}
+	for _, p := range f.packages {
+		dst = append(dst, `{"type":"package"`...)
+		dst = jsonwire.AppendField(dst, "name", p.Name)
+		dst = jsonwire.AppendField(dst, "pkg_version", p.Version)
+		dst = jsonwire.AppendField(dst, "arch", p.Architecture)
+		dst = jsonwire.AppendField(dst, "status", p.Status)
+		dst = append(dst, "}\n"...)
+	}
+	for _, ft := range f.features {
+		dst = append(dst, `{"type":"feature"`...)
+		dst = jsonwire.AppendField(dst, "name", ft.name)
+		dst = jsonwire.AppendField(dst, "output", ft.output)
+		dst = append(dst, "}\n"...)
+	}
+	return dst
+}
+
+// appendMeta appends the path, mode and owner fields of a dir or file
+// record, each omitted when empty.
+func appendMeta(dst []byte, path string, mode fs.FileMode, uid, gid int) []byte {
+	dst = jsonwire.AppendField(dst, "path", path)
+	if mode != 0 {
+		dst = append(dst, `,"mode":`...)
+		dst = strconv.AppendUint(dst, uint64(mode), 10)
+	}
+	if uid != 0 {
+		dst = append(dst, `,"uid":`...)
+		dst = strconv.AppendInt(dst, int64(uid), 10)
+	}
+	if gid != 0 {
+		dst = append(dst, `,"gid":`...)
+		dst = strconv.AppendInt(dst, int64(gid), 10)
+	}
+	return dst
+}
+
+// Read parses a frame stream written by Write. The stream is read into
+// memory whole and decoded line by line, as bufio.ScanLines splits it
+// (one trailing carriage return dropped, blank lines skipped). Every
+// string the frame keeps — paths, names, package fields, feature output —
+// owns its memory, so nothing it hands out pins the stream's text.
 func Read(r io.Reader) (*Frame, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
+	var text strings.Builder
+	if sized, ok := r.(interface{ Len() int }); ok {
+		text.Grow(sized.Len())
+	}
+	if _, err := io.Copy(&text, r); err != nil {
+		return nil, fmt.Errorf("frames: read: %w", err)
+	}
+	return parse(text.String())
+}
+
+func parse(text string) (*Frame, error) {
 	f := &Frame{}
+	var d jsonwire.Decoder
 	sawHeader := false
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := scanner.Bytes()
-		if len(line) == 0 {
+	for lineNo := 1; text != ""; lineNo++ {
+		line := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		} else {
+			text = ""
+		}
+		line = strings.TrimSuffix(line, "\r")
+		if line == "" {
 			continue
 		}
 		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A stream cut off mid-line (size limit, broken connection)
-			// surfaces here as a partial final token; report the
-			// underlying read error, not a misleading parse error.
-			if rerr := scanner.Err(); rerr != nil {
-				return nil, fmt.Errorf("frames: read: %w", rerr)
-			}
+		if err := rec.decode(&d, line); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrBadFrame, lineNo, err)
 		}
 		switch rec.Type {
@@ -282,13 +342,74 @@ func Read(r io.Reader) (*Frame, error) {
 			return nil, fmt.Errorf("%w: line %d: unknown record type %q", ErrBadFrame, lineNo, rec.Type)
 		}
 	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("frames: read: %w", err)
-	}
 	if !sawHeader {
 		return nil, fmt.Errorf("%w: missing header", ErrBadFrame)
 	}
 	return f, nil
+}
+
+// recordKeys are record's JSON keys, for matching keys in another case.
+var recordKeys = []string{"type", "name", "entity_type", "version", "captured", "path", "mode",
+	"uid", "gid", "mtime", "content", "pkg_version", "arch", "status", "output"}
+
+// decode decodes one line into rec as json.Unmarshal does, folding the
+// case of keys that match no field exactly.
+func (rec *record) decode(d *jsonwire.Decoder, line string) error {
+	d.Reset(line)
+	if !d.Object() {
+		return d.End()
+	}
+	for i := 0; ; i++ {
+		key, ok := d.Member(i)
+		if !ok {
+			return d.End()
+		}
+		if !rec.field(d, key) && !rec.field(d, jsonwire.FoldKey(key, recordKeys)) {
+			d.Skip()
+		}
+	}
+}
+
+// field decodes the value of the member named key and reports whether
+// key names a field. The fields a Frame keeps own their memory; the rest —
+// type, entity type, timestamps and base64 content, which parse converts —
+// share the line's.
+func (rec *record) field(d *jsonwire.Decoder, key string) bool {
+	switch key {
+	case "type":
+		d.String(&rec.Type)
+	case "name":
+		d.OwnedString(&rec.Name)
+	case "entity_type":
+		d.String(&rec.EntityType)
+	case "version":
+		d.Int(&rec.Version)
+	case "captured":
+		d.String(&rec.Captured)
+	case "path":
+		d.OwnedString(&rec.Path)
+	case "mode":
+		d.Uint32(&rec.Mode)
+	case "uid":
+		d.Int(&rec.UID)
+	case "gid":
+		d.Int(&rec.GID)
+	case "mtime":
+		d.String(&rec.ModTime)
+	case "content":
+		d.String(&rec.Content)
+	case "pkg_version":
+		d.OwnedString(&rec.PkgVersion)
+	case "arch":
+		d.OwnedString(&rec.Arch)
+	case "status":
+		d.OwnedString(&rec.Status)
+	case "output":
+		d.OwnedString(&rec.Output)
+	default:
+		return false
+	}
+	return true
 }
 
 // Entity materializes the frame as an in-memory entity that validation can

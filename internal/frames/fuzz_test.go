@@ -2,6 +2,7 @@ package frames
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,9 @@ import (
 
 // FuzzFramesRead exercises the frame parser on arbitrary input. Frames
 // arrive over HTTP (/v1/validate/frame, and inside /v1/shard/scan
-// bodies), so Read must never panic, and every frame it accepts must
+// bodies), so Read must never panic; it must accept exactly what the
+// json.Unmarshal reader accepted, decoding to the same frame; Write must
+// write the json.Encoder writer's bytes; and every accepted frame must
 // survive a Write/Read round trip: re-serializing the re-read frame
 // yields the same bytes.
 //
@@ -39,17 +42,30 @@ func FuzzFramesRead(f *testing.F) {
 		`{"type":"package","name":"p","pkg_version":"1"}` + "\n" + header,
 		header + `{"type":"feature","name":"sysctl.runtime","output":"x = 1"}` + "\n\n",
 		header + `{"type":"file","path":"/a","content":"!!!"}` + "\n",
+		header + `{"TYPE":"file","Path":"/<&>\u2028","MODE":420,"uid":-1,"gid":null,"x":[{}],"content":"AA\u003d\u003d"}` + "\r\n",
+		header + `{"type":"file","path":"/a","mode":4294967296}` + "\n",
+		header + `{"type":"package","name":"p","arch":"\ud800","status":"\xff"}` + "\n",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := Read(bytes.NewReader(data))
+		want, werr := oracleRead(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("Read error %v, json.Unmarshal reader error %v", err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(fr, want) {
+			t.Fatalf("Read decodes differently from the json.Unmarshal reader\n got: %+v\nwant: %+v", fr, want)
 		}
 		var first, second bytes.Buffer
 		if err := fr.Write(&first); err != nil {
 			t.Fatalf("accepted frame does not write: %v", err)
+		}
+		if enc := oracleWrite(t, fr); !bytes.Equal(first.Bytes(), enc) {
+			t.Fatalf("Write differs from the json.Encoder writer\n got: %q\nwant: %q", first.Bytes(), enc)
 		}
 		back, err := Read(bytes.NewReader(first.Bytes()))
 		if err != nil {

@@ -3,12 +3,15 @@ package journal
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"configvalidator/internal/crawler"
+	"configvalidator/internal/cvl"
 	"configvalidator/internal/engine"
 	"configvalidator/internal/fixtures"
 	"configvalidator/internal/rules"
@@ -16,7 +19,7 @@ import (
 
 // encoding/json is the codec's oracle: every test here checks the
 // hand-written encoder against json.Marshal and the decoder against
-// json.Unmarshal.
+// json.Unmarshal, through the oracle schema in oracle_test.go.
 
 func oracleMarshal(t testing.TB, v any) []byte {
 	t.Helper()
@@ -33,16 +36,17 @@ func decodeString(s string) (Record, error) {
 	return d.record(s)
 }
 
-// checkRecord requires rec to encode to json.Marshal's bytes and those
-// bytes to decode to json.Unmarshal's value.
+// checkRecord requires rec to encode to json.Marshal's bytes for its
+// oracle form and those bytes to decode to what json.Unmarshal's value
+// rebuilds.
 func checkRecord(t testing.TB, rec Record) {
 	t.Helper()
-	want := oracleMarshal(t, rec)
+	want := oracleMarshal(t, oracleOf(rec))
 	got := appendRecord(nil, &rec)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encoding differs from json.Marshal\n got: %q\nwant: %q", got, want)
 	}
-	var wantRec Record
+	var wantRec oracleRecord
 	if err := json.Unmarshal(want, &wantRec); err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +54,8 @@ func checkRecord(t testing.TB, rec Record) {
 	if err != nil {
 		t.Fatalf("decode %q: %v", want, err)
 	}
-	if !reflect.DeepEqual(gotRec, wantRec) {
-		t.Fatalf("decoded %q\n got: %#v\nwant: %#v", want, gotRec, wantRec)
+	if !reflect.DeepEqual(gotRec, recordOf(wantRec)) {
+		t.Fatalf("decoded %q\n got: %#v\nwant: %#v", want, gotRec, recordOf(wantRec))
 	}
 }
 
@@ -72,6 +76,10 @@ func randString(rng *rand.Rand) string {
 	return b.String()
 }
 
+// ruleTypes are the rule types a report may carry, including the zero
+// type and one out of range, which encode as RuleType(n).
+var ruleTypes = []cvl.RuleType{0, cvl.TypeTree, cvl.TypeSchema, cvl.TypePath, cvl.TypeScript, cvl.TypeComposite, 9}
+
 func randRecord(rng *rand.Rand) Record {
 	rec := Record{Entity: randString(rng)}
 	if rng.Intn(2) == 0 {
@@ -84,30 +92,31 @@ func randRecord(rng *rand.Rand) Record {
 	if rng.Intn(8) == 0 {
 		return rec
 	}
-	rec.Report = &ReportRecord{Entity: randString(rng), Type: randString(rng)}
+	rep := &engine.Report{EntityName: randString(rng), EntityType: randString(rng)}
+	rec.Report = NewReportRecord(rep)
 	if rng.Intn(8) == 0 {
-		return rec // nil results encode as null
+		return rec // nil results encode as empty
 	}
-	rec.Report.Results = make([]ResultRecord, rng.Intn(6))
-	for i := range rec.Report.Results {
-		r := &rec.Report.Results[i]
-		*r = ResultRecord{
-			Entity:         randString(rng),
+	rep.Results = make([]*engine.Result, rng.Intn(6))
+	for i := range rep.Results {
+		r := &engine.Result{
+			EntityName:     randString(rng),
 			ManifestEntity: randString(rng),
-			Status:         rng.Intn(9) - 2,
+			Status:         engine.Status(rng.Intn(9) - 2),
 			Message:        randString(rng),
 			Detail:         randString(rng),
 			File:           randString(rng),
 		}
+		rep.Results[i] = r
 		if rng.Intn(9) == 0 {
-			r.Status = -rng.Int()
+			r.Status = engine.Status(-rng.Int())
 		}
 		if rng.Intn(3) == 0 {
 			continue
 		}
-		r.Rule = &RuleRecord{
+		r.Rule = &cvl.Rule{
 			Name:            randString(rng),
-			Type:            randString(rng),
+			Type:            ruleTypes[rng.Intn(len(ruleTypes))],
 			Severity:        randString(rng),
 			SuggestedAction: randString(rng),
 		}
@@ -118,6 +127,9 @@ func randRecord(rng *rand.Rand) Record {
 			for n := rng.Intn(4) + 1; n > 0; n-- {
 				r.Rule.Tags = append(r.Rule.Tags, randString(rng))
 			}
+		}
+		if i > 0 && rng.Intn(4) == 0 {
+			r.Rule = rep.Results[i-1].Rule // shared, as the engine shares compiled rules
 		}
 	}
 	return rec
@@ -158,7 +170,7 @@ func TestDecoderAcceptsWhatUnmarshalAccepts(t *testing.T) {
 		`{"ENTITY":"case differs","entity":"a"}`,
 		`{"entity":"a","report":{"results":[{"status":9223372036854775807}]}}`,
 	} {
-		var want Record
+		var want oracleRecord
 		if err := json.Unmarshal([]byte(in), &want); err != nil {
 			t.Fatalf("oracle rejects %q: %v", in, err)
 		}
@@ -167,8 +179,8 @@ func TestDecoderAcceptsWhatUnmarshalAccepts(t *testing.T) {
 			t.Errorf("decode %q: %v", in, err)
 			continue
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("decode %q\n got: %#v\nwant: %#v", in, got, want)
+		if !reflect.DeepEqual(got, recordOf(want)) {
+			t.Errorf("decode %q\n got: %#v\nwant: %#v", in, got, recordOf(want))
 		}
 	}
 }
@@ -193,7 +205,7 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 		`{"x":[1,]}`, `{"x":[1 2]}`, `{"x":{"a":1,}}`, `{"x":tru}`, `{"x":+1}`,
 		`{"x":.5}`, `{"x":1.}`, `{"x":1e}`, `{"x":-01}`, `{"x":"\ud800\u"}`,
 		strings.Repeat("[", 20000),
-		`{"x":` + strings.Repeat("[", maxSkipDepth+2) + strings.Repeat("]", maxSkipDepth+2) + `}`,
+		`{"x":` + strings.Repeat("[", 10002) + strings.Repeat("]", 10002) + `}`,
 	} {
 		if _, err := decodeString(in); err == nil {
 			t.Errorf("decode %.60q: want error", in)
@@ -250,7 +262,7 @@ func FuzzJournalRecord(f *testing.F) {
 			return
 		}
 		enc := appendRecord(nil, &got)
-		if want := oracleMarshal(t, got); !bytes.Equal(enc, want) {
+		if want := oracleMarshal(t, oracleOf(got)); !bytes.Equal(enc, want) {
 			t.Fatalf("re-encoding differs from json.Marshal\n got: %q\nwant: %q", enc, want)
 		}
 		again, err := decodeString(string(enc))
@@ -285,18 +297,20 @@ func recordFromBytes(data []byte) Record {
 	if len(parts) < 3 {
 		return rec
 	}
-	rec.Report = &ReportRecord{Entity: next(), Type: next(), Results: []ResultRecord{}}
+	rep := &engine.Report{EntityName: next(), EntityType: next(), Results: []*engine.Result{}}
 	for len(parts) > 1 {
-		r := ResultRecord{Entity: next(), ManifestEntity: next(), Message: next(), Detail: next(), File: next()}
-		r.Status = pick(r.Message, 7) - 1
+		r := &engine.Result{EntityName: next(), ManifestEntity: next(), Message: next(), Detail: next(), File: next()}
+		r.Status = engine.Status(pick(r.Message, 7) - 1)
 		if pick(r.Detail, 2) == 0 {
-			r.Rule = &RuleRecord{Name: next(), Type: next(), Severity: next(), SuggestedAction: next()}
+			r.Rule = &cvl.Rule{Name: next(), Severity: next(), SuggestedAction: next()}
+			r.Rule.Type = ruleTypes[pick(next(), len(ruleTypes))]
 			for n := pick(r.Rule.Name, 4); n > 0; n-- {
 				r.Rule.Tags = append(r.Rule.Tags, next())
 			}
 		}
-		rec.Report.Results = append(rec.Report.Results, r)
+		rep.Results = append(rep.Results, r)
 	}
+	rec.Report = NewReportRecord(rep)
 	return rec
 }
 
@@ -335,4 +349,84 @@ func BenchmarkRecordDecode(b *testing.B) {
 		}
 		benchRep = got.Report.Report()
 	}
+}
+
+// TestDecoderInternsRules checks rule interning: results naming the same
+// rule decode to one *cvl.Rule, the table outlives the text it was
+// filled from, and it stays bounded while decoding stays exact.
+func TestDecoderInternsRules(t *testing.T) {
+	rec := fleetRecord(t)
+	payload := appendRecord(nil, &rec)
+	distinct := make(map[string]bool)
+	for _, r := range rec.Report.Results {
+		distinct[string(appendResult(nil, &engine.Result{Rule: r.Rule}))] = true
+	}
+	var d Decoder
+	first, err := d.record(string(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := d.record(string(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := make(map[*cvl.Rule]bool)
+	for i, r := range first.Report.Results {
+		if r.Rule != second.Report.Results[i].Rule {
+			t.Fatalf("result %d: the second text's rule was not taken from the table", i)
+		}
+		rules[r.Rule] = true
+	}
+	if len(rules) != len(distinct) || len(d.rules) != len(distinct) {
+		t.Fatalf("%d distinct rules decoded to %d rules, table holds %d", len(distinct), len(rules), len(d.rules))
+	}
+
+	rep := &engine.Report{EntityName: "many", EntityType: "image"}
+	for i := 0; i < 3*maxInternedRules; i++ {
+		rep.Results = append(rep.Results, &engine.Result{Status: engine.StatusPass,
+			Rule: &cvl.Rule{Name: fmt.Sprintf("rule-%d", i%(2*maxInternedRules)), Type: cvl.TypeTree}})
+	}
+	many := Record{Entity: "many", Report: NewReportRecord(rep)}
+	checkRecord(t, many)
+	if _, err := d.record(string(appendRecord(nil, &many))); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.rules) > maxInternedRules {
+		t.Fatalf("rule table holds %d rules, bound is %d", len(d.rules), maxInternedRules)
+	}
+}
+
+// TestInternedRulesDoNotPinText is the retention rule for interned rules:
+// a kept rule must not share — and keep alive — the ~30 KB text it was
+// decoded from.
+func TestInternedRulesDoNotPinText(t *testing.T) {
+	const texts = 1000
+	rec := fleetRecord(t)
+	var d Decoder
+	var buf []byte
+	kept := make([]*cvl.Rule, 0, texts)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < texts; i++ {
+		rule := *rec.Report.Results[0].Rule
+		rule.Name = fmt.Sprintf("unique-%04d", i)
+		rec.Report.Results[0].Rule = &rule
+		buf = appendRecord(buf[:0], &rec)
+		got, err := d.record(string(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, got.Report.Results[0].Rule)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if len(buf) < 16<<10 {
+		t.Fatalf("text is %d bytes; the test needs texts of realistic size", len(buf))
+	}
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if perRule := growth / texts; perRule >= 4096 {
+		t.Fatalf("heap grew %d bytes per kept rule (text %d bytes); interned rules pin their texts", perRule, len(buf))
+	}
+	runtime.KeepAlive(kept)
 }

@@ -137,12 +137,12 @@ func TestOldFormatFixture(t *testing.T) {
 	off := int64(len(magic))
 	for i, got := range replayed {
 		length := int64(binary.LittleEndian.Uint32(blob[off:]))
-		var want Record
-		if err := json.Unmarshal(blob[off+8:off+8+length], &want); err != nil {
+		var oracle oracleRecord
+		if err := json.Unmarshal(blob[off+8:off+8+length], &oracle); err != nil {
 			t.Fatalf("record %d: oracle: %v", i, err)
 		}
 		off += 8 + length
-		if !reflect.DeepEqual(got, want) {
+		if want := recordOf(oracle); !reflect.DeepEqual(got, want) {
 			t.Fatalf("record %d decodes differently from json.Unmarshal\n got: %#v\nwant: %#v", i, got, want)
 		}
 		if got.Report == nil {

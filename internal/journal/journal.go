@@ -17,10 +17,12 @@
 //
 //	[uint32 LE payload length][uint32 LE CRC-32 (IEEE) of payload][payload]
 //
-// The payload is a Record as JSON. A hand-written codec (codec.go) writes
-// and reads it without reflection, producing exactly the bytes
-// encoding/json writes: journals written with json.Marshal replay
-// unchanged, and a decoded record equals what json.Unmarshal returns. The
+// The payload is a Record as JSON. A hand-written codec (codec.go, on
+// internal/jsonwire) writes and reads it without reflection, producing
+// exactly the bytes encoding/json writes: journals written with
+// json.Marshal replay unchanged, and a decoded report is the one
+// json.Unmarshal's value converts to. Reports decode straight into
+// engine.Report, with each distinct rule built once per Decoder. The
 // format is append-only; nothing in the file is ever updated in place, so
 // the only corruption a crash can cause is a torn tail — which recovery
 // truncates, never fails on.
@@ -79,7 +81,6 @@ import (
 	"sync"
 	"time"
 
-	"configvalidator/internal/cvl"
 	"configvalidator/internal/engine"
 	"configvalidator/internal/faults"
 	"configvalidator/internal/fsutil"
@@ -171,21 +172,20 @@ type Options struct {
 }
 
 // Record is one journaled per-entity outcome. Exactly one of Report and
-// Err is set. The json tags here and on the report types name the fields
-// of the payload codec.go writes; tests hold the codec to encoding/json
-// through them.
+// Err is set. codec.go writes and reads its payload; the tests hold the
+// codec to encoding/json through an oracle schema of the same fields.
 type Record struct {
 	// Entity is the scanned entity's name.
-	Entity string `json:"entity"`
+	Entity string
 	// Digest is the entity's config digest at scan time; records with an
 	// empty digest are audit-only and never satisfy a Lookup.
-	Digest string `json:"digest,omitempty"`
+	Digest string
 	// Err is the scan failure, when the scan did not complete. Failed
 	// scans are journaled for reconciliation but never replayed — a
 	// resumed run re-scans them.
-	Err string `json:"err,omitempty"`
+	Err string
 	// Report is the completed validation report.
-	Report *ReportRecord `json:"report,omitempty"`
+	Report *ReportRecord
 }
 
 // Stats is a point-in-time copy of a journal's counters.
@@ -775,125 +775,19 @@ func Remove(path string) error {
 	return fsutil.SyncDir(filepath.Dir(path))
 }
 
-// ReportRecord is the journal's serialized form of an engine.Report. It
-// carries every field the output renderers (text, JSON, JUnit, drift) read,
-// so a replayed report renders byte-identically to the report produced by
-// re-scanning the unchanged entity.
-type ReportRecord struct {
-	Entity  string         `json:"entity"`
-	Type    string         `json:"type"`
-	Results []ResultRecord `json:"results"`
-}
+// ReportRecord is the journal's handle on an engine.Report: the report a
+// record carries, encoded from and decoded straight into the engine's own
+// type. The codec keeps every field the output renderers (text, JSON,
+// JUnit, drift) read, so a replayed report renders byte-identically to
+// the report produced by re-scanning the unchanged entity.
+type ReportRecord engine.Report
 
-// ResultRecord is one serialized rule outcome.
-type ResultRecord struct {
-	Entity         string      `json:"entity,omitempty"`
-	ManifestEntity string      `json:"manifest_entity,omitempty"`
-	Status         int         `json:"status"`
-	Message        string      `json:"message,omitempty"`
-	Detail         string      `json:"detail,omitempty"`
-	File           string      `json:"file,omitempty"`
-	Rule           *RuleRecord `json:"rule,omitempty"`
-}
+// NewReportRecord returns the journal's handle on rep, without copying.
+// The report must not change while a record holds it.
+func NewReportRecord(rep *engine.Report) *ReportRecord { return (*ReportRecord)(rep) }
 
-// RuleRecord preserves the rule fields reports render; the full rule
-// specification is not journaled (it lives in the rule library, whose
-// fingerprint participates in the config digest).
-type RuleRecord struct {
-	Name            string   `json:"name"`
-	Type            string   `json:"type,omitempty"`
-	Tags            []string `json:"tags,omitempty"`
-	Severity        string   `json:"severity,omitempty"`
-	SuggestedAction string   `json:"suggested_action,omitempty"`
-}
-
-// NewReportRecord converts an engine report into its journaled form. The
-// results and their rules are allocated as one block each.
-func NewReportRecord(rep *engine.Report) *ReportRecord {
-	if rep == nil {
-		return nil
-	}
-	out := &ReportRecord{
-		Entity:  rep.EntityName,
-		Type:    rep.EntityType,
-		Results: make([]ResultRecord, len(rep.Results)),
-	}
-	nrules := 0
-	for _, r := range rep.Results {
-		if r.Rule != nil {
-			nrules++
-		}
-	}
-	rules := make([]RuleRecord, nrules)
-	for i, r := range rep.Results {
-		out.Results[i] = ResultRecord{
-			Entity:         r.EntityName,
-			ManifestEntity: r.ManifestEntity,
-			Status:         int(r.Status),
-			Message:        r.Message,
-			Detail:         r.Detail,
-			File:           r.File,
-		}
-		if r.Rule != nil {
-			rules[0] = RuleRecord{
-				Name:            r.Rule.Name,
-				Type:            r.Rule.Type.String(),
-				Tags:            r.Rule.Tags,
-				Severity:        r.Rule.Severity,
-				SuggestedAction: r.Rule.SuggestedAction,
-			}
-			out.Results[i].Rule = &rules[0]
-			rules = rules[1:]
-		}
-	}
-	return out
-}
-
-// Report reconstructs the engine report. Rules are rebuilt with the
-// renderer-visible fields only; Report.ByTag, drift diffing, and all four
-// output formats behave identically to the original. The results and
-// their rules are allocated as one block each.
-func (rr *ReportRecord) Report() *engine.Report {
-	if rr == nil {
-		return nil
-	}
-	rep := &engine.Report{
-		EntityName: rr.Entity,
-		EntityType: rr.Type,
-		Results:    make([]*engine.Result, len(rr.Results)),
-	}
-	results := make([]engine.Result, len(rr.Results))
-	nrules := 0
-	for i := range rr.Results {
-		if rr.Results[i].Rule != nil {
-			nrules++
-		}
-	}
-	rules := make([]cvl.Rule, nrules)
-	for i := range rr.Results {
-		r := &rr.Results[i]
-		res := &results[i]
-		*res = engine.Result{
-			EntityName:     r.Entity,
-			ManifestEntity: r.ManifestEntity,
-			Status:         engine.Status(r.Status),
-			Message:        r.Message,
-			Detail:         r.Detail,
-			File:           r.File,
-		}
-		if r.Rule != nil {
-			rule := &rules[0]
-			rules = rules[1:]
-			rule.Name = r.Rule.Name
-			rule.Tags = r.Rule.Tags
-			rule.Severity = r.Rule.Severity
-			rule.SuggestedAction = r.Rule.SuggestedAction
-			if t, err := cvl.ParseRuleType(r.Rule.Type); err == nil {
-				rule.Type = t
-			}
-			res.Rule = rule
-		}
-		rep.Results[i] = res
-	}
-	return rep
-}
+// Report returns the engine report rr handles. A decoded report's rules
+// carry the renderer-visible fields only and may be shared with other
+// decoded reports; Report.ByTag, drift diffing, and all four output
+// formats behave identically to the original.
+func (rr *ReportRecord) Report() *engine.Report { return (*engine.Report)(rr) }

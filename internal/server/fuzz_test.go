@@ -16,9 +16,9 @@ import (
 // request body that reaches a worker from the network: NDJSON
 // dist.EntityRecords whose frames frames.Read decodes. Whatever the body,
 // the handler must not panic and must answer 200 or 4xx, never 5xx. A 4xx
-// streams no records; a 200 streams lines that each decode as a
-// dist.StreamRecord and end with the done trailer, whose Scanned counts
-// the result lines.
+// streams no records; a 200 streams lines that each decode, through
+// encoding/json, as a streamLine and end with the done trailer, whose
+// Scanned counts the result lines.
 //
 //	go test -fuzz FuzzShardRequest -fuzztime 10s -run FuzzShardRequest ./internal/server/
 func FuzzShardRequest(f *testing.F) {
@@ -65,7 +65,7 @@ func FuzzShardRequest(f *testing.F) {
 		switch {
 		case w.Code >= 400 && w.Code < 500:
 			for _, line := range lines {
-				var rec dist.StreamRecord
+				var rec streamLine
 				if json.Unmarshal([]byte(line), &rec) == nil && rec.Type != "" {
 					t.Fatalf("%d response streamed a record: %q", w.Code, line)
 				}
@@ -75,9 +75,9 @@ func FuzzShardRequest(f *testing.F) {
 			t.Fatalf("status %d: %s", w.Code, w.Body)
 		}
 		results := 0
-		var rec dist.StreamRecord
+		var rec streamLine
 		for _, line := range lines {
-			rec = dist.StreamRecord{}
+			rec = streamLine{}
 			if err := json.Unmarshal([]byte(line), &rec); err != nil {
 				t.Fatalf("bad stream line %q: %v", line, err)
 			}

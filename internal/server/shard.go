@@ -2,13 +2,14 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
 	"regexp"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -18,17 +19,12 @@ import (
 	"configvalidator/internal/faults"
 	"configvalidator/internal/frames"
 	"configvalidator/internal/journal"
+	"configvalidator/internal/jsonwire"
 )
 
 // shardIDPattern restricts shard ids to filename-safe tokens, since the
 // id names the worker's journal segment on disk.
 var shardIDPattern = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
-
-// shardEntity is one decoded request entity ready to scan.
-type shardEntity struct {
-	rec dist.EntityRecord
-	ent configvalidator.Entity
-}
 
 // streamWriter serializes StreamRecords onto the response as JSON lines,
 // flushing each one so the coordinator's lease watchdog sees liveness in
@@ -101,45 +97,28 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 	}
 	retries := 0
 	if v := r.URL.Query().Get("retries"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &retries); err != nil || retries < 0 {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
 			httpError(w, http.StatusBadRequest, "bad retries %q", v)
 			return
 		}
+		retries = n
 	}
 
 	// Decode the whole shard up front: a malformed entity must fail the
 	// request with 400 before any result is streamed, and the journal
 	// segment must not open for a request that cannot run.
-	dec := json.NewDecoder(boundedBody(w, r, s.MaxUploadBytes))
-	var ents []shardEntity
-	digests := make(map[string]string)
-	for {
-		var rec dist.EntityRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if rejectOversize(w, err, s.MaxUploadBytes) {
-				return
-			}
-			httpError(w, http.StatusBadRequest, "bad entity record: %v", err)
+	body, err := readBody(boundedBody(w, r, s.MaxUploadBytes), r.ContentLength)
+	if err != nil {
+		if rejectOversize(w, err, s.MaxUploadBytes) {
 			return
 		}
-		frame, err := frames.Read(bytes.NewReader(rec.Frame))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad frame for %q: %v", rec.Name, err)
-			return
-		}
-		ent := frame.Entity()
-		if rec.Name != "" && rec.Name != ent.Name() {
-			httpError(w, http.StatusBadRequest, "entity name %q does not match frame %q", rec.Name, ent.Name())
-			return
-		}
-		digests[ent.Name()] = rec.Digest
-		ents = append(ents, shardEntity{rec: rec, ent: ent})
+		httpError(w, http.StatusBadRequest, "read body: %v", err)
+		return
 	}
-	if len(ents) == 0 {
-		httpError(w, http.StatusBadRequest, "empty shard")
+	ents, digests, err := decodeShard(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -213,7 +192,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 	feed := make(chan configvalidator.Entity)
 	go func() {
 		defer close(feed)
-		for _, se := range ents {
+		for _, ent := range ents {
 			if s.ShardScanDelay > 0 {
 				// Test/smoke pacing knob: stretches the scan so chaos drills
 				// can kill a worker mid-shard deterministically.
@@ -226,7 +205,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			select {
-			case feed <- se.ent:
+			case feed <- ent:
 			case <-r.Context().Done():
 				return
 			}
@@ -276,4 +255,50 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 	}
 	out.send(dist.StreamRecord{Type: dist.TypeDone, Scanned: n})
 	s.brk.success()
+}
+
+// decodeShard decodes a shard request body into the entities to scan and
+// the digest each one's request line carries, by entity name. Each frame
+// is decoded into one reused buffer, and nothing a decoded entity keeps
+// shares the body's memory.
+func decodeShard(body string) ([]configvalidator.Entity, map[string]string, error) {
+	var ents []configvalidator.Entity
+	digests := make(map[string]string)
+	var dec jsonwire.Decoder
+	dec.Reset(body)
+	var rec dist.EntityRecord
+	for dec.More() {
+		if err := dist.DecodeEntityRecord(&dec, &rec); err != nil {
+			return nil, nil, fmt.Errorf("bad entity record: %w", err)
+		}
+		frame, err := frames.Read(bytes.NewReader(rec.Frame))
+		if err != nil {
+			return nil, nil, fmt.Errorf("bad frame for %q: %w", rec.Name, err)
+		}
+		ent := frame.Entity()
+		if rec.Name != "" && rec.Name != ent.Name() {
+			return nil, nil, fmt.Errorf("entity name %q does not match frame %q", rec.Name, ent.Name())
+		}
+		digests[ent.Name()] = rec.Digest
+		ents = append(ents, ent)
+	}
+	if len(ents) == 0 {
+		return nil, nil, errors.New("empty shard")
+	}
+	return ents, digests, nil
+}
+
+// maxBodyPresize caps how much readBody allocates up front on a
+// request's word, so a false Content-Length costs little.
+const maxBodyPresize = 4 << 20
+
+// readBody reads a request body whole into one string, sized up front
+// from the declared length when there is one.
+func readBody(body io.Reader, declared int64) (string, error) {
+	var sb strings.Builder
+	if declared > 0 {
+		sb.Grow(int(min(declared, maxBodyPresize)))
+	}
+	_, err := io.Copy(&sb, body)
+	return sb.String(), err
 }

@@ -70,14 +70,27 @@ func shardBody(t testing.TB, n int) (*bytes.Buffer, []string) {
 	return &body, names
 }
 
+// streamLine is a shard-stream line as a peer on encoding/json reads it:
+// the fields of dist.StreamRecord, with the report left as raw JSON.
+type streamLine struct {
+	Type    string          `json:"type"`
+	Entity  string          `json:"entity"`
+	Digest  string          `json:"digest"`
+	Resumed bool            `json:"resumed"`
+	Err     string          `json:"err"`
+	ErrKind string          `json:"err_kind"`
+	Report  json.RawMessage `json:"report"`
+	Scanned int             `json:"scanned"`
+}
+
 // readStream consumes a shard response stream into typed records.
-func readStream(t *testing.T, r io.Reader) []dist.StreamRecord {
+func readStream(t *testing.T, r io.Reader) []streamLine {
 	t.Helper()
-	var recs []dist.StreamRecord
+	var recs []streamLine
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
 	for sc.Scan() {
-		var rec dist.StreamRecord
+		var rec streamLine
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 		}
@@ -101,9 +114,9 @@ func TestShardScanStreamsResults(t *testing.T) {
 		t.Fatalf("status = %s, want 200", resp.Status)
 	}
 	recs := readStream(t, resp.Body)
-	results := map[string]dist.StreamRecord{}
+	results := map[string]streamLine{}
 	heartbeats, dones := 0, 0
-	var done dist.StreamRecord
+	var done streamLine
 	for _, rec := range recs {
 		switch rec.Type {
 		case dist.TypeHeartbeat:
@@ -192,7 +205,7 @@ func TestShardScanResumesFromSegment(t *testing.T) {
 	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
 	sawFirst := false
 	for sc.Scan() {
-		var rec dist.StreamRecord
+		var rec streamLine
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +253,7 @@ func TestShardScanResumesFromSegment(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("re-lease status = %s, want 200", resp2.Status)
 	}
-	results := map[string]dist.StreamRecord{}
+	results := map[string]streamLine{}
 	sawDone := false
 	for _, rec := range readStream(t, resp2.Body) {
 		switch rec.Type {
@@ -336,7 +349,7 @@ func TestShardScanOutlivesWriteTimeout(t *testing.T) {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
 	for sc.Scan() {
-		var rec dist.StreamRecord
+		var rec streamLine
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 		}
@@ -355,6 +368,7 @@ func TestShardScanOutlivesWriteTimeout(t *testing.T) {
 
 func TestShardScanRejectsBadInput(t *testing.T) {
 	_, srv := shardServer(t, "", 0)
+	one, _ := shardBody(t, 1)
 	cases := []struct {
 		name string
 		url  string
@@ -365,6 +379,10 @@ func TestShardScanRejectsBadInput(t *testing.T) {
 		{"bad frame", "/v1/shard/scan", `{"name":"x","frame":"aGk="}` + "\n"},
 		{"bad shard id", "/v1/shard/scan?shard=../../etc", `{"name":"x","frame":""}` + "\n"},
 		{"bad heartbeat", "/v1/shard/scan?heartbeat=soon", ""},
+		// Retries must be a whole decimal number, not merely start with one.
+		{"retries with a suffix", "/v1/shard/scan?retries=3abc", one.String()},
+		{"fractional retries", "/v1/shard/scan?retries=2.5", one.String()},
+		{"hex retries", "/v1/shard/scan?retries=0x10", one.String()},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(srv.URL+tc.url, "application/x-ndjson", bytes.NewBufferString(tc.body))

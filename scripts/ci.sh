@@ -50,15 +50,18 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 ./scripts/enospc_smoke.sh
 
 # Fuzz smoke over the untrusted-input parsers (journal and shard-stream
-# records and the shard request body among them), and the compiled tree
-# query against its reference; go test accepts one -fuzz target per
-# invocation, so each runs separately. A shard request scans what it
-# decodes, so its new inputs are minimized for at most 2s, not 60s.
+# records, frames, request lines and the shard request body among them),
+# and the compiled tree query against its reference; go test accepts one
+# -fuzz target per invocation, so each runs separately. A shard request
+# scans what it decodes and the frame and request-line targets run
+# encoding/json beside the codec, so their new inputs are minimized for
+# at most 2s, not 60s.
 fuzztime="${FUZZTIME:-10s}"
 go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run FuzzDecode ./internal/yaml/
 go test -fuzz FuzzSSHDParse -fuzztime "$fuzztime" -run FuzzSSHDParse ./internal/lens/
-go test -fuzz FuzzFramesRead -fuzztime "$fuzztime" -run FuzzFramesRead ./internal/frames/
+go test -fuzz FuzzFramesRead -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzFramesRead ./internal/frames/
 go test -fuzz FuzzTreePath -fuzztime "$fuzztime" -run FuzzTreePath ./internal/configtree/
 go test -fuzz FuzzJournalRecord -fuzztime "$fuzztime" -run FuzzJournalRecord ./internal/journal/
 go test -fuzz FuzzStreamRecord -fuzztime "$fuzztime" -run FuzzStreamRecord ./internal/dist/
+go test -fuzz FuzzEntityRecord -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzEntityRecord ./internal/dist/
 go test -fuzz FuzzShardRequest -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzShardRequest ./internal/server/

@@ -77,8 +77,10 @@ type (
 	JournalOptions = journal.Options
 	// JournalRecord is one journaled per-entity outcome.
 	JournalRecord = journal.Record
-	// JournalReport is the journaled form of a Report; JournalReport.Report
-	// reconstructs a Report that renders byte-identically.
+	// JournalReport is the journal's handle on a Report: NewJournalReport
+	// wraps a Report without copying, the journal encodes it as JSON and
+	// decodes it straight back into a Report, and JournalReport.Report
+	// returns that Report, which renders byte-identically to the original.
 	JournalReport = journal.ReportRecord
 	// JournalStats is a point-in-time copy of a journal's counters.
 	JournalStats = journal.Stats
@@ -98,8 +100,9 @@ func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	return journal.Open(path, opts)
 }
 
-// NewJournalReport converts a report into its journaled form — what
-// cvwatch appends to persist its drift baseline across restarts.
+// NewJournalReport returns the journal's handle on rep, without copying —
+// what cvwatch appends to persist its drift baseline across restarts. rep
+// must not change while a record holds it.
 func NewJournalReport(rep *Report) *JournalReport { return journal.NewReportRecord(rep) }
 
 // Status values, re-exported.
