@@ -581,3 +581,89 @@ func TestChaosDistributedStuckConsumer(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestDistributedCoordinatorJournalResume pins the coordinator's half of
+// the resume policy: it commits every merged result it did not replay
+// from its own journal, worker-resumed ones included, so a re-run over
+// that journal replays the whole fleet without dispatching a shard.
+func TestDistributedCoordinatorJournalResume(t *testing.T) {
+	const fleetSize = 8
+	want := baselineSummary(t, fleetSize)
+	w, _ := drillWorker(t, 0)
+	jpath := filepath.Join(t.TempDir(), "coordinator.cvj")
+
+	// run scans the drill fleet through the worker, over a coordinator
+	// journal when jrnl is set, and returns the results and counters.
+	run := func(jrnl *configvalidator.Journal) ([]configvalidator.FleetResult, configvalidator.MetricsSnapshot) {
+		t.Helper()
+		collector := configvalidator.NewCollector()
+		v, err := configvalidator.New(configvalidator.WithTelemetry(collector))
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord := dist.NewCoordinator([]string{w.URL}, dist.Options{
+			ShardSize:         4,
+			LeaseTTL:          5 * time.Second,
+			HeartbeatInterval: 25 * time.Millisecond,
+			Logf:              drillLogf(t),
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		var all []configvalidator.FleetResult
+		for res := range v.ValidateFleet(ctx, drillEntities(t, fleetSize),
+			configvalidator.FleetOptions{Scheduler: coord, Journal: jrnl}) {
+			if res.Err != nil {
+				t.Fatalf("entity %s: %v", res.Entity, res.Err)
+			}
+			all = append(all, res)
+		}
+		if got := summarizeAll(all).String(); got != want {
+			t.Fatalf("summary diverged from clean run:\n got: %s\nwant: %s", got, want)
+		}
+		return all, collector.Snapshot()
+	}
+	open := func() *configvalidator.Journal {
+		t.Helper()
+		j, err := configvalidator.OpenJournal(jpath, configvalidator.JournalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	// Run 1, no coordinator journal: the worker fills its shard segments.
+	run(nil)
+
+	// Run 2, a fresh coordinator journal: the worker replays every entity
+	// from its segments, and the coordinator commits every result.
+	j := open()
+	all, _ := run(j)
+	for _, res := range all {
+		if !res.Resumed || res.Worker != w.URL {
+			t.Errorf("run 2: %s resumed=%v worker=%q, want resumed by the worker", res.Entity, res.Resumed, res.Worker)
+		}
+	}
+	if st := j.Stats(); st.Appends != fleetSize || st.Entities != fleetSize {
+		t.Errorf("run 2: coordinator journal holds %d appends over %d entities, want %d", st.Appends, st.Entities, fleetSize)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Run 3, the reopened journal: the coordinator replays every entity
+	// itself and ships nothing.
+	j = open()
+	defer j.Close()
+	all, snap := run(j)
+	for _, res := range all {
+		if !res.Resumed || res.Worker != "" {
+			t.Errorf("run 3: %s resumed=%v worker=%q, want replayed by the coordinator", res.Entity, res.Resumed, res.Worker)
+		}
+	}
+	if snap.ShardsDispatched != 0 {
+		t.Errorf("run 3 dispatched %d shards, want 0", snap.ShardsDispatched)
+	}
+	if st := j.Stats(); st.Appends != 0 {
+		t.Errorf("run 3 appended %d records, want 0 (replays are not committed again)", st.Appends)
+	}
+}

@@ -84,7 +84,7 @@ func run(args []string, out io.Writer) error {
 
 	// With -checkpoint, an unchanged entity replays its journaled report
 	// instead of re-scanning (idempotent re-validation); a changed or
-	// never-seen one scans and appends.
+	// never-seen one scans and commits.
 	var (
 		report *configvalidator.Report
 		jrnl   *configvalidator.Journal
@@ -100,12 +100,10 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer func() { _ = jrnl.Close() }()
-		if d, derr := v.ConfigDigest(ent, *target); derr == nil {
-			digest = d
-			if rec, ok := jrnl.Lookup(ent.Name(), d); ok {
-				report = rec.Report.Report()
-				fmt.Fprintf(os.Stderr, "configvalidator: %s unchanged, replaying journaled result\n", ent.Name())
-			}
+		digest, _ = v.ConfigDigest(ent, *target)
+		if rep, ok := jrnl.Replay(ent.Name(), digest); ok {
+			report = rep
+			fmt.Fprintf(os.Stderr, "configvalidator: %s unchanged, replaying journaled result\n", ent.Name())
 		}
 	}
 	if report == nil {
@@ -117,15 +115,8 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if jrnl != nil {
-			if aerr := jrnl.Append(configvalidator.JournalRecord{
-				Entity: ent.Name(),
-				Digest: digest,
-				Report: configvalidator.NewJournalReport(report),
-			}); aerr != nil {
-				fmt.Fprintln(os.Stderr, "configvalidator: checkpoint append:", aerr)
-			}
-		}
+		// A failed commit, announced by OnDegraded, leaves the report standing.
+		_ = jrnl.Commit(ent.Name(), digest, report, nil)
 	}
 
 	outOpts := configvalidator.OutputOptions{

@@ -204,14 +204,9 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 			}
 		}
 		previous = report
-		if jrnl != nil {
-			if aerr := jrnl.Append(configvalidator.JournalRecord{
-				Entity: report.EntityName,
-				Report: configvalidator.NewJournalReport(report),
-			}); aerr != nil {
-				fmt.Fprintf(errOut, "cvwatch: checkpoint append: %v\n", aerr)
-			}
-		}
+		// Digest-less: the baseline is restored by Latest, never replayed.
+		// A failed commit, announced by OnDegraded, leaves the watch running.
+		_ = jrnl.Commit(report.EntityName, "", report, nil)
 		if *maxScans > 0 && scans >= *maxScans {
 			return nil
 		}

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
 
 	"configvalidator/internal/engine"
-	"configvalidator/internal/journal"
 )
 
 // ErrScanTimeout marks a scan abandoned at its per-entity deadline
@@ -88,35 +86,19 @@ type FleetOptions struct {
 	// entities failing together against one flaky backend does not retry
 	// in lockstep. Backoff waits honor context cancellation.
 	RetryBackoff time.Duration
-	// Journal, when set, makes the run crash-safe and resumable: every
-	// FleetResult is appended to it as it completes, and an entity whose
-	// (name, config digest) matches a journaled completed record is
-	// skipped — its report replayed instead of re-scanned (FleetResult
-	// with Resumed set). A run killed partway is resumed by re-running it
-	// over the same journal; the union of results equals one uninterrupted
-	// run. Open or recover one with OpenJournal.
+	// Journal, when set, makes the run crash-safe and resumable through
+	// Journal.Replay and Journal.Commit: an entity whose (name, config
+	// digest) matches a journaled completed record is replayed (FleetResult
+	// with Resumed set), and every other outcome, worker-resumed ones under
+	// a distributed scheduler included, is committed as it completes. A run
+	// killed partway is resumed by re-running it over the same journal; the
+	// union of results equals one uninterrupted run. Open or recover one
+	// with OpenJournal.
 	Journal *Journal
 	// Scheduler selects the execution substrate; nil runs the in-process
 	// worker pool. A distributed run sets it to a dist.Coordinator, which
 	// shards the entity stream across remote worker cvservers.
 	Scheduler Scheduler
-	// Logf receives rare operator-facing messages — today only the
-	// one-shot "journal degraded" notice when results stop persisting.
-	// Nil writes to standard error.
-	Logf func(format string, args ...any)
-
-	// journalLogOnce deduplicates the degraded-journal operator notice
-	// for one run; the local scheduler installs it before fan-out.
-	journalLogOnce *sync.Once
-}
-
-// logf routes an operator message to Logf or standard error.
-func (o FleetOptions) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-		return
-	}
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
 const (
@@ -189,7 +171,6 @@ func (localScheduler) Schedule(ctx context.Context, v *Validator, entities <-cha
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	opts.journalLogOnce = new(sync.Once)
 	results := make(chan FleetResult)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -225,81 +206,47 @@ func (localScheduler) Schedule(ctx context.Context, v *Validator, entities <-cha
 	return results
 }
 
-// scanJournaled wraps scanOne with the journal's resume/append protocol:
-// an entity whose (name, config digest) matches a journaled completed
-// record replays it instead of re-scanning; every other outcome is
-// appended to the journal as it completes.
+// scanJournaled wraps scanOne in the journal's resume policy: an entity
+// the journal replays is not scanned, and every scanned outcome is
+// committed as it completes.
 func (v *Validator) scanJournaled(ctx context.Context, ent Entity, opts FleetOptions) FleetResult {
-	if opts.Journal == nil {
-		res := v.scanOne(ctx, ent, opts)
-		res.Entity = ent.Name()
-		return res
-	}
-	digest, derr := v.safeConfigDigest(ctx, ent, opts)
-	if derr == nil {
-		if rec, ok := opts.Journal.Lookup(ent.Name(), digest); ok {
-			v.telemetry.JournalEntitySkipped()
-			return FleetResult{Entity: ent.Name(), Report: rec.Report.Report(), Resumed: true}
+	var digest string
+	if opts.Journal != nil {
+		// An empty digest scans the entity and never replays its record.
+		digest = v.safeConfigDigest(ctx, ent, opts)
+		if rep, ok := opts.Journal.Replay(ent.Name(), digest); ok {
+			return FleetResult{Entity: ent.Name(), Report: rep, Resumed: true}
 		}
 	}
 	res := v.scanOne(ctx, ent, opts)
 	res.Entity = ent.Name()
-	rec := journal.Record{Entity: ent.Name()}
-	if res.Err != nil {
-		// Failed scans are journaled digest-less: audit-only records that a
-		// resumed run re-scans.
-		rec.Err = res.Err.Error()
-	} else {
-		rec.Report = journal.NewReportRecord(res.Report)
-		// An entity whose digest could not be computed still journals its
-		// report (for merging and drift), but without a digest it can never
-		// satisfy a resume Lookup.
-		if derr == nil {
-			rec.Digest = digest
-		}
-	}
-	// An append failure (disk full) must not fail the scan: the result is
-	// still delivered in-memory. But it must not be silent either — count
-	// it, mark the result, and tell the operator once per run.
-	if err := opts.Journal.Append(rec); err != nil {
-		v.telemetry.JournalAppendError()
-		res.JournalDegraded = true
-		if opts.journalLogOnce != nil {
-			opts.journalLogOnce.Do(func() {
-				opts.logf("fleet: journal degraded, results no longer persisted (scan continues): %v", err)
-			})
-		}
-	}
+	// A failed append does not fail the scan: the result is delivered,
+	// marked as not persisted.
+	res.JournalDegraded = opts.Journal.Commit(res.Entity, digest, res.Report, res.Err) != nil
 	return res
 }
 
 // safeConfigDigest bounds ConfigDigest by the scan deadline — a hung
 // entity must not stall the resume check any more than it may stall a
 // scan. As in scanAttempt, an abandoned digest goroutine is left to finish
-// on its own.
-func (v *Validator) safeConfigDigest(ctx context.Context, ent Entity, opts FleetOptions) (string, error) {
+// on its own. A digest that fails or runs out of time is empty, which
+// never replays.
+func (v *Validator) safeConfigDigest(ctx context.Context, ent Entity, opts FleetOptions) string {
 	if opts.ScanTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.ScanTimeout)
 		defer cancel()
 	}
-	if ctx.Done() == nil {
-		return v.ConfigDigest(ent, opts.Target)
-	}
-	type outcome struct {
-		digest string
-		err    error
-	}
-	done := make(chan outcome, 1)
+	done := make(chan string, 1)
 	go func() {
-		d, err := v.ConfigDigest(ent, opts.Target)
-		done <- outcome{digest: d, err: err}
+		d, _ := v.ConfigDigest(ent, opts.Target) // "" on any error
+		done <- d
 	}()
 	select {
-	case out := <-done:
-		return out.digest, out.err
+	case d := <-done:
+		return d
 	case <-ctx.Done():
-		return "", fmt.Errorf("digest %s: %w", ent.Name(), context.Cause(ctx))
+		return ""
 	}
 }
 

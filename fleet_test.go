@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1029,19 +1030,21 @@ func TestJournalDegradedExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faults.MustNew(faults.Rule{Op: faults.OpJournalAppend, Kind: faults.KindENOSPC})
-	jrnl, err := OpenJournal(filepath.Join(t.TempDir(), "fleet.cvj"),
-		JournalOptions{Faults: inj, Metrics: collector})
+	var logged atomic.Int64
+	jrnl, err := OpenJournal(filepath.Join(t.TempDir(), "fleet.cvj"), JournalOptions{
+		Faults:     inj,
+		Metrics:    collector,
+		OnDegraded: func(error) { logged.Add(1) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jrnl.Close()
 
 	const n = 6
-	var logged int
 	sum := Summarize(v.ValidateFleet(context.Background(), feedFleet(t, n, 0.5), FleetOptions{
 		Workers: 2,
 		Journal: jrnl,
-		Logf:    func(string, ...any) { logged++ },
 	}))
 	if sum.Scanned != n || sum.Errors != 0 {
 		t.Fatalf("summary = %+v: journal degradation must not fail scans", sum)
@@ -1052,8 +1055,8 @@ func TestJournalDegradedExposition(t *testing.T) {
 	if !strings.Contains(sum.String(), fmt.Sprintf("journal_degraded=%d", n)) {
 		t.Errorf("summary digest %q missing journal_degraded=%d", sum.String(), n)
 	}
-	if logged != 1 {
-		t.Errorf("operator log fired %d times, want exactly 1 per run", logged)
+	if got := logged.Load(); got != 1 {
+		t.Errorf("operator log fired %d times, want exactly 1 per run", got)
 	}
 	if !jrnl.Degraded() {
 		t.Error("journal not degraded after ENOSPC appends")

@@ -20,6 +20,15 @@ import (
 	"configvalidator/internal/telemetry"
 )
 
+// A shard is re-leased at most maxReassignments times before its
+// remaining entities fail with ErrLeaseRevoked, and a dispatch is retried
+// in place at most dispatchRetries times against a worker's backpressure
+// (429/503 with Retry-After, 409 segment-busy) before it fails the lease.
+const (
+	maxReassignments = 3
+	dispatchRetries  = 8
+)
+
 // Options tune a Coordinator.
 type Options struct {
 	// ShardSize is the number of entities leased to a worker per request;
@@ -35,14 +44,6 @@ type Options struct {
 	// 0 means LeaseTTL/4. It must be comfortably under LeaseTTL or healthy
 	// slow scans get revoked.
 	HeartbeatInterval time.Duration
-	// MaxReassignments bounds how many times one shard may be re-leased
-	// after failures before its remaining entities are reported as
-	// ErrLeaseRevoked errors; 0 means 3.
-	MaxReassignments int
-	// DispatchRetries bounds in-place retries against one worker's
-	// backpressure (429/503 with Retry-After, 409 segment-busy) before the
-	// attempt counts as a lease failure; 0 means 8.
-	DispatchRetries int
 	// ProbeLimit is how many /readyz probes a failed worker gets before it
 	// is declared dead; 0 means 30. When every worker is dead, pending
 	// shards fail fast instead of queueing forever.
@@ -83,12 +84,6 @@ func (o Options) withDefaults() Options {
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = o.LeaseTTL / 4
 	}
-	if o.MaxReassignments <= 0 {
-		o.MaxReassignments = 3
-	}
-	if o.DispatchRetries <= 0 {
-		o.DispatchRetries = 8
-	}
 	if o.ProbeLimit <= 0 {
 		o.ProbeLimit = 30
 	}
@@ -118,10 +113,11 @@ func (o Options) withDefaults() Options {
 // Results the failed worker already delivered are kept; a revoked stream
 // racing its replacement cannot double-count an entity, because the
 // coordinator emits each entity exactly once (first writer wins, later
-// arrivals are dropped and counted). With FleetOptions.Journal set, every
-// merged result is appended to the coordinator's journal exactly as a
-// local run would, so a killed coordinator resumes the same way a killed
-// local run does.
+// arrivals are dropped and counted). With FleetOptions.Journal set, an
+// entity the journal replays is not shipped and every merged result is
+// committed, worker-resumed ones included, so a killed coordinator
+// resumes the way a killed local run does; without one, no entity is
+// digested.
 type Coordinator struct {
 	workers []string
 	opts    Options
@@ -211,18 +207,17 @@ type run struct {
 	// every entity it packs.
 	frame []byte
 
-	// stallWarn and logf come from the coordinator's Options; jrnlOnce and
-	// stallOnce gate the one-shot operator logs for coordinator-journal
-	// degradation and the first merge stall.
+	// stallWarn and logf come from the coordinator's Options; stallOnce
+	// gates the one-shot operator log of the first merge stall.
 	stallWarn time.Duration
 	logf      func(format string, args ...any)
-	jrnlOnce  sync.Once
 	stallOnce sync.Once
 }
 
-// emit delivers one result exactly once, journaling it like a local run
-// would. Duplicate deliveries — a revoked lease's stream racing its
-// replacement — are dropped and counted, never double-journaled.
+// emit delivers one result exactly once, committing it to the coordinator
+// journal like a local run would; committing a result replayed from that
+// journal is a no-op. Duplicate deliveries — a revoked lease's stream
+// racing its replacement — are dropped and counted, never double-journaled.
 func (r *run) emit(res configvalidator.FleetResult, digest string) {
 	r.mu.Lock()
 	if r.emitted[res.Entity] {
@@ -232,27 +227,9 @@ func (r *run) emit(res configvalidator.FleetResult, digest string) {
 	}
 	r.emitted[res.Entity] = true
 	r.mu.Unlock()
-	if r.fopts.Journal != nil && !res.Resumed {
-		rec := journal.Record{Entity: res.Entity}
-		if res.Err != nil {
-			// Failed scans journal digest-less: audit-only records a resumed
-			// run re-scans — the same policy as a local run.
-			rec.Err = res.Err.Error()
-		} else {
-			rec.Report = journal.NewReportRecord(res.Report)
-			rec.Digest = digest
-		}
-		// Append failures (disk full) must not fail the scan: count them,
-		// mark the result so the summary reports the lost durability, and
-		// tell the operator once — the journal's re-probe loop owns recovery.
-		if err := r.fopts.Journal.Append(rec); err != nil {
-			r.metrics.JournalAppendError()
-			res.JournalDegraded = true
-			r.jrnlOnce.Do(func() {
-				r.logf("dist: coordinator journal degraded, results no longer persisted (scan continues): %v", err)
-			})
-		}
-	}
+	// A failed commit does not fail the scan: the result is delivered
+	// marked as not persisted.
+	res.JournalDegraded = r.fopts.Journal.Commit(res.Entity, digest, res.Report, res.Err) != nil
 	// Delivery blocks when the consumer is slow — that is the backpressure
 	// path: this goroutine stops reading its shard stream, the worker
 	// blocks writing, and no new work is pulled. A stall past StallWarn is
@@ -390,20 +367,19 @@ func (c *Coordinator) produce(r *run, v *configvalidator.Validator, entities <-c
 	}
 }
 
-// pack prepares one entity for shipping: digest for resume and journaling,
-// then frame capture. It reports done=true when the entity needs no remote
-// scan — replayed from the coordinator journal, or failed during capture —
-// in which case the result has already been emitted.
+// pack prepares one entity for shipping: digest for resume and journaling
+// when there is a coordinator journal, then frame capture. It reports
+// done=true when the entity needs no remote scan — replayed from the
+// coordinator journal, or failed during capture — in which case the
+// result has already been emitted.
 func (c *Coordinator) pack(r *run, v *configvalidator.Validator, ent configvalidator.Entity) (item, bool) {
 	name := ent.Name()
-	digest, derr := v.ConfigDigest(ent, r.fopts.Target)
-	if derr != nil {
-		digest = ""
-	}
-	if digest != "" && r.fopts.Journal != nil {
-		if rec, ok := r.fopts.Journal.Lookup(name, digest); ok {
-			r.metrics.JournalEntitySkipped()
-			r.emit(configvalidator.FleetResult{Entity: name, Report: rec.Report.Report(), Resumed: true}, digest)
+	// Without a journal, lines carry an empty digest; workers echo it.
+	var digest string
+	if r.fopts.Journal != nil {
+		digest, _ = v.ConfigDigest(ent, r.fopts.Target)
+		if rep, ok := r.fopts.Journal.Replay(name, digest); ok {
+			r.emit(configvalidator.FleetResult{Entity: name, Report: rep, Resumed: true}, digest)
 			return item{}, true
 		}
 	}
@@ -463,7 +439,7 @@ func (c *Coordinator) runShard(r *run, v *configvalidator.Validator, w string, s
 	// The worker failed its lease: quarantine it behind readiness probes.
 	go c.probeWorker(r, w)
 
-	if s.attempt >= c.opts.MaxReassignments {
+	if s.attempt >= maxReassignments {
 		r.metrics.ShardCompleted()
 		r.failShard(s, fmt.Errorf("lease failed %d times, last: %v", s.attempt+1, err))
 		return
@@ -664,7 +640,7 @@ func (c *Coordinator) dispatch(r *run, leaseCtx context.Context, w string, s *sh
 			// for this shard is still flock-held by a previous, revoked lease
 			// whose request is tearing down; both heal with a bounded wait.
 			_ = resp.Body.Close()
-			if attempt >= c.opts.DispatchRetries {
+			if attempt >= dispatchRetries {
 				return nil, fmt.Errorf("worker shedding load: %s after %d attempts", resp.Status, attempt+1)
 			}
 			r.metrics.WorkerRPCRetry()

@@ -177,9 +177,7 @@ func (s *CachedSource) Resolve(path string) ([]*compiledRule, error) {
 // shared and must not be modified.
 //
 // A file that cannot name a parent (cvl.MayNameParent) is its own whole
-// chain and is only read and hashed: a fleet coordinator digests every
-// entity it ships but scans none, and resolving the library there would
-// add about a millisecond before its first shard.
+// chain and is only read and hashed, not resolved.
 func (s *CachedSource) Fingerprint(path string) ([]RuleFileSum, error) {
 	s.mu.Lock()
 	sums, ok := s.sums[path]
@@ -217,6 +215,22 @@ func (s *CachedSource) Fingerprint(path string) ([]RuleFileSum, error) {
 	}
 	s.mu.Unlock()
 	return sums, nil
+}
+
+// PathTargets returns the path_name of every path rule that resolving
+// path yields: the files a scan stats wherever they lie.
+func (s *CachedSource) PathTargets(path string) ([]string, error) {
+	r, err := s.resolve(path)
+	if err != nil {
+		return nil, err
+	}
+	var targets []string
+	for _, c := range r.rules {
+		if c.rule.Type == cvl.TypePath {
+			targets = append(targets, c.rule.Name)
+		}
+	}
+	return targets, nil
 }
 
 // resolve returns the memoized resolution of path, resolving and

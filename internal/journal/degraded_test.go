@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -78,6 +79,42 @@ func TestDegradedEntersOnENOSPCAndFailsFast(t *testing.T) {
 	}
 	if len(m.degradedFlips) != 1 || !m.degradedFlips[0] {
 		t.Errorf("degraded gauge flips = %v, want [true]", m.degradedFlips)
+	}
+}
+
+// TestDegradedNoticeDefaultsToStderr: without an OnDegraded hook the
+// journal itself announces each degradation episode, once, on standard
+// error.
+func TestDegradedNoticeDefaultsToStderr(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = stderr }()
+
+	inj := faults.MustNew(faults.Rule{Op: faults.OpJournalAppend, Kind: faults.KindENOSPC})
+	j := mustOpen(t, filepath.Join(t.TempDir(), "fleet.cvj"), Options{Faults: inj})
+	now := fakeClock(j)
+	for i := 0; i < 3; i++ {
+		if err := j.Commit("host-00", "d0", sampleReport(0), nil); err == nil {
+			t.Fatal("commit succeeded under permanent ENOSPC")
+		}
+		*now = now.Add(time.Minute) // each later commit re-probes and fails again
+	}
+	j.Close()
+	os.Stderr = stderr
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(out), "degraded"); n != 1 {
+		t.Errorf("stderr carries %d degraded notices, want 1:\n%s", n, out)
+	}
+	if !strings.Contains(string(out), j.Path()) {
+		t.Errorf("notice does not name the journal: %s", out)
 	}
 }
 
@@ -168,10 +205,10 @@ func TestShortWriteTornTailRestored(t *testing.T) {
 	if st.Replayed != 1 || st.CorruptRecords != 0 {
 		t.Errorf("replay = %+v, want exactly the 1 good record and no corruption", st)
 	}
-	if _, ok := j2.Lookup("host-01", "digest-01"); !ok {
+	if _, ok := j2.Replay("host-01", "digest-01"); !ok {
 		t.Error("post-restore record not replayed")
 	}
-	if _, ok := j2.Lookup("host-00", "digest-00"); ok {
+	if _, ok := j2.Replay("host-00", "digest-00"); ok {
 		t.Error("torn record replayed")
 	}
 }
@@ -257,11 +294,11 @@ func TestCompactUnderENOSPCLeavesLiveFileIntact(t *testing.T) {
 	if string(before) != string(after) {
 		t.Fatal("failed compaction modified the live journal")
 	}
-	// The handle stays fully usable: appends and lookups keep working.
+	// The handle stays fully usable: appends and replays keep working.
 	if err := j.Append(sampleRecord(3)); err != nil {
 		t.Fatalf("append after failed compact: %v", err)
 	}
-	if _, ok := j.Lookup("host-00", "digest-00"); !ok {
+	if _, ok := j.Replay("host-00", "digest-00"); !ok {
 		t.Error("index lost after failed compact")
 	}
 	fsutil.ArmFaults(nil)

@@ -106,9 +106,9 @@ func renderText(t *testing.T, rep *engine.Report) []byte {
 }
 
 // TestOldFormatFixture pins compatibility with journals written through
-// json.Marshal: Open replays the fixture and truncates its torn tail, each
-// replayed record equals what json.Unmarshal reads from the same payload
-// and renders like its source, and appending the same records today
+// json.Marshal: Open replays the fixture and truncates its torn tail, the
+// Decoder reads each record as json.Unmarshal reads the same payload, the
+// report renders like its source, and appending the same records today
 // reproduces the fixture's bytes.
 func TestOldFormatFixture(t *testing.T) {
 	blob, err := os.ReadFile(oldFormatFixture)
@@ -125,8 +125,7 @@ func TestOldFormatFixture(t *testing.T) {
 	if st.Replayed != int64(len(recs)) || st.CorruptRecords != 1 || st.Entities != len(recs)-2 {
 		t.Fatalf("stats = %+v, want %d replayed, 1 corrupt, %d entities", st, len(recs), len(recs)-2)
 	}
-	replayed := j.Replayed()
-	if got, _ := j.Lookup("html-<&>", "digest-e"); got.Report == nil {
+	if got, _ := j.Replay("html-<&>", "digest-e"); got == nil {
 		t.Error("duplicate entity: the later record did not win")
 	}
 	if err := j.Close(); err != nil {
@@ -135,10 +134,16 @@ func TestOldFormatFixture(t *testing.T) {
 
 	reps := fixtureReports()
 	off := int64(len(magic))
-	for i, got := range replayed {
+	var dec Decoder
+	for i := range recs {
 		length := int64(binary.LittleEndian.Uint32(blob[off:]))
+		payload := blob[off+8 : off+8+length]
+		got, err := dec.record(string(payload))
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
 		var oracle oracleRecord
-		if err := json.Unmarshal(blob[off+8:off+8+length], &oracle); err != nil {
+		if err := json.Unmarshal(payload, &oracle); err != nil {
 			t.Fatalf("record %d: oracle: %v", i, err)
 		}
 		off += 8 + length

@@ -11,6 +11,12 @@
 // journaled result must be indistinguishable from re-scanning an unchanged
 // entity.
 //
+// # Resume
+//
+// Replay and Commit are the resume policy every journaled scanner
+// applies: an entity whose digest is unchanged replays its report, and
+// every other outcome is committed as it completes.
+//
 // # File format
 //
 // A journal is an 8-byte magic ("CVJRNL01") followed by records:
@@ -54,8 +60,9 @@
 // re-probe (ReprobeInterval) periodically truncates any torn partial
 // write back to the last known-good byte and retries for real; the first
 // success exits degraded mode and journaling resumes. Callers observe
-// failures per append (they are never silent) but the scan itself
-// continues and produces identical findings — only durability degrades.
+// failures per append and OnDegraded announces each episode once, but
+// the scan itself continues and produces identical findings — only
+// durability degrades.
 //
 // # Ownership
 //
@@ -136,6 +143,10 @@ type Metrics interface {
 	JournalDegraded(degraded bool)
 	// JournalReprobe records one degraded-mode write re-probe attempt.
 	JournalReprobe()
+	// JournalEntitySkipped records one Replay hit: an entity not re-scanned.
+	JournalEntitySkipped()
+	// JournalAppendError records one failed Commit.
+	JournalAppendError()
 }
 
 // Options tune a journal.
@@ -162,9 +173,10 @@ type Options struct {
 	// re-probes the disk with a real write; 0 means 500ms. Probes back
 	// off with decorrelated jitter up to 10s while failures persist.
 	ReprobeInterval time.Duration
-	// OnDegraded, if set, is called once per degradation episode with
-	// the first append/sync error — the one-shot operator log hook. It
-	// runs under the journal lock: log and return, do not call back.
+	// OnDegraded is called once per degradation episode with the first
+	// append/sync error: the one notice that results stopped persisting.
+	// Nil writes that notice to standard error. It runs under the
+	// journal lock: log and return, do not call back.
 	OnDegraded func(error)
 	// OnRecovered, if set, is called when a re-probe succeeds and
 	// journaling resumes. Same locking caveat as OnDegraded.
@@ -177,8 +189,8 @@ type Options struct {
 type Record struct {
 	// Entity is the scanned entity's name.
 	Entity string
-	// Digest is the entity's config digest at scan time; records with an
-	// empty digest are audit-only and never satisfy a Lookup.
+	// Digest is the entity's config digest at scan time; a record with an
+	// empty digest is never replayed.
 	Digest string
 	// Err is the scan failure, when the scan did not complete. Failed
 	// scans are journaled for reconciliation but never replayed — a
@@ -215,9 +227,8 @@ type Journal struct {
 
 	// index maps entity name to its latest completed record — duplicate
 	// records for one entity resolve last-writer-wins.
-	index    map[string]Record
-	latest   *Record // most recent completed record (replay, then appends)
-	replayed []Record
+	index  map[string]Record
+	latest *Record // most recent completed record (replay, then appends)
 
 	appends, appendErrs, replayedN, corrupt int64
 	sinceSync                               int
@@ -326,7 +337,6 @@ func (j *Journal) recover() error {
 			return j.truncateTo(offset, false)
 		}
 		j.absorb(rec)
-		j.replayed = append(j.replayed, rec)
 		j.replayedN++
 		if j.opts.Metrics != nil {
 			j.opts.Metrics.JournalReplayed()
@@ -506,6 +516,8 @@ func (j *Journal) degrade(err error) {
 		}
 		if j.opts.OnDegraded != nil {
 			j.opts.OnDegraded(err)
+		} else {
+			fmt.Fprintf(os.Stderr, "journal %s degraded, results no longer persisted (scan continues): %v\n", j.path, err)
 		}
 	}
 	j.scheduleReprobe()
@@ -611,20 +623,53 @@ func (j *Journal) syncNow() error {
 	return nil
 }
 
-// Lookup returns the latest completed record for the entity when its
-// journaled digest matches — the resume test ValidateFleet applies before
-// re-scanning. An empty digest never matches.
-func (j *Journal) Lookup(entity, digest string) (Record, bool) {
+// Replay returns the entity's journaled report when it was committed
+// under digest, so the caller need not scan. An empty digest never
+// replays, nor does a failed scan. A hit counts as
+// Metrics.JournalEntitySkipped.
+func (j *Journal) Replay(entity, digest string) (*engine.Report, bool) {
 	if j == nil || digest == "" {
-		return Record{}, false
+		return nil, false
 	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	rec, ok := j.index[entity]
+	j.mu.Unlock()
 	if !ok || rec.Digest != digest {
-		return Record{}, false
+		return nil, false
 	}
-	return rec, true
+	if j.opts.Metrics != nil {
+		j.opts.Metrics.JournalEntitySkipped()
+	}
+	return rec.Report.Report(), true
+}
+
+// Commit journals one scan outcome: the report under digest, or, when
+// scanErr is set, an audit-only record that never replays. A report under
+// an empty digest is kept as the Latest baseline but never replayed; one
+// already journaled under the same digest is not appended again. The
+// journal keeps rep for Replay and Latest, so it must not change. A failed
+// append counts as Metrics.JournalAppendError and is returned.
+func (j *Journal) Commit(entity, digest string, rep *engine.Report, scanErr error) error {
+	if j == nil {
+		return nil
+	}
+	rec := Record{Entity: entity}
+	if scanErr != nil {
+		rec.Err = scanErr.Error()
+	} else {
+		j.mu.Lock()
+		held := digest != "" && j.index[entity].Digest == digest
+		j.mu.Unlock()
+		if held {
+			return nil
+		}
+		rec.Digest, rec.Report = digest, NewReportRecord(rep)
+	}
+	err := j.Append(rec)
+	if err != nil && j.opts.Metrics != nil {
+		j.opts.Metrics.JournalAppendError()
+	}
+	return err
 }
 
 // Latest returns the most recent completed record — replayed or appended —
@@ -639,15 +684,6 @@ func (j *Journal) Latest() (Record, bool) {
 		return Record{}, false
 	}
 	return *j.latest, true
-}
-
-// Replayed returns the records recovered at Open, in file order.
-func (j *Journal) Replayed() []Record {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Record, len(j.replayed))
-	copy(out, j.replayed)
-	return out
 }
 
 // Stats copies the current counters.
@@ -733,16 +769,6 @@ func (j *Journal) Compact() error {
 		j.clearDegraded()
 	}
 	return nil
-}
-
-// Sync forces an fsync regardless of the sync policy.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	return j.syncNow()
 }
 
 // Close syncs and closes the journal. Further appends fail with ErrClosed.

@@ -169,27 +169,27 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("entities = %d, want 5 (failure records are not indexed)", st.Entities)
 	}
 	for i := 0; i < 5; i++ {
-		rec, ok := j2.Lookup(fmt.Sprintf("host-%02d", i), fmt.Sprintf("digest-%02d", i))
+		rep, ok := j2.Replay(fmt.Sprintf("host-%02d", i), fmt.Sprintf("digest-%02d", i))
 		if !ok {
-			t.Fatalf("lookup host-%02d missed", i)
+			t.Fatalf("replay host-%02d missed", i)
 		}
-		got := renderJSON(t, rec.Report.Report())
+		got := renderJSON(t, rep)
 		want := renderJSON(t, sampleReport(i))
 		if !bytes.Equal(got, want) {
 			t.Errorf("host-%02d: replayed report not byte-identical\ngot:  %s\nwant: %s", i, got, want)
 		}
 	}
-	// A failed scan is replayed for audit but never satisfies Lookup.
-	if _, ok := j2.Lookup("broken-image:v1", "anything"); ok {
-		t.Error("failure record satisfied Lookup")
+	// A failed scan is recovered for audit but never replays.
+	if _, ok := j2.Replay("broken-image:v1", "anything"); ok {
+		t.Error("failure record replayed")
 	}
 	// Digest mismatch (config changed) must force a re-scan.
-	if _, ok := j2.Lookup("host-00", "some-other-digest"); ok {
-		t.Error("stale digest satisfied Lookup")
+	if _, ok := j2.Replay("host-00", "some-other-digest"); ok {
+		t.Error("stale digest replayed")
 	}
 	// Empty digest never matches.
-	if _, ok := j2.Lookup("host-00", ""); ok {
-		t.Error("empty digest satisfied Lookup")
+	if _, ok := j2.Replay("host-00", ""); ok {
+		t.Error("empty digest replayed")
 	}
 }
 
@@ -295,10 +295,10 @@ func TestBitFlipMidFile(t *testing.T) {
 			if st.Replayed != 1 || st.CorruptRecords != 1 {
 				t.Fatalf("stats = %+v, want 1 replayed + 1 corrupt", st)
 			}
-			if _, ok := j2.Lookup("host-00", "digest-00"); !ok {
+			if _, ok := j2.Replay("host-00", "digest-00"); !ok {
 				t.Error("record before the flip lost")
 			}
-			if _, ok := j2.Lookup("host-02", "digest-02"); ok {
+			if _, ok := j2.Replay("host-02", "digest-02"); ok {
 				t.Error("record after the flip survived a truncating recovery")
 			}
 			// Still appendable; the dropped records are simply re-scanned.
@@ -330,15 +330,15 @@ func TestDuplicateEntityLastWriterWins(t *testing.T) {
 
 	j2 := mustOpen(t, path, Options{})
 	defer j2.Close()
-	if _, ok := j2.Lookup("host-00", "digest-00"); ok {
+	if _, ok := j2.Replay("host-00", "digest-00"); ok {
 		t.Error("superseded record still resumable")
 	}
-	rec, ok := j2.Lookup("host-00", "digest-v2")
+	rep, ok := j2.Replay("host-00", "digest-v2")
 	if !ok {
 		t.Fatal("latest record not resumable")
 	}
-	if !bytes.Equal(renderJSON(t, rec.Report.Report()), renderJSON(t, sampleReport(7))) {
-		t.Error("lookup returned the older duplicate")
+	if !bytes.Equal(renderJSON(t, rep), renderJSON(t, sampleReport(7))) {
+		t.Error("replay returned the older duplicate")
 	}
 	if st := j2.Stats(); st.Entities != 1 {
 		t.Errorf("entities = %d, want 1", st.Entities)
@@ -386,10 +386,10 @@ func TestCompactThenTail(t *testing.T) {
 	if st.Entities != 5 {
 		t.Fatalf("entities = %d, want 5", st.Entities)
 	}
-	if _, ok := j2.Lookup("host-01", "digest-v2"); !ok {
+	if _, ok := j2.Replay("host-01", "digest-v2"); !ok {
 		t.Error("compacted record lost its last-writer-wins value")
 	}
-	if rec, ok := j2.Lookup("host-05", "digest-05"); !ok || rec.Report == nil {
+	if rep, ok := j2.Replay("host-05", "digest-05"); !ok || rep == nil {
 		t.Error("tail record after snapshot not replayed")
 	}
 }
@@ -448,6 +448,7 @@ func TestLatestFollowsAppendsAndReplay(t *testing.T) {
 
 type fakeMetrics struct {
 	appended, replayed, corrupt, reprobes int
+	skipped, appendErrors                 int
 	degradedFlips                         []bool
 }
 
@@ -456,6 +457,79 @@ func (m *fakeMetrics) JournalReplayed()       { m.replayed++ }
 func (m *fakeMetrics) JournalCorruptRecord()  { m.corrupt++ }
 func (m *fakeMetrics) JournalDegraded(d bool) { m.degradedFlips = append(m.degradedFlips, d) }
 func (m *fakeMetrics) JournalReprobe()        { m.reprobes++ }
+func (m *fakeMetrics) JournalEntitySkipped()  { m.skipped++ }
+func (m *fakeMetrics) JournalAppendError()    { m.appendErrors++ }
+
+// TestCommitReplayPolicy pins the resume policy every journaled scanner
+// shares: a report committed under a digest replays under that digest
+// only, an empty digest never replays, a failed scan is an audit-only
+// record, committing what the journal holds appends nothing, and replay
+// hits and failed commits are counted.
+func TestCommitReplayPolicy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.cvj")
+	m := &fakeMetrics{}
+	j := mustOpen(t, path, Options{Metrics: m})
+	if err := j.Commit("host-00", "d0", sampleReport(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit("host-01", "d1", nil, errors.New("scan panicked")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit("host-02", "", sampleReport(2), nil); err != nil {
+		t.Fatal(err)
+	}
+	// Already journaled under this digest: nothing to append.
+	if err := j.Commit("host-00", "d0", sampleReport(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	rep, ok := j.Replay("host-00", "d0")
+	if !ok || !bytes.Equal(renderJSON(t, rep), renderJSON(t, sampleReport(0))) {
+		t.Fatalf("committed report not replayed: %v", ok)
+	}
+	for _, miss := range []struct{ entity, digest string }{
+		{"host-00", ""}, {"host-00", "d1"}, {"host-01", "d1"}, {"host-02", ""}, {"nobody", "d0"},
+	} {
+		if _, ok := j.Replay(miss.entity, miss.digest); ok {
+			t.Errorf("Replay(%q, %q) hit", miss.entity, miss.digest)
+		}
+	}
+	// The digest-less report is kept as the drift baseline.
+	if rec, ok := j.Latest(); !ok || rec.Entity != "host-02" || rec.Digest != "" {
+		t.Errorf("latest = %+v, %v; want host-02 without a digest", rec, ok)
+	}
+	if st := j.Stats(); st.Appends != 3 || st.Entities != 2 {
+		t.Errorf("stats = %+v, want 3 appends, 2 entities (the failure is audit-only)", st)
+	}
+	if m.skipped != 1 || m.appendErrors != 0 {
+		t.Errorf("skipped=%d append errors=%d, want 1/0", m.skipped, m.appendErrors)
+	}
+	j.Close()
+	if err := j.Commit("host-03", "d3", sampleReport(3), nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after close = %v, want ErrClosed", err)
+	}
+	if m.appendErrors != 1 {
+		t.Errorf("append errors = %d, want 1", m.appendErrors)
+	}
+
+	// The audit-only record survives recovery without becoming resumable.
+	j2 := mustOpen(t, path, Options{})
+	defer j2.Close()
+	if st := j2.Stats(); st.Replayed != 3 || st.Entities != 2 {
+		t.Errorf("reopened stats = %+v, want 3 replayed, 2 entities", st)
+	}
+	if _, ok := j2.Replay("host-01", "d1"); ok {
+		t.Error("failure record replayed after recovery")
+	}
+
+	// A nil journal replays nothing and commits nowhere.
+	var none *Journal
+	if _, ok := none.Replay("host-00", "d0"); ok {
+		t.Error("nil journal replayed")
+	}
+	if err := none.Commit("host-00", "d0", sampleReport(0), nil); err != nil {
+		t.Errorf("nil journal commit = %v", err)
+	}
+}
 
 func TestMetricsPlumbing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fleet.cvj")
@@ -483,10 +557,9 @@ func TestSyncPolicies(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "fleet.cvj")
 		j := mustOpen(t, path, Options{SyncEvery: every})
 		appendN(t, j, 5)
-		if err := j.Sync(); err != nil {
+		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		j.Close()
 		j2 := mustOpen(t, path, Options{})
 		if st := j2.Stats(); st.Replayed != 5 {
 			t.Fatalf("SyncEvery=%d: replayed = %d", every, st.Replayed)
@@ -562,7 +635,7 @@ func TestSingleWriterGuard(t *testing.T) {
 		t.Fatalf("Open after Close = %v, want success", err)
 	}
 	defer func() { _ = j2.Close() }()
-	if _, ok := j2.Lookup("host-00", "d0"); !ok {
+	if _, ok := j2.Replay("host-00", "d0"); !ok {
 		t.Fatal("record lost across ownership handoff")
 	}
 }
@@ -601,10 +674,10 @@ func TestCompactKeepsOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = j2.Close() }()
-	if _, ok := j2.Lookup("host-00", "d2"); !ok {
+	if _, ok := j2.Replay("host-00", "d2"); !ok {
 		t.Fatal("compacted last-writer record missing")
 	}
-	if _, ok := j2.Lookup("host-01", "x"); !ok {
+	if _, ok := j2.Replay("host-01", "x"); !ok {
 		t.Fatal("post-compaction append missing")
 	}
 }

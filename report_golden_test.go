@@ -214,7 +214,8 @@ type oracleRule struct {
 	SuggestedAction string   `json:"suggested_action,omitempty"`
 }
 
-// oracleReportOf is rep's serialized form, as NewJournalReport built it.
+// oracleReportOf is rep's serialized form, as the journal's handle on it
+// encodes it.
 func oracleReportOf(rep *Report) *oracleReport {
 	o := &oracleReport{Entity: rep.EntityName, Type: rep.EntityType, Results: make([]oracleResult, len(rep.Results))}
 	for i, r := range rep.Results {
@@ -260,7 +261,7 @@ func TestRecordCodecOnGoldenReports(t *testing.T) {
 	reps := goldenReports(t)
 	var d journal.Decoder
 	for i, g := range reps {
-		rr := NewJournalReport(g.rep)
+		rr := journal.NewReportRecord(g.rep)
 		want, err := json.Marshal(oracleReportOf(g.rep))
 		if err != nil {
 			t.Fatal(err)
@@ -281,7 +282,7 @@ func TestRecordCodecOnGoldenReports(t *testing.T) {
 		if !reflect.DeepEqual(got.Report(), oracle.report()) {
 			t.Fatalf("%s: decoded report differs from json.Unmarshal's", g.label)
 		}
-		if err := j.Append(JournalRecord{Entity: g.label, Digest: fmt.Sprint(i), Report: rr}); err != nil {
+		if err := j.Commit(g.label, fmt.Sprint(i), g.rep, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,12 +295,12 @@ func TestRecordCodecOnGoldenReports(t *testing.T) {
 	}
 	defer j.Close()
 	for i, g := range reps {
-		rec, ok := j.Lookup(g.label, fmt.Sprint(i))
+		rep, ok := j.Replay(g.label, fmt.Sprint(i))
 		if !ok {
 			t.Fatalf("%s: not replayed", g.label)
 		}
 		for _, asJSON := range []bool{false, true} {
-			if !bytes.Equal(renderReport(t, rec.Report.Report(), asJSON), renderReport(t, g.rep, asJSON)) {
+			if !bytes.Equal(renderReport(t, rep, asJSON), renderReport(t, g.rep, asJSON)) {
 				t.Errorf("%s: replayed report renders differently (json=%v)", g.label, asJSON)
 			}
 		}

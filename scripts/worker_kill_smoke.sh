@@ -7,7 +7,10 @@
 # the same fleet scanned in-process. Exercises lease revocation, shard
 # reassignment, and
 # exactly-once merging against an actual killed process, where the
-# in-test drills (TestChaosDistributed*) use httptest stand-ins.
+# in-test drills (TestChaosDistributed*) use httptest stand-ins. The
+# faulted run keeps a coordinator journal; a second coordinate run over
+# it must replay every entity, dispatch no shard, and print the same
+# summary.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -64,7 +67,7 @@ killer_pid=$!
 
 "$workdir/cvserver" -coordinate -fleet 16 \
 	-workers "http://127.0.0.1:$W1_PORT,http://127.0.0.1:$W2_PORT" \
-	-shard-size 4 -lease-ttl 2s \
+	-shard-size 4 -lease-ttl 2s -journal "$workdir/coord.cvj" \
 	>"$workdir/dist.out" 2>"$workdir/coord.log"
 wait "$killer_pid" 2>/dev/null || true
 w1_pid="" # already dead; don't re-kill in cleanup
@@ -87,6 +90,27 @@ fi
 if ! grep -q 'lease_reassignments=[1-9]' "$workdir/coord.log"; then
 	echo "worker-kill-smoke: no lease was reassigned; the kill landed too late to test anything:" >&2
 	cat "$workdir/coord.log" >&2
+	exit 1
+fi
+
+# Coordinator resume: a re-run over the faulted run's coordinator journal
+# replays every entity from it and ships nothing to the surviving worker.
+"$workdir/cvserver" -coordinate -fleet 16 \
+	-workers "http://127.0.0.1:$W2_PORT" \
+	-shard-size 4 -lease-ttl 2s -journal "$workdir/coord.cvj" \
+	>"$workdir/resume.out" 2>"$workdir/resume.log"
+
+if ! cmp -s "$workdir/resume.out" "$workdir/clean.out"; then
+	echo "worker-kill-smoke: resumed coordinator summary differs from clean run:" >&2
+	echo "  resumed: $(cat "$workdir/resume.out")" >&2
+	echo "  clean:   $(cat "$workdir/clean.out")" >&2
+	cat "$workdir/resume.log" >&2
+	exit 1
+fi
+
+if ! grep -q 'shards dispatched=0 ' "$workdir/resume.log"; then
+	echo "worker-kill-smoke: resumed coordinator dispatched shards instead of replaying its journal:" >&2
+	cat "$workdir/resume.log" >&2
 	exit 1
 fi
 

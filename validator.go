@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"configvalidator/internal/crawler"
@@ -77,10 +78,10 @@ type (
 	JournalOptions = journal.Options
 	// JournalRecord is one journaled per-entity outcome.
 	JournalRecord = journal.Record
-	// JournalReport is the journal's handle on a Report: NewJournalReport
-	// wraps a Report without copying, the journal encodes it as JSON and
-	// decodes it straight back into a Report, and JournalReport.Report
-	// returns that Report, which renders byte-identically to the original.
+	// JournalReport is the journal's handle on a committed Report: the
+	// journal encodes it as JSON without copying, decodes it straight back
+	// into a Report, and JournalReport.Report returns that Report, which
+	// renders byte-identically to the original.
 	JournalReport = journal.ReportRecord
 	// JournalStats is a point-in-time copy of a journal's counters.
 	JournalStats = journal.Stats
@@ -99,11 +100,6 @@ var ErrNotJournal = journal.ErrNotJournal
 func OpenJournal(path string, opts JournalOptions) (*Journal, error) {
 	return journal.Open(path, opts)
 }
-
-// NewJournalReport returns the journal's handle on rep, without copying —
-// what cvwatch appends to persist its drift baseline across restarts. rep
-// must not change while a record holds it.
-func NewJournalReport(rep *Report) *JournalReport { return journal.NewReportRecord(rep) }
 
 // Status values, re-exported.
 const (
@@ -137,6 +133,11 @@ type Validator struct {
 	telemetry *telemetry.Collector
 	faults    *faults.Injector
 	cache     *crawler.ParseCache
+
+	// targets memoizes ConfigDigest's path-rule targets per target
+	// selection.
+	targetsMu sync.Mutex
+	targets   map[string][]string
 }
 
 // Option customizes a Validator.
@@ -146,7 +147,6 @@ type config struct {
 	manifest    *cvl.Manifest
 	reader      cvl.FileReader
 	registry    *lens.Registry
-	crawlOpt    crawler.Options
 	extended    bool
 	telemetry   *telemetry.Collector
 	faults      *faults.Injector
@@ -173,11 +173,6 @@ func WithExtendedRules() Option {
 // WithLensRegistry replaces the default lens registry.
 func WithLensRegistry(r *lens.Registry) Option {
 	return func(c *config) { c.registry = r }
-}
-
-// WithCrawlerOptions tunes configuration extraction.
-func WithCrawlerOptions(opts crawler.Options) Option {
-	return func(c *config) { c.crawlOpt = opts }
 }
 
 // WithTelemetry attaches a metrics collector: every Validate /
@@ -261,14 +256,11 @@ func New(opts ...Option) (*Validator, error) {
 	if c.reader == nil {
 		return nil, fmt.Errorf("configvalidator: a manifest requires a rule-file reader")
 	}
-	c.crawlOpt.Faults = c.faults
-	if c.parseCache != nil {
-		if c.telemetry != nil {
-			c.parseCache.SetMetrics(c.telemetry)
-		}
-		c.crawlOpt.Cache = c.parseCache
+	if c.parseCache != nil && c.telemetry != nil {
+		c.parseCache.SetMetrics(c.telemetry)
 	}
-	eng := engine.NewWithOptions(crawler.New(c.registry, c.crawlOpt), engine.Options{Parallelism: c.parallelism})
+	crawl := crawler.New(c.registry, crawler.Options{Faults: c.faults, Cache: c.parseCache})
+	eng := engine.NewWithOptions(crawl, engine.Options{Parallelism: c.parallelism})
 	eng.SetFaults(c.faults)
 	return &Validator{
 		manifest:  c.manifest,
