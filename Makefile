@@ -43,16 +43,18 @@ analyze:
 # untrusted input — among them the journal record read from disk, the
 # shard-stream record read from a worker and the shard request body and
 # request lines a worker receives, the frame and request-line codecs
-# against encoding/json — and over the compiled tree query against its
-# reference (one -fuzz target per invocation, as go test requires). A
-# shard request scans what it decodes and the codec targets run
-# encoding/json beside them, so their new inputs are minimized for at
-# most 2s instead of the default 60s, which would eat the run.
+# against encoding/json — and over the compiled tree query and schema
+# LIKE against their references (one -fuzz target per invocation, as go
+# test requires). A shard request scans what it decodes, the codec
+# targets run encoding/json beside them and the LIKE target compiles a
+# regexp per input, so their new inputs are minimized for at most 2s
+# instead of the default 60s, which would eat the run.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run FuzzDecode ./internal/yaml/
 	$(GO) test -fuzz FuzzSSHDParse -fuzztime $(FUZZTIME) -run FuzzSSHDParse ./internal/lens/
 	$(GO) test -fuzz FuzzFramesRead -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzFramesRead ./internal/frames/
 	$(GO) test -fuzz FuzzTreePath -fuzztime $(FUZZTIME) -run FuzzTreePath ./internal/configtree/
+	$(GO) test -fuzz FuzzLike -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzLike ./internal/schema/
 	$(GO) test -fuzz FuzzJournalRecord -fuzztime $(FUZZTIME) -run FuzzJournalRecord ./internal/journal/
 	$(GO) test -fuzz FuzzStreamRecord -fuzztime $(FUZZTIME) -run FuzzStreamRecord ./internal/dist/
 	$(GO) test -fuzz FuzzEntityRecord -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzEntityRecord ./internal/dist/

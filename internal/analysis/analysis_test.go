@@ -298,6 +298,18 @@ func TestContradictoryValues(t *testing.T) {
 	if hasCode(res, CodeContradiction) {
 		t.Errorf("regex matcher misreported as contradiction: %v", res.Diagnostics)
 	}
+	// The lists are compared as the engine matches: with case folding,
+	// and an all-match needs every non-preferred value to match.
+	content = strings.Replace(cleanRule, "preferred_value: [\"TLSv1.2\"]\n",
+		"preferred_value: [\"TLSv1.2\"]\nnon_preferred_value: [\"tlsv1.2\"]\nnon_preferred_value_match: exact,any\ncase_insensitive: true\n", 1)
+	if res = analyzeOne(t, content); !hasCode(res, CodeContradiction) {
+		t.Errorf("case-insensitive contradiction not reported: %v", res.Diagnostics)
+	}
+	content = strings.Replace(cleanRule, "preferred_value: [\"TLSv1.2\"]\n",
+		"preferred_value: [\"TLSv1.2\"]\nnon_preferred_value: [\"TLSv1.2\", \"SSLv3\"]\nnon_preferred_value_match: exact,all\n", 1)
+	if res = analyzeOne(t, content); hasCode(res, CodeContradiction) {
+		t.Errorf("TLSv1.2 passes an all-match against two values, yet: %v", res.Diagnostics)
+	}
 }
 
 func TestMatchSpecWithoutValues(t *testing.T) {

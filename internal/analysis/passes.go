@@ -456,12 +456,9 @@ func (a *analyzer) checkRuleSemantics(e *ruleEntry) {
 	// A value in both lists under exact matching can never pass: the
 	// non-preferred check rejects what the preferred list demands.
 	if exactish(r.PreferredMatch) && exactish(r.NonPreferredMatch) {
-		nonPref := map[string]bool{}
-		for _, v := range r.NonPreferredValue {
-			nonPref[v] = true
-		}
+		nonPref := cvl.NewMatcher(r.NonPreferredValue, r.NonPreferredMatch, r.CaseInsensitive)
 		for _, v := range r.PreferredValue {
-			if nonPref[v] {
+			if rejected, _ := nonPref.Matches(v); rejected {
 				a.report(CodeContradiction, path, e.keyPos("preferred_value"), r.Name,
 					"value %q is listed as both preferred and non-preferred; the rule can never pass on it", v)
 			}
@@ -493,8 +490,8 @@ func (a *analyzer) checkRegexes(e *ruleEntry, key string, values []string) {
 	}
 }
 
-// checkRuleStyle mirrors cvl.lintRule's maintainability warnings, with
-// positions and codes.
+// checkRuleStyle reports the maintainability warnings (CVL5xx): missing
+// descriptions, tags and outcome texts, and implicit match specs.
 func (a *analyzer) checkRuleStyle(e *ruleEntry) {
 	r := e.rule
 	path := e.file

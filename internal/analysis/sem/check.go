@@ -285,7 +285,7 @@ func (c *checker) checkSubsumed(a, b *RuleIR, reportMutual bool) {
 
 // checkSeverity reports CVL406 when two same-slot rules share a concrete
 // violating value but label it with different severities. The witness is
-// re-verified against the rules' actual matchers before reporting.
+// confirmed by running both rules' value checks on it.
 func (c *checker) checkSeverity(a, b *RuleIR) {
 	if a.Rule.Severity == "" || b.Rule.Severity == "" || a.Rule.Severity == b.Rule.Severity {
 		return
@@ -297,9 +297,9 @@ func (c *checker) checkSeverity(a, b *RuleIR) {
 	if !ok {
 		return
 	}
-	ra, oka := ruleRejects(a.Rule, w)
-	rb, okb := ruleRejects(b.Rule, w)
-	if !oka || !okb || !ra || !rb {
+	whyA, okA := a.judge(w)
+	whyB, okB := b.judge(w)
+	if !okA || !okB || whyA == cvl.ValueOK || whyB == cvl.ValueOK {
 		return
 	}
 	c.report(Finding{

@@ -1,7 +1,7 @@
 package sem
 
 import (
-	"regexp"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -41,7 +41,8 @@ type RuleIR struct {
 	Key string
 
 	// Pref and NonPref approximate the preferred / non-preferred
-	// matchers' languages; nil when the list is absent.
+	// matchers' languages; nil when the list is absent or the rule
+	// splits its values (value_separator), whose matchers judge elements.
 	Pref, NonPref *Set
 	// PrefExact / NonPrefExact report whether the approximations are
 	// exact languages rather than over-approximations.
@@ -69,6 +70,10 @@ type RuleIR struct {
 	CanNeverPass bool
 	CanNeverFail bool
 
+	// check is the rule's value check as the engine compiles it; every
+	// opaque set above tests membership with it.
+	check cvl.ValueCheck
+
 	// slotID groups rules that constrain the same value slot.
 	slotID string
 	// valueSlot groups schema rules whose value matchers apply to the
@@ -77,8 +82,7 @@ type RuleIR struct {
 }
 
 // IR is the lowered form of one resolved rule set (post-inheritance,
-// post-override): the input contract shared by the semantic checker and
-// the planned rule compiler.
+// post-override): the input of the semantic checker.
 type IR struct {
 	// Unit names the rule set, typically the rule file path.
 	Unit string
@@ -148,19 +152,28 @@ func lensNameFor(contexts []string) string {
 }
 
 // lowerValueMatchers fills Pref/NonPref/Pass/Viol from the rule's value
-// lists, mirroring the engine's checkValue: a candidate fails when it
-// matches any non-preferred value, then must match the preferred values
-// when that list is non-empty.
+// lists, as cvl.ValueCheck runs them: a candidate fails when it matches
+// the non-preferred values, then must match the preferred values when
+// that list is non-empty. A rule with a value_separator judges each
+// element of a value, so its sets are opaque: membership runs the check.
 func lowerValueMatchers(ri *RuleIR) {
 	r := ri.Rule
+	if len(r.PreferredValue) == 0 && len(r.NonPreferredValue) == 0 {
+		return
+	}
+	ri.check = cvl.NewValueCheck(r)
+	if ri.check.Separated() {
+		ri.Pass = Pred(fmt.Sprintf("values whose %q-separated elements all pass", r.ValueSeparator),
+			func(v string) bool { why, ok := ri.judge(v); return ok && why == cvl.ValueOK })
+		ri.Viol = Pred(fmt.Sprintf("values with a %q-separated element that fails", r.ValueSeparator),
+			func(v string) bool { why, ok := ri.judge(v); return ok && why != cvl.ValueOK })
+		return
+	}
 	if len(r.PreferredValue) > 0 {
-		ri.Pref, ri.PrefExact = matchDomain(r.PreferredValue, r.PreferredMatch, r.CaseInsensitive)
+		ri.Pref, ri.PrefExact = matchDomain(&ri.check.Preferred, r.PreferredValue, r.PreferredMatch, r.CaseInsensitive)
 	}
 	if len(r.NonPreferredValue) > 0 {
-		ri.NonPref, ri.NonPrefExact = matchDomain(r.NonPreferredValue, r.NonPreferredMatch, r.CaseInsensitive)
-	}
-	if ri.Pref == nil && ri.NonPref == nil {
-		return
+		ri.NonPref, ri.NonPrefExact = matchDomain(&ri.check.NonPreferred, r.NonPreferredValue, r.NonPreferredMatch, r.CaseInsensitive)
 	}
 	pass, passExact := Any(), true
 	if ri.NonPref != nil {
@@ -257,96 +270,51 @@ func rowModeOf(expect string) RowMode {
 }
 
 // atomRegion converts one column comparison into the set of column
-// values satisfying it. Ordered comparisons use the numeric
-// interpretation (the engine falls back to string order only for
-// non-numeric cells; the linter's job is to flag constraints that are
-// numerically contradictory).
+// values satisfying it, as schema.Compare orders cells: against a numeric
+// operand, a number compares by value and any other cell in string order,
+// so the region has a numeric and a string-order side. A comparison the
+// domains cannot express becomes an opaque set that tests cells with the
+// atom itself.
 func atomRegion(a schema.Atom) (*Set, bool) {
-	val := func(i int) string {
-		if i < len(a.Values) {
-			return a.Values[i]
-		}
-		return ""
-	}
-	switch a.Op {
-	case "=":
-		v := val(0)
-		if f, err := strconv.ParseFloat(v, 64); err == nil {
-			return Numeric(interval{lo: f, hi: f}), true
-		}
-		return Finite(v), true
-	case "!=":
-		v := val(0)
-		if _, err := strconv.ParseFloat(v, 64); err == nil {
-			// Complement of a numeric point: every non-numeric string
-			// plus every number but v. Approximate by the universe.
-			return Any(), false
-		}
-		return Except(v), true
-	case "<":
-		return orderedRegion(val(0), func(f float64) *Set { return atMost(f, true) })
-	case "<=":
-		return orderedRegion(val(0), func(f float64) *Set { return atMost(f, false) })
-	case ">":
-		return orderedRegion(val(0), func(f float64) *Set { return atLeast(f, true) })
-	case ">=":
-		return orderedRegion(val(0), func(f float64) *Set { return atLeast(f, false) })
-	case "IN":
-		allPlain := true
-		for _, v := range a.Values {
-			if _, err := strconv.ParseFloat(v, 64); err == nil {
-				allPlain = false
-				break
-			}
-		}
-		if allPlain {
-			return Finite(a.Values...), true
-		}
-		var parts *Set = Empty()
-		exact := true
+	if a.Op == "IN" {
+		parts, exact := Empty(), true
 		for _, v := range a.Values {
 			r, rExact := atomRegion(schema.Atom{Column: a.Column, Op: "=", Values: []string{v}})
 			u, uExact := parts.Union(r)
 			parts, exact = u, exact && rExact && uExact
 		}
 		return parts, exact
-	case "LIKE":
-		pat := val(0)
-		return Pred("LIKE "+strconv.Quote(pat), likeMatcher(pat)), false
-	default:
-		return Any(), false
 	}
-}
-
-func orderedRegion(v string, build func(float64) *Set) (*Set, bool) {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return Any(), false // string-ordered comparison: no useful region
-	}
-	return build(f), true
-}
-
-// likeMatcher compiles a SQL LIKE pattern (% and _ wildcards) into a
-// membership test.
-func likeMatcher(pattern string) func(string) bool {
-	var b strings.Builder
-	b.WriteString("^")
-	for _, r := range pattern {
-		switch r {
-		case '%':
-			b.WriteString(".*")
-		case '_':
-			b.WriteString(".")
-		default:
-			b.WriteString(regexp.QuoteMeta(string(r)))
+	v := a.Values[0]
+	f, numeric := schema.Number(v)
+	switch {
+	case a.Op == "LIKE":
+		// A pattern has no set form.
+	case !numeric:
+		// Every cell compares with v in string order.
+		switch a.Op {
+		case "=":
+			return Finite(v), true
+		case "!=":
+			return Except(v), true
 		}
+	// Numbers compare with f; a non-number never equals the numeric v, so
+	// the string-order side holds the non-numbers the operator admits.
+	case a.Op == "=":
+		return Numeric(interval[float64]{lo: f, hi: f}), true
+	case a.Op == "!=":
+		return numericRegion([]interval[float64]{{loUnb: true, hi: f, hiOpen: true}, {lo: f, loOpen: true, hiUnb: true}},
+			[]interval[string]{{loUnb: true, hiUnb: true}}), true
+	case a.Op == "<" || a.Op == "<=":
+		open := a.Op == "<"
+		return numericRegion([]interval[float64]{{loUnb: true, hi: f, hiOpen: open}},
+			[]interval[string]{{loUnb: true, hi: v, hiOpen: open}}), true
+	case a.Op == ">" || a.Op == ">=":
+		open := a.Op == ">"
+		return numericRegion([]interval[float64]{{lo: f, loOpen: open, hiUnb: true}},
+			[]interval[string]{{lo: v, loOpen: open, hiUnb: true}}), true
 	}
-	b.WriteString("$")
-	re, err := regexp.Compile(b.String())
-	if err != nil {
-		return func(string) bool { return false }
-	}
-	return re.MatchString
+	return Pred(a.Op+" "+strconv.Quote(v), a.Holds), false // tested cell by cell
 }
 
 // lowerPath derives pass facts for path rules: an exact permission that
@@ -358,17 +326,16 @@ func lowerPath(ri *RuleIR) {
 	}
 }
 
-// matchDomain approximates the set of candidate values matching the
-// expected list under the given spec (defaulted to exact,any like the
-// engine).
-func matchDomain(values []string, spec cvl.MatchSpec, caseInsensitive bool) (*Set, bool) {
+// matchDomain approximates the set of candidate values the matcher m,
+// compiled from values under spec, accepts.
+func matchDomain(m *cvl.Matcher, values []string, spec cvl.MatchSpec, caseInsensitive bool) (*Set, bool) {
 	if spec.IsZero() {
 		spec = cvl.MatchSpec{Kind: cvl.MatchExact, Quant: cvl.QuantAny}
 	}
 	var acc *Set
 	accExact := true
-	for _, v := range values {
-		s, exact := oneValueSet(v, spec.Kind, caseInsensitive)
+	for i, v := range values {
+		s, exact := oneValueSet(m, i, v, spec.Kind, caseInsensitive)
 		if acc == nil {
 			acc, accExact = s, exact
 			continue
@@ -387,32 +354,32 @@ func matchDomain(values []string, spec cvl.MatchSpec, caseInsensitive bool) (*Se
 	return acc, accExact
 }
 
-func oneValueSet(v string, kind cvl.MatchKind, caseInsensitive bool) (*Set, bool) {
+// oneValueSet approximates the values the i-th operand v of m accepts on
+// its own. Only an exact, case-sensitive literal and a regex with a
+// finite or digit-pattern language have a set form; every other operand
+// is an opaque set tested with m itself.
+func oneValueSet(m *cvl.Matcher, i int, v string, kind cvl.MatchKind, caseInsensitive bool) (*Set, bool) {
+	var desc string
 	switch kind {
 	case cvl.MatchExact:
-		if caseInsensitive {
-			want := strings.ToLower(v)
-			return Pred("equal (case-insensitive) to "+strconv.Quote(v), func(x string) bool {
-				return strings.ToLower(x) == want
-			}), false
+		if !caseInsensitive {
+			return Finite(v), true
 		}
-		return Finite(v), true
+		desc = "equal (case-insensitive) to " + strconv.Quote(v)
 	case cvl.MatchSubstr:
-		want := v
-		if caseInsensitive {
-			want = strings.ToLower(v)
-		}
-		return Pred("containing "+strconv.Quote(v), func(x string) bool {
-			if caseInsensitive {
-				x = strings.ToLower(x)
-			}
-			return strings.Contains(x, want)
-		}), false
+		desc = "containing " + strconv.Quote(v)
 	case cvl.MatchRegex:
-		return regexSet(v, caseInsensitive)
+		if s, exact := regexSet(v, caseInsensitive); s != nil {
+			return s, exact
+		}
+		desc = "matching /" + v + "/"
 	default:
 		return Any(), false
 	}
+	return Pred(desc, func(x string) bool {
+		ok, err := m.MatchesOne(i, x)
+		return ok && err == nil
+	}), false
 }
 
 // typeSet renders a lens-declared value type as an abstract set
@@ -426,78 +393,18 @@ func typeSet(vt lens.ValueType) *Set {
 	case lens.KindUint:
 		return atLeast(0, false)
 	case lens.KindInt:
-		return Numeric(interval{loUnb: true, hiUnb: true})
+		return Numeric(interval[float64]{loUnb: true, hiUnb: true})
 	default:
 		return Any()
 	}
 }
 
-// ruleRejects replays the engine's checkValue for one concrete value,
-// used to confirm overlap witnesses before reporting them. The second
-// result is false when the matchers cannot be evaluated statically.
-func ruleRejects(r *cvl.Rule, value string) (rejected, ok bool) {
-	fails := func(vals []string, spec cvl.MatchSpec) (bool, bool) {
-		if spec.IsZero() {
-			spec = cvl.MatchSpec{Kind: cvl.MatchExact, Quant: cvl.QuantAny}
-		}
-		matched := 0
-		for _, e := range vals {
-			m, known := concreteMatch(value, e, spec.Kind, r.CaseInsensitive)
-			if !known {
-				return false, false
-			}
-			if m {
-				if spec.Quant == cvl.QuantAny {
-					return true, true
-				}
-				matched++
-			} else if spec.Quant == cvl.QuantAll {
-				return false, true
-			}
-		}
-		return spec.Quant == cvl.QuantAll && matched == len(vals), true
-	}
-	if len(r.NonPreferredValue) > 0 {
-		bad, known := fails(r.NonPreferredValue, r.NonPreferredMatch)
-		if !known {
-			return false, false
-		}
-		if bad {
-			return true, true
-		}
-	}
-	if len(r.PreferredValue) > 0 {
-		good, known := fails(r.PreferredValue, r.PreferredMatch)
-		if !known {
-			return false, false
-		}
-		return !good, true
-	}
-	return false, true
-}
-
-func concreteMatch(value, expected string, kind cvl.MatchKind, caseInsensitive bool) (matched, known bool) {
-	if caseInsensitive && kind != cvl.MatchRegex {
-		value, expected = strings.ToLower(value), strings.ToLower(expected)
-	}
-	switch kind {
-	case cvl.MatchExact:
-		return value == expected, true
-	case cvl.MatchSubstr:
-		return strings.Contains(value, expected), true
-	case cvl.MatchRegex:
-		pat := expected
-		if caseInsensitive {
-			pat = "(?i)" + expected
-		}
-		re, err := regexp.Compile(pat)
-		if err != nil {
-			return false, false
-		}
-		return re.MatchString(value), true
-	default:
-		return false, false
-	}
+// judge runs the rule's value check on one value as the engine does; ok
+// is false when the check errs (a bad regex), which makes the rule
+// neither pass nor fail.
+func (ri *RuleIR) judge(value string) (why cvl.Mismatch, ok bool) {
+	why, _, err := ri.check.Check(value)
+	return why, err == nil
 }
 
 // describeOr renders a set description with a fallback for nil sets.

@@ -1,7 +1,6 @@
 package sem
 
 import (
-	"regexp"
 	"regexp/syntax"
 	"strconv"
 	"strings"
@@ -22,9 +21,10 @@ import (
 //     its digit positions. The result over-approximates (it admits
 //     non-canonical spellings such as "0022"), which keeps emptiness and
 //     disjointness proofs sound.
-//  3. Everything else becomes an opaque predicate over the compiled
-//     regex: membership queries stay precise, set-level comparisons
-//     return "unknown".
+//  3. Everything else becomes an opaque predicate that tests each value
+//     with the rule's compiled matcher, the engine's own regex:
+//     membership queries stay precise, set-level comparisons return
+//     "unknown".
 
 // enumLimit bounds finite expansion of an anchored regex.
 const enumLimit = 512
@@ -34,16 +34,14 @@ const digitBranchLimit = 64
 
 // regexSet approximates the set of strings the pattern matches under the
 // engine's semantics. exact reports whether the set equals the matched
-// language (not merely over-approximates it). Invalid patterns — already
-// reported as CVL203 by the analyzer — yield the universe, unknown.
+// language (not merely over-approximates it). It returns nil when only
+// the regex itself can decide membership (strategy 3). Invalid patterns —
+// already reported as CVL203 by the analyzer — yield the universe,
+// unknown.
 func regexSet(pattern string, caseInsensitive bool) (set *Set, exact bool) {
 	full := pattern
 	if caseInsensitive {
 		full = "(?i)" + pattern
-	}
-	re, err := regexp.Compile(full)
-	if err != nil {
-		return Any(), false
 	}
 	parsed, err := syntax.Parse(full, syntax.Perl)
 	if err != nil {
@@ -58,18 +56,19 @@ func regexSet(pattern string, caseInsensitive bool) (set *Set, exact bool) {
 			return Numeric(ivs...), false
 		}
 	}
-	return Pred("matching /"+pattern+"/", re.MatchString), false
+	return nil, false
 }
 
 // stripAnchors unwraps a fully anchored pattern ^X$ and returns X. Only
 // fully anchored patterns have an enumerable language; an unanchored
-// pattern matches every string containing an occurrence.
+// pattern matches every string containing an occurrence, and so does one
+// anchored at line boundaries ((?m)^X$ matches "a\nX").
 func stripAnchors(re *syntax.Regexp) (*syntax.Regexp, bool) {
 	if re.Op != syntax.OpConcat || len(re.Sub) < 2 {
 		return nil, false
 	}
 	first, last := re.Sub[0], re.Sub[len(re.Sub)-1]
-	if !isBeginAnchor(first.Op) || !isEndAnchor(last.Op) {
+	if first.Op != syntax.OpBeginText || last.Op != syntax.OpEndText {
 		return nil, false
 	}
 	mid := re.Sub[1 : len(re.Sub)-1]
@@ -81,14 +80,6 @@ func stripAnchors(re *syntax.Regexp) (*syntax.Regexp, bool) {
 	default:
 		return &syntax.Regexp{Op: syntax.OpConcat, Sub: mid}, true
 	}
-}
-
-func isBeginAnchor(op syntax.Op) bool {
-	return op == syntax.OpBeginText || op == syntax.OpBeginLine
-}
-
-func isEndAnchor(op syntax.Op) bool {
-	return op == syntax.OpEndText || op == syntax.OpEndLine
 }
 
 // enumRegexp expands a (stripped) regex into its full finite language, up
@@ -190,7 +181,7 @@ func enumRegexp(re *syntax.Regexp, limit int) ([]string, bool) {
 // are all digit sequences. Each alternation branch of fixed digit layout
 // contributes the interval [all-min-digits, all-max-digits] — an
 // over-approximation of the branch's language viewed as numbers.
-func digitIntervals(re *syntax.Regexp) ([]interval, bool) {
+func digitIntervals(re *syntax.Regexp) ([]interval[float64], bool) {
 	var branches []*syntax.Regexp
 	flatten := re
 	for flatten.Op == syntax.OpCapture {
@@ -201,7 +192,7 @@ func digitIntervals(re *syntax.Regexp) ([]interval, bool) {
 	} else {
 		branches = []*syntax.Regexp{flatten}
 	}
-	var out []interval
+	var out []interval[float64]
 	for _, b := range branches {
 		spans, ok := digitSpans(b)
 		if !ok {
@@ -216,7 +207,7 @@ func digitIntervals(re *syntax.Regexp) ([]interval, bool) {
 			if err1 != nil || err2 != nil {
 				return nil, false
 			}
-			out = append(out, interval{lo: lo, hi: hi})
+			out = append(out, interval[float64]{lo: lo, hi: hi})
 		}
 	}
 	return out, true

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"configvalidator/internal/cvl"
+	"configvalidator/internal/schema"
 )
 
 // --- abstract domain ---
@@ -45,6 +46,18 @@ func TestNumericOps(t *testing.T) {
 	}
 	if numRange(10, 200).SubsetOf(numRange(0, 100)) {
 		t.Fatalf("[10,200] is not a subset of [0,100]")
+	}
+	// NaN and padded numbers are not numbers (schema.Number).
+	for _, v := range []string{"nan", "NaN", " 5", "5 "} {
+		if member, _ := atMost(5, true).Contains(v); member {
+			t.Errorf("(-inf, 5) contains %q", v)
+		}
+		if member, _ := numRange(5, 5).Contains(v); member {
+			t.Errorf("[5, 5] contains %q", v)
+		}
+	}
+	if member, _ := numRange(5, 5).Contains("5.0"); !member {
+		t.Error("[5, 5] does not contain 5.0")
 	}
 }
 
@@ -140,8 +153,16 @@ func TestRegexSetBoundedAlternation(t *testing.T) {
 // portHighRegex matches exactly the integers 1024..65535.
 const portHighRegex = `^(102[4-9]|10[3-9][0-9]|1[1-9][0-9]{2}|[2-9][0-9]{3}|[1-5][0-9]{4}|6[0-4][0-9]{3}|65[0-4][0-9]{2}|655[0-2][0-9]|6553[0-5])$`
 
+// regexPref lowers a tree rule preferring pattern and returns its
+// preferred set: regexSet's approximation, or the opaque set that tests
+// values with the rule's compiled matcher.
+func regexPref(pattern string) *Set {
+	return lowerRule(&cvl.Rule{Type: cvl.TypeTree, Name: "k", PreferredValue: []string{pattern},
+		PreferredMatch: cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}}).Pref
+}
+
 func TestRegexSetDigitIntervals(t *testing.T) {
-	s, _ := regexSet(portHighRegex, false)
+	s := regexPref(portHighRegex)
 	if s.ProvablyEmpty() {
 		t.Fatalf("port regex should not be empty")
 	}
@@ -160,10 +181,10 @@ func TestRegexSetDigitIntervals(t *testing.T) {
 }
 
 func TestRegexSetUnanchoredFallsBack(t *testing.T) {
-	s, exact := regexSet("ssl", false)
-	if exact {
-		t.Fatalf("unanchored pattern is not exact")
+	if s, _ := regexSet("ssl", false); s != nil {
+		t.Fatalf("unanchored pattern approximated as %s", s.Describe())
 	}
+	s := regexPref("ssl")
 	if member, _ := s.Contains("openssl-1.0"); !member {
 		t.Fatalf("membership should stay precise on the fallback")
 	}
@@ -398,6 +419,54 @@ func TestCheckRowRegionConflict(t *testing.T) {
 	fs := Check([]*IR{Lower("u", []*cvl.Rule{need, ban})}, nil)
 	if !hasCode(fs, CodeUnsat) {
 		t.Fatalf("required region inside forbidden region: want CVL401, got %v", findingCodes(fs))
+	}
+}
+
+// selects reports whether the rule's constraints select the one-row table
+// holding cell.
+func selects(t *testing.T, r *cvl.Rule, cell string) bool {
+	t.Helper()
+	tbl := schema.New("t", "c")
+	if err := tbl.AddRow(cell); err != nil {
+		t.Fatal(err)
+	}
+	out, err := tbl.Select(schema.Query{Constraints: r.QueryConstraints, Args: r.QueryConstraintsValue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Len() == 1
+}
+
+// TestCheckRowRegionStringOrder: a non-numeric cell compares with a
+// numeric operand in string order, so "c < 5" does not lie inside
+// "c < 10": on a table whose only cell is 2x, want_low finds its row and
+// ban_low finds none, and both pass.
+func TestCheckRowRegionStringOrder(t *testing.T) {
+	need := &cvl.Rule{Type: cvl.TypeSchema, Name: "want_low", Source: "u",
+		QueryConstraints: "c < ?", QueryConstraintsValue: []string{"5"}, ExpectRows: ">=1"}
+	ban := &cvl.Rule{Type: cvl.TypeSchema, Name: "ban_low", Source: "u",
+		QueryConstraints: "c < ?", QueryConstraintsValue: []string{"10"}, ExpectRows: "0"}
+	if !selects(t, need, "2x") || selects(t, ban, "2x") {
+		t.Fatal("on [2x], want_low should select its row and ban_low none")
+	}
+	if fs := Check([]*IR{Lower("u", []*cvl.Rule{need, ban})}, nil); hasCode(fs, CodeUnsat) {
+		t.Fatalf("want_low passes on [2x], yet: %v", fs[0].Msg)
+	}
+}
+
+// TestCheckInheritRowStringOrder: "c < 5" and "c > 10" are disjoint on
+// numbers, but both select the cell 2x, so an override of one by the
+// other does not contradict it.
+func TestCheckInheritRowStringOrder(t *testing.T) {
+	parent := &cvl.Rule{Type: cvl.TypeSchema, Name: "low", Source: "base.yaml",
+		QueryConstraints: "c < ?", QueryConstraintsValue: []string{"5"}, ExpectRows: ">=1"}
+	child := &cvl.Rule{Type: cvl.TypeSchema, Name: "low", Source: "child.yaml", Override: true,
+		QueryConstraints: "c > ?", QueryConstraintsValue: []string{"10"}, ExpectRows: ">=1"}
+	if !selects(t, parent, "2x") || !selects(t, child, "2x") {
+		t.Fatal("both constraints should select 2x")
+	}
+	if fs := CheckReplacement(parent, child); hasCode(fs, CodeInheritConflict) {
+		t.Fatalf("both rules pass on [2x], yet: %v", fs[0].Msg)
 	}
 }
 

@@ -9,10 +9,11 @@
 // disagree on severity (CVL406), and value matchers that can never match
 // their key's lens-declared type (CVL407).
 //
-// The same IR is the input contract for the planned rule compiler
-// (ROADMAP item 2): Lower performs the "rule-set load" half of rule
-// evaluation — match-spec normalization, regex analysis, constraint
-// extraction — once per rule set, independent of any entity.
+// The checker reasons with the predicates the engine runs: every
+// membership test that stands for a rule's value check calls the rule's
+// compiled cvl.ValueCheck, and every one that stands for a schema
+// constraint calls schema.Atom.Holds, so a finding can only be as wrong as
+// its set algebra, never because of a second copy of CVL's semantics.
 package sem
 
 import (
@@ -21,6 +22,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"configvalidator/internal/schema"
 )
 
 // Set is an abstract set of configuration value strings. The zero value
@@ -30,9 +33,12 @@ type Set struct {
 	// vals: kindFinite — the exact members, sorted, deduplicated.
 	// kindExcept — the exact non-members.
 	vals []string
-	// ivs: kindNumeric — disjoint, sorted numeric intervals. The set
-	// denotes every string whose numeric value lies in one of them.
-	ivs []interval
+	// ivs and strs: kindNumeric — disjoint, sorted intervals. The set
+	// denotes every number (schema.Number) whose value lies in one of
+	// ivs, and every other string that lies in one of strs in string
+	// order: the order schema.Compare applies to a non-numeric cell.
+	ivs  []interval[float64]
+	strs []interval[string]
 	// test: kindPred — a membership oracle for single values; the set
 	// itself cannot be enumerated or compared.
 	test func(string) bool
@@ -47,18 +53,19 @@ const (
 	kindEmpty
 	kindFinite
 	kindExcept  // complement of a finite set
-	kindNumeric // union of numeric intervals
+	kindNumeric // numeric intervals, plus string-order ones for non-numbers
 	kindPred    // opaque, membership-testable only
 )
 
-// interval is a numeric interval with optionally open or unbounded ends.
-type interval struct {
-	lo, hi         float64 // bounds; ignored when the end is unbounded
+// interval is an interval of numbers, or of strings in string order, with
+// optionally open or unbounded ends.
+type interval[T float64 | string] struct {
+	lo, hi         T // bounds; ignored when the end is unbounded
 	loUnb, hiUnb   bool
 	loOpen, hiOpen bool
 }
 
-func (iv interval) contains(x float64) bool {
+func (iv interval[T]) contains(x T) bool {
 	if !iv.loUnb {
 		if x < iv.lo || (iv.loOpen && x == iv.lo) {
 			return false
@@ -72,8 +79,8 @@ func (iv interval) contains(x float64) bool {
 	return true
 }
 
-// empty reports whether the interval provably contains no number.
-func (iv interval) empty() bool {
+// empty reports whether the interval provably contains nothing.
+func (iv interval[T]) empty() bool {
 	if iv.loUnb || iv.hiUnb {
 		return false
 	}
@@ -83,11 +90,11 @@ func (iv interval) empty() bool {
 	return iv.lo == iv.hi && (iv.loOpen || iv.hiOpen)
 }
 
-func (iv interval) String() string {
+func (iv interval[T]) String() string {
 	lo, hi := "-inf", "+inf"
 	lb, rb := "[", "]"
 	if !iv.loUnb {
-		lo = trimFloat(iv.lo)
+		lo = formatBound(iv.lo)
 		if iv.loOpen {
 			lb = "("
 		}
@@ -95,7 +102,7 @@ func (iv interval) String() string {
 		lb = "("
 	}
 	if !iv.hiUnb {
-		hi = trimFloat(iv.hi)
+		hi = formatBound(iv.hi)
 		if iv.hiOpen {
 			rb = ")"
 		}
@@ -103,6 +110,14 @@ func (iv interval) String() string {
 		rb = ")"
 	}
 	return lb + lo + ", " + hi + rb
+}
+
+// formatBound renders a number plainly and a string quoted.
+func formatBound[T float64 | string](v T) string {
+	if f, ok := any(v).(float64); ok {
+		return trimFloat(f)
+	}
+	return strconv.Quote(any(v).(string))
 }
 
 func trimFloat(f float64) string {
@@ -135,17 +150,29 @@ func Except(values ...string) *Set {
 	return &Set{kind: kindExcept, vals: vals, desc: "anything but " + renderVals(vals)}
 }
 
-// Numeric returns the set of numeric strings within the given intervals.
-func Numeric(ivs ...interval) *Set {
-	merged := mergeIntervals(ivs)
-	if len(merged) == 0 {
+// Numeric returns the set of numbers within the given intervals.
+func Numeric(ivs ...interval[float64]) *Set { return numericRegion(ivs, nil) }
+
+// numericRegion returns the set of numbers within ivs and of other
+// strings within strs in string order.
+func numericRegion(ivs []interval[float64], strs []interval[string]) *Set {
+	s := &Set{kind: kindNumeric, ivs: mergeIntervals(ivs), strs: mergeIntervals(strs)}
+	if len(s.ivs) == 0 && len(s.strs) == 0 {
 		return Empty()
 	}
-	descs := make([]string, len(merged))
-	for i, iv := range merged {
-		descs[i] = iv.String()
+	descs := make([]string, 0, len(s.ivs)+len(s.strs))
+	for _, iv := range s.ivs {
+		descs = append(descs, iv.String())
 	}
-	return &Set{kind: kindNumeric, ivs: merged, desc: strings.Join(descs, " u ")}
+	for i, iv := range s.strs {
+		d := iv.String()
+		if i == 0 {
+			d = "non-numeric " + d
+		}
+		descs = append(descs, d)
+	}
+	s.desc = strings.Join(descs, " u ")
+	return s
 }
 
 // Pred returns an opaque set with a membership oracle. Only Contains is
@@ -156,15 +183,15 @@ func Pred(desc string, test func(string) bool) *Set {
 
 // atLeast / atMost / exactly build single-interval numeric sets.
 func atLeast(x float64, open bool) *Set {
-	return Numeric(interval{lo: x, loOpen: open, hiUnb: true})
+	return Numeric(interval[float64]{lo: x, loOpen: open, hiUnb: true})
 }
 
 func atMost(x float64, open bool) *Set {
-	return Numeric(interval{hi: x, hiOpen: open, loUnb: true})
+	return Numeric(interval[float64]{hi: x, hiOpen: open, loUnb: true})
 }
 
 func numRange(lo, hi float64) *Set {
-	return Numeric(interval{lo: lo, hi: hi})
+	return Numeric(interval[float64]{lo: lo, hi: hi})
 }
 
 func dedupeSorted(values []string) []string {
@@ -195,8 +222,11 @@ func renderVals(vals []string) string {
 
 // mergeIntervals sorts and coalesces overlapping or touching intervals,
 // dropping empty ones.
-func mergeIntervals(ivs []interval) []interval {
-	kept := make([]interval, 0, len(ivs))
+func mergeIntervals[T float64 | string](ivs []interval[T]) []interval[T] {
+	if len(ivs) == 0 {
+		return nil
+	}
+	kept := make([]interval[T], 0, len(ivs))
 	for _, iv := range ivs {
 		if !iv.empty() {
 			kept = append(kept, iv)
@@ -215,7 +245,7 @@ func mergeIntervals(ivs []interval) []interval {
 		}
 		return !a.loOpen && b.loOpen
 	})
-	var out []interval
+	var out []interval[T]
 	for _, iv := range kept {
 		if len(out) == 0 {
 			out = append(out, iv)
@@ -234,7 +264,7 @@ func mergeIntervals(ivs []interval) []interval {
 // intervalsTouch reports whether a (which starts no later than b) overlaps
 // or is adjacent to b closely enough to merge. Adjacency at a shared
 // closed endpoint merges; an open/open gap at one point does not.
-func intervalsTouch(a, b interval) bool {
+func intervalsTouch[T float64 | string](a, b interval[T]) bool {
 	if a.hiUnb || b.loUnb {
 		return true
 	}
@@ -251,7 +281,7 @@ func intervalsTouch(a, b interval) bool {
 	return false
 }
 
-func hullOf(a, b interval) interval {
+func hullOf[T float64 | string](a, b interval[T]) interval[T] {
 	out := a
 	if b.loUnb || (!a.loUnb && !b.loUnb && (b.lo < a.lo || (b.lo == a.lo && !b.loOpen))) {
 		out.lo, out.loUnb, out.loOpen = b.lo, b.loUnb, b.loOpen
@@ -276,7 +306,7 @@ func (s *Set) ProvablyEmpty() bool {
 	case kindFinite:
 		return len(s.vals) == 0
 	case kindNumeric:
-		return len(s.ivs) == 0
+		return len(s.ivs) == 0 && len(s.strs) == 0
 	default:
 		return false
 	}
@@ -296,21 +326,24 @@ func (s *Set) Contains(v string) (member, known bool) {
 	case kindExcept:
 		return !sortedContains(s.vals, v), true
 	case kindNumeric:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			return false, true
+		if f, ok := schema.Number(v); ok {
+			return anyContains(s.ivs, f), true
 		}
-		for _, iv := range s.ivs {
-			if iv.contains(f) {
-				return true, true
-			}
-		}
-		return false, true
+		return anyContains(s.strs, v), true
 	case kindPred:
 		return s.test(v), true
 	default:
 		return false, false
 	}
+}
+
+func anyContains[T float64 | string](ivs []interval[T], x T) bool {
+	for _, iv := range ivs {
+		if iv.contains(x) {
+			return true
+		}
+	}
+	return false
 }
 
 func sortedContains(vals []string, v string) bool {
@@ -345,15 +378,7 @@ func (s *Set) Intersect(o *Set) (result *Set, exact bool) {
 		union := append(append([]string(nil), s.vals...), o.vals...)
 		return Except(union...), true
 	case s.kind == kindNumeric && o.kind == kindNumeric:
-		var out []interval
-		for _, a := range s.ivs {
-			for _, b := range o.ivs {
-				if iv, ok := intersectIntervals(a, b); ok {
-					out = append(out, iv)
-				}
-			}
-		}
-		return Numeric(out...), true
+		return numericRegion(intersectAll(s.ivs, o.ivs), intersectAll(s.strs, o.strs)), true
 	case s.kind == kindExcept && o.kind == kindNumeric:
 		return o, false // numeric minus finitely many points: still infinite-ish, approximate by the numeric side
 	case s.kind == kindNumeric && o.kind == kindExcept:
@@ -392,7 +417,8 @@ func (s *Set) Union(o *Set) (result *Set, exact bool) {
 	case s.kind == kindFinite && o.kind == kindFinite:
 		return Finite(append(append([]string(nil), s.vals...), o.vals...)...), true
 	case s.kind == kindNumeric && o.kind == kindNumeric:
-		return Numeric(append(append([]interval(nil), s.ivs...), o.ivs...)...), true
+		return numericRegion(append(append([]interval[float64](nil), s.ivs...), o.ivs...),
+			append(append([]interval[string](nil), s.strs...), o.strs...)), true
 	case s.kind == kindExcept && o.kind == kindFinite:
 		var kept []string
 		for _, v := range s.vals {
@@ -431,7 +457,20 @@ func filterFinite(vals []string, o *Set) *Set {
 	return Finite(kept...)
 }
 
-func intersectIntervals(a, b interval) (interval, bool) {
+// intersectAll intersects two interval unions pairwise.
+func intersectAll[T float64 | string](as, bs []interval[T]) []interval[T] {
+	var out []interval[T]
+	for _, a := range as {
+		for _, b := range bs {
+			if iv, ok := intersectIntervals(a, b); ok {
+				out = append(out, iv)
+			}
+		}
+	}
+	return out
+}
+
+func intersectIntervals[T float64 | string](a, b interval[T]) (interval[T], bool) {
 	out := a
 	if !b.loUnb && (out.loUnb || b.lo > out.lo || (b.lo == out.lo && b.loOpen)) {
 		out.lo, out.loUnb, out.loOpen = b.lo, false, b.loOpen || (b.lo == a.lo && a.loOpen)
@@ -440,7 +479,7 @@ func intersectIntervals(a, b interval) (interval, bool) {
 		out.hi, out.hiUnb, out.hiOpen = b.hi, false, b.hiOpen || (b.hi == a.hi && a.hiOpen)
 	}
 	if out.empty() {
-		return interval{}, false
+		return interval[T]{}, false
 	}
 	return out, true
 }
@@ -468,15 +507,9 @@ func (s *Set) SubsetOf(o *Set) bool {
 		}
 		return true
 	case kindNumeric:
-		if o.kind != kindNumeric {
-			return false
-		}
-		for _, a := range s.ivs {
-			if !intervalCovered(a, o.ivs) {
-				return false
-			}
-		}
-		return true
+		// Numbers and other strings compare differently, so each side
+		// must be covered on its own.
+		return o.kind == kindNumeric && allCovered(s.ivs, o.ivs) && allCovered(s.strs, o.strs)
 	case kindExcept:
 		// except(A) subset of except(B) iff B subset of A.
 		if o.kind != kindExcept {
@@ -493,10 +526,19 @@ func (s *Set) SubsetOf(o *Set) bool {
 	}
 }
 
+func allCovered[T float64 | string](ivs, cover []interval[T]) bool {
+	for _, a := range ivs {
+		if !intervalCovered(a, cover) {
+			return false
+		}
+	}
+	return true
+}
+
 // intervalCovered reports whether a is contained in the union of cover.
 // The cover is disjoint and sorted, so a must fit inside one interval
 // (merging has already coalesced touching neighbors).
-func intervalCovered(a interval, cover []interval) bool {
+func intervalCovered[T float64 | string](a interval[T], cover []interval[T]) bool {
 	for _, c := range cover {
 		loOK := c.loUnb || (!a.loUnb && (a.lo > c.lo || (a.lo == c.lo && (a.loOpen || !c.loOpen))))
 		hiOK := c.hiUnb || (!a.hiUnb && (a.hi < c.hi || (a.hi == c.hi && (a.hiOpen || !c.hiOpen))))
@@ -532,7 +574,7 @@ func (s *Set) Witness(o *Set) (string, bool) {
 
 // samplePoint picks an integer representative from a non-empty interval
 // when possible.
-func samplePoint(iv interval) (string, bool) {
+func samplePoint(iv interval[float64]) (string, bool) {
 	switch {
 	case !iv.loUnb:
 		x := math.Ceil(iv.lo)

@@ -24,12 +24,9 @@ func (a *analyzer) checkReplacedRules() {
 		if !exactish(pr.PreferredMatch) || !exactish(cr.NonPreferredMatch) {
 			continue
 		}
-		nonPref := map[string]bool{}
-		for _, v := range cr.NonPreferredValue {
-			nonPref[v] = true
-		}
+		nonPref := cvl.NewMatcher(cr.NonPreferredValue, cr.NonPreferredMatch, cr.CaseInsensitive)
 		for _, v := range pr.PreferredValue {
-			if !nonPref[v] {
+			if rejected, _ := nonPref.Matches(v); !rejected {
 				continue
 			}
 			d := a.diagFor(pair.child, CodeContradiction, "non_preferred_value", cr.Name,

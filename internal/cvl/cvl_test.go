@@ -2,7 +2,6 @@ package cvl
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -354,14 +353,8 @@ func TestParseRuleFileParentDirective(t *testing.T) {
 	if _, err := ParseRuleFile("f.yaml", []byte(dup)); err == nil {
 		t.Error("duplicate parent accepted")
 	}
-}
-
-// TestMayNameParent pins the soundness the engine's rule fingerprint
-// relies on: content that declares a parent, in any spelling the YAML
-// subset accepts, contains the key literally, and mutations of such
-// content never declare a parent without it.
-func TestMayNameParent(t *testing.T) {
-	seeds := []string{
+	// Every spelling of the directive the YAML subset accepts.
+	for _, src := range []string{
 		"parent_cvl_file: p.yaml\n---\nconfig_name: a\n",
 		"\"parent_cvl_file\": p.yaml\n",
 		"'parent_cvl_file': p.yaml\r\n",
@@ -369,33 +362,9 @@ func TestMayNameParent(t *testing.T) {
 		"- {'parent_cvl_file': p.yaml}\n- config_name: a\n",
 		"- parent_cvl_file: p.yaml\n",
 		"--- parent_cvl_file: p.yaml # c\n",
-	}
-	for _, src := range seeds {
-		rf, err := ParseRuleFile("f.yaml", []byte(src))
-		if err != nil || rf.Parent != "p.yaml" || !MayNameParent([]byte(src)) {
-			t.Errorf("%q: parent %v, err %v, MayNameParent %v", src, rf, err, MayNameParent([]byte(src)))
-		}
-	}
-	if MayNameParent([]byte("config_name: parent_cvl\n")) {
-		t.Error("MayNameParent true without the key")
-	}
-	r := rand.New(rand.NewSource(5))
-	alphabet := []byte("parent_cvlfile'\"\\:{}[]- #\n\t")
-	for i := 0; i < 20000; i++ {
-		in := []byte(seeds[r.Intn(len(seeds))])
-		for n := 1 + r.Intn(3); n > 0 && len(in) > 0; n-- {
-			at := r.Intn(len(in))
-			switch r.Intn(3) {
-			case 0:
-				in[at] = alphabet[r.Intn(len(alphabet))]
-			case 1:
-				in = append(in[:at], in[at+1:]...)
-			default:
-				in = append(in[:at], append([]byte{alphabet[r.Intn(len(alphabet))]}, in[at:]...)...)
-			}
-		}
-		if rf, err := ParseRuleFile("f.yaml", in); err == nil && rf.Parent != "" && !MayNameParent(in) {
-			t.Fatalf("%q declares parent %q but MayNameParent is false", in, rf.Parent)
+	} {
+		if rf, err := ParseRuleFile("f.yaml", []byte(src)); err != nil || rf.Parent != "p.yaml" {
+			t.Errorf("%q: parent %v, err %v", src, rf, err)
 		}
 	}
 }

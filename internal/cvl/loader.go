@@ -1,21 +1,10 @@
 package cvl
 
-import (
-	"bytes"
-	"fmt"
-)
+import "fmt"
 
 // FileReader resolves a rule-file path to its content. Implementations map
 // to the local filesystem, an embedded rule library, or test fixtures.
 type FileReader func(path string) ([]byte, error)
-
-// MayNameParent reports whether rule-file content can declare a
-// parent_cvl_file. The YAML subset has no escape that spells a letter or
-// '_', so a file declares a parent only if the key appears in it
-// literally; a file without it resolves by reading itself alone.
-func MayNameParent(content []byte) bool {
-	return bytes.Contains(content, []byte("parent_cvl_file"))
-}
 
 // ResolveRules loads the rule file at path and resolves its inheritance
 // chain (§3.2 "Inheritance"): parent rules load first, child rules with the

@@ -17,7 +17,7 @@ import (
 type compiledRule struct {
 	rule *cvl.Rule
 
-	nonPreferred, preferred matchSet
+	value cvl.ValueCheck
 
 	// Tree rules.
 	queries  []configtree.Query // config_path entries joined with the rule name
@@ -47,10 +47,9 @@ func compileRules(rules []*cvl.Rule) []*compiledRule {
 
 func compileRule(r *cvl.Rule) *compiledRule {
 	c := &compiledRule{
-		rule:         r,
-		nonPreferred: newMatchSet(r.NonPreferredValue, r.NonPreferredMatch, r.CaseInsensitive),
-		preferred:    newMatchSet(r.PreferredValue, r.PreferredMatch, r.CaseInsensitive),
-		msgNA:        r.Name + " not applicable",
+		rule:  r,
+		value: cvl.NewValueCheck(r),
+		msgNA: r.Name + " not applicable",
 	}
 	// The default message suffix of each outcome; "" marks an outcome the
 	// rule type does not have.

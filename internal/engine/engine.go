@@ -175,9 +175,6 @@ func (s *CachedSource) Resolve(path string) ([]*compiledRule, error) {
 // each, so any edit that can change the resolved rules changes the
 // fingerprint. It is computed once per source; the returned slice is
 // shared and must not be modified.
-//
-// A file that cannot name a parent (cvl.MayNameParent) is its own whole
-// chain and is only read and hashed, not resolved.
 func (s *CachedSource) Fingerprint(path string) ([]RuleFileSum, error) {
 	s.mu.Lock()
 	sums, ok := s.sums[path]
@@ -185,24 +182,15 @@ func (s *CachedSource) Fingerprint(path string) ([]RuleFileSum, error) {
 	if ok {
 		return sums, nil
 	}
-	data, err := s.read(path)
+	r, err := s.resolve(path)
 	if err != nil {
 		return nil, err
 	}
-	chain := []string{path}
-	if cvl.MayNameParent(data) {
-		r, err := s.resolve(path)
+	sums = make([]RuleFileSum, len(r.chain))
+	for i, p := range r.chain {
+		data, err := s.read(p)
 		if err != nil {
 			return nil, err
-		}
-		chain = r.chain
-	}
-	sums = make([]RuleFileSum, len(chain))
-	for i, p := range chain {
-		if i > 0 {
-			if data, err = s.read(p); err != nil {
-				return nil, err
-			}
 		}
 		sum := sha256.Sum256(data)
 		sums[i] = RuleFileSum{Path: p, SHA256: hex.EncodeToString(sum[:])}
@@ -604,7 +592,7 @@ func (c *compiledRule) evalTree(configs []*crawler.FileConfig) verdict {
 	var (
 		hits, passed        int
 		firstFile           string
-		failWhy             mismatch
+		failWhy             cvl.Mismatch
 		failValue, failFile string
 	)
 scan:
@@ -618,13 +606,13 @@ scan:
 				if hits == 1 {
 					firstFile = fc.Path
 				}
-				why, value, err := c.checkNode(n.Value)
+				why, value, err := c.value.Check(n.Value)
 				if err != nil {
 					return errorVerdict(err)
 				}
-				if why == matchOK {
+				if why == cvl.ValueOK {
 					passed++
-				} else if failWhy == matchOK {
+				} else if failWhy == cvl.ValueOK {
 					failWhy, failValue, failFile = why, value, fc.Path
 				}
 				if c.rule.Occurrence == "first" {
@@ -647,7 +635,7 @@ scan:
 	if ok {
 		return pass(c.msgPass, firstFile)
 	}
-	return fail(c.msgFail, failWhy.detail(failValue), failFile)
+	return fail(c.msgFail, failWhy.Detail(failValue), failFile)
 }
 
 // treeCandidate reports whether a crawled file is a parsed tree the rule's
@@ -758,12 +746,12 @@ func (c *compiledRule) evalSchema(configs []*crawler.FileConfig) verdict {
 		values = []string{""}
 	}
 	for _, v := range values {
-		why, err := c.check(v)
+		why, _, err := c.value.Check(v)
 		if err != nil {
 			return errorVerdict(err)
 		}
-		if why != matchOK {
-			return fail(c.msgFail, why.detail(v), sourceFile)
+		if why != cvl.ValueOK {
+			return fail(c.msgFail, why.Detail(v), sourceFile)
 		}
 	}
 	return pass(c.msgPass, sourceFile)
@@ -850,14 +838,14 @@ func (e *Engine) evalScript(ent entity.Entity, c *compiledRule) verdict {
 
 // judgeScript judges one feature output against the rule's matchers.
 func (c *compiledRule) judgeScript(output string) verdict {
-	why, err := c.check(output)
+	why, _, err := c.value.Check(output)
 	if err != nil {
 		return errorVerdict(err)
 	}
-	if why == matchOK {
+	if why == cvl.ValueOK {
 		return pass(c.msgPass, "")
 	}
-	return fail(c.msgFail, why.detail(output), "")
+	return fail(c.msgFail, why.Detail(output), "")
 }
 
 // --- composite rules ---

@@ -8,11 +8,11 @@ import (
 	"configvalidator/internal/cvl"
 )
 
-// valueMatches runs one compiled match set, the way a rule's preferred or
+// valueMatches runs one compiled matcher, the way a rule's preferred or
 // non-preferred side evaluates a value.
 func valueMatches(value string, expected []string, spec cvl.MatchSpec, caseInsensitive bool) (bool, error) {
-	m := newMatchSet(expected, spec, caseInsensitive)
-	return m.matches(value)
+	m := cvl.NewMatcher(expected, spec, caseInsensitive)
+	return m.Matches(value)
 }
 
 func TestValueMatchesKinds(t *testing.T) {
@@ -61,35 +61,42 @@ func TestMatcherBadRegex(t *testing.T) {
 
 // TestMatcherBadRegexOnlyWhenReached pins lazy regex compilation: a bad
 // pattern after an any-hit (or after an all-miss) is never compiled, and
-// the same match set reports it once a value does reach it.
+// the same matcher reports it once a value does reach it.
 func TestMatcherBadRegexOnlyWhenReached(t *testing.T) {
-	anySet := newMatchSet([]string{"^ok$", "(bad"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}, false)
-	if ok, err := anySet.matches("ok"); err != nil || !ok {
+	anySet := cvl.NewMatcher([]string{"^ok$", "(bad"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}, false)
+	if ok, err := anySet.Matches("ok"); err != nil || !ok {
 		t.Fatalf("any-hit before the bad pattern: %v, %v", ok, err)
 	}
-	if _, err := anySet.matches("nope"); err == nil {
+	if _, err := anySet.Matches("nope"); err == nil {
 		t.Fatal("a value reaching the bad pattern got no error")
 	}
-	allSet := newMatchSet([]string{"^ok$", "(bad"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAll}, false)
-	if ok, err := allSet.matches("nope"); err != nil || ok {
+	allSet := cvl.NewMatcher([]string{"^ok$", "(bad"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAll}, false)
+	if ok, err := allSet.Matches("nope"); err != nil || ok {
 		t.Fatalf("all-miss before the bad pattern: %v, %v", ok, err)
 	}
 }
 
 // TestMatchSetFoldsOnce pins the compiled case folding: exact and substr
-// operands are lower-cased at compile time, regex operands are left as
-// written and matched with (?i).
+// operands are lower-cased at compile time, so matching an already
+// lower-case value folds nothing and allocates nothing; regex operands are
+// left as written and matched with (?i).
 func TestMatchSetFoldsOnce(t *testing.T) {
-	exact := newMatchSet([]string{"NO", "Maybe"}, cvl.MatchSpec{Kind: cvl.MatchExact, Quant: cvl.QuantAny}, true)
-	if !exact.fold || exact.values[0] != "no" || exact.values[1] != "maybe" {
-		t.Errorf("exact operands = %q (fold %v), want folded", exact.values, exact.fold)
+	exact := cvl.NewMatcher([]string{"NO", "Maybe"}, cvl.MatchSpec{Kind: cvl.MatchExact, Quant: cvl.QuantAny}, true)
+	for _, v := range []string{"no", "MAYBE", "Maybe"} {
+		if ok, err := exact.Matches(v); err != nil || !ok {
+			t.Errorf("case-insensitive exact %q: %v, %v", v, ok, err)
+		}
 	}
-	re := newMatchSet([]string{"^YES$"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}, true)
-	if re.fold || re.values[0] != "^YES$" {
-		t.Errorf("regex operands = %q (fold %v), want unfolded", re.values, re.fold)
+	if n := testing.AllocsPerRun(100, func() { _, _ = exact.Matches("maybe") }); n != 0 {
+		t.Errorf("matching a lower-case value allocates %v times; operands are not folded at compile time", n)
 	}
-	if ok, err := re.matches("yes"); err != nil || !ok {
+	re := cvl.NewMatcher([]string{"^YES$"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}, true)
+	if ok, err := re.Matches("yes"); err != nil || !ok {
 		t.Errorf("case-insensitive regex: %v, %v", ok, err)
+	}
+	bad := cvl.NewMatcher([]string{"(BAD"}, cvl.MatchSpec{Kind: cvl.MatchRegex, Quant: cvl.QuantAny}, true)
+	if _, err := bad.Matches("x"); err == nil || !strings.Contains(err.Error(), `regex "(BAD"`) {
+		t.Errorf("regex operand not kept as written: %v", err)
 	}
 	// The rule's own value lists are never rewritten by compilation.
 	rule := &cvl.Rule{Type: cvl.TypeTree, Name: "k", PreferredValue: []string{"A"}, CaseInsensitive: true}

@@ -2,9 +2,9 @@ package schema
 
 import "fmt"
 
-// Atom is one column comparison inside a constraint expression, exposed
-// for static analysis: the semantic rule checker (internal/analysis/sem)
-// lowers conjunctions of atoms into per-column abstract domains.
+// Atom is one column comparison inside a constraint expression. The
+// semantic rule checker (internal/analysis/sem) lowers conjunctions of
+// atoms into per-column abstract domains and tests membership with Holds.
 type Atom struct {
 	// Column is the constrained column name.
 	Column string
@@ -40,8 +40,8 @@ func ConjunctiveAtoms(constraints string, args []string) ([]Atom, bool, error) {
 // any OR or NOT node.
 func collectAtoms(e boolExpr, out *[]Atom) bool {
 	switch v := e.(type) {
-	case *comparison:
-		*out = append(*out, Atom{Column: v.column, Op: v.op, Values: append([]string(nil), v.values...)})
+	case *Atom:
+		*out = append(*out, *v)
 		return true
 	case *binaryBool:
 		if v.op != "AND" {

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -33,5 +34,22 @@ func BenchmarkSelectCompound(b *testing.B) {
 		if _, err := t.Select(q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkLike matches a pattern with several '%' that almost matches a
+// run of 'a's: each '%' multiplies the work of a backtracking matcher by
+// the length of the cell.
+func BenchmarkLike(b *testing.B) {
+	for _, n := range []int{80, 4096} {
+		cell := strings.Repeat("a", n)
+		b.Run(strconv.Itoa(n)+"B", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if Like("%a%a%a%a%b", cell) {
+					b.Fatal("matched")
+				}
+			}
+		})
 	}
 }

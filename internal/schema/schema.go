@@ -10,15 +10,20 @@
 //	query_constraints_value: ["/tmp"]
 //	query_columns: "*"
 //
-// Constraints support =, !=, <, <=, >, >=, LIKE (with % wildcards), and IN,
-// combined with AND/OR and parentheses. Values compare numerically when both
-// sides parse as numbers, lexicographically otherwise.
+// Constraints support =, !=, <, <=, >, >=, LIKE and IN, combined with
+// AND/OR/NOT and parentheses. Two values compare numerically when both parse
+// as numbers other than NaN, in string order otherwise (Compare). In a LIKE
+// pattern, '_' matches one character and '%' any run of characters,
+// newlines included (Like).
 package schema
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a named relation with ordered columns and rows.
@@ -182,64 +187,67 @@ func (n *notExpr) eval(t *Table, row []string) (bool, error) {
 	return !v, err
 }
 
-type comparison struct {
-	column string
-	op     string // =, !=, <, <=, >, >=, LIKE, IN
-	values []string
+// eval applies the atom to its column's cell in row.
+func (a *Atom) eval(t *Table, row []string) (bool, error) {
+	idx, ok := t.ColumnIndex(a.Column)
+	if !ok {
+		return false, fmt.Errorf("no column %q", a.Column)
+	}
+	return a.Holds(row[idx]), nil
 }
 
-func (c *comparison) eval(t *Table, row []string) (bool, error) {
-	idx, ok := t.ColumnIndex(c.column)
-	if !ok {
-		return false, fmt.Errorf("no column %q", c.column)
-	}
-	cell := row[idx]
-	switch c.op {
+// Holds reports whether a cell satisfies the atom: the one evaluation of a
+// comparison, which Select applies to every row and the semantic rule
+// checker uses as its membership test.
+func (a *Atom) Holds(cell string) bool {
+	switch a.Op {
 	case "=":
-		return compareValues(cell, c.values[0]) == 0, nil
+		return Compare(cell, a.Values[0]) == 0
 	case "!=":
-		return compareValues(cell, c.values[0]) != 0, nil
+		return Compare(cell, a.Values[0]) != 0
 	case "<":
-		return compareValues(cell, c.values[0]) < 0, nil
+		return Compare(cell, a.Values[0]) < 0
 	case "<=":
-		return compareValues(cell, c.values[0]) <= 0, nil
+		return Compare(cell, a.Values[0]) <= 0
 	case ">":
-		return compareValues(cell, c.values[0]) > 0, nil
+		return Compare(cell, a.Values[0]) > 0
 	case ">=":
-		return compareValues(cell, c.values[0]) >= 0, nil
+		return Compare(cell, a.Values[0]) >= 0
 	case "LIKE":
-		return matchLike(c.values[0], cell), nil
+		return Like(a.Values[0], cell)
 	case "IN":
-		for _, v := range c.values {
-			if compareValues(cell, v) == 0 {
-				return true, nil
+		for _, v := range a.Values {
+			if Compare(cell, v) == 0 {
+				return true
 			}
 		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("unsupported operator %q", c.op)
 	}
+	return false
 }
 
-// compareValues compares numerically when both values parse as numbers,
-// lexicographically otherwise.
-func compareValues(a, b string) int {
-	if !mayParseFloat(a) || !mayParseFloat(b) {
-		return strings.Compare(a, b)
-	}
-	fa, errA := strconv.ParseFloat(a, 64)
-	fb, errB := strconv.ParseFloat(b, 64)
-	if errA == nil && errB == nil {
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		default:
-			return 0
+// Compare orders two cells: numerically when both are numbers (Number),
+// in string order otherwise. A NaN is not a number, so it compares as the
+// string it is.
+func Compare(a, b string) int {
+	if mayParseFloat(a) && mayParseFloat(b) {
+		fa, okA := Number(a)
+		fb, okB := Number(b)
+		if okA && okB {
+			return cmp.Compare(fa, fb)
 		}
 	}
 	return strings.Compare(a, b)
+}
+
+// Number reports whether a cell compares as a number, and its value:
+// strconv.ParseFloat accepts the whole string (so surrounding spaces make
+// it text) and the value is not NaN.
+func Number(s string) (float64, bool) {
+	if !mayParseFloat(s) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && !math.IsNaN(f)
 }
 
 // mayParseFloat is a necessary condition for strconv.ParseFloat to
@@ -261,28 +269,39 @@ func mayParseFloat(s string) bool {
 	return false
 }
 
-// matchLike implements SQL LIKE with % (any run) and _ (single char).
-func matchLike(pattern, s string) bool {
-	return likeMatch(pattern, s)
-}
-
-func likeMatch(p, s string) bool {
-	if p == "" {
-		return s == ""
-	}
-	switch p[0] {
-	case '%':
-		for i := 0; i <= len(s); i++ {
-			if likeMatch(p[1:], s[i:]) {
-				return true
-			}
+// Like reports whether s matches the SQL LIKE pattern: '_' matches exactly
+// one character, '%' any run of characters (newlines included), and every
+// other byte itself; there is no escape character. A byte that is not
+// valid UTF-8 counts as one character.
+//
+// On a mismatch only the last '%' takes one more character: an earlier
+// '%' never has to, since the later one absorbs whatever it would have.
+// So a match costs at most len(s) × len(pattern) steps.
+func Like(pattern, s string) bool {
+	p, i := 0, 0        // next pattern byte, next byte of s
+	star, mark := -1, 0 // the last '%' seen and where its run ends
+	for i < len(s) {
+		switch {
+		case p < len(pattern) && pattern[p] == '%':
+			star, mark = p, i
+			p++
+		case p < len(pattern) && pattern[p] == '_':
+			_, w := utf8.DecodeRuneInString(s[i:])
+			p, i = p+1, i+w
+		case p < len(pattern) && pattern[p] == s[i]:
+			p, i = p+1, i+1
+		case star >= 0:
+			_, w := utf8.DecodeRuneInString(s[mark:])
+			mark += w
+			p, i = star+1, mark
+		default:
+			return false
 		}
-		return false
-	case '_':
-		return len(s) > 0 && likeMatch(p[1:], s[1:])
-	default:
-		return len(s) > 0 && s[0] == p[0] && likeMatch(p[1:], s[1:])
 	}
+	for p < len(pattern) && pattern[p] == '%' {
+		p++
+	}
+	return p == len(pattern)
 }
 
 // constraintParser parses the constraint mini-language.
@@ -375,13 +394,13 @@ func (p *constraintParser) parseComparison() (boolExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &comparison{column: col, op: op, values: vals}, nil
+		return &Atom{Column: col, Op: op, Values: vals}, nil
 	}
 	val, err := p.parseValue()
 	if err != nil {
 		return nil, err
 	}
-	return &comparison{column: col, op: op, values: []string{val}}, nil
+	return &Atom{Column: col, Op: op, Values: []string{val}}, nil
 }
 
 func (p *constraintParser) parseIdent() (string, error) {

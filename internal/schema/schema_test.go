@@ -3,9 +3,11 @@ package schema
 import (
 	"math/rand"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // fstabTable builds a table shaped like a parsed /etc/fstab.
@@ -183,10 +185,15 @@ func TestLikeMatch(t *testing.T) {
 		{"%suid%", "nodev,nosuid", true},
 		{"", "", true},
 		{"", "x", false},
+		// '_' is one character, not one byte.
+		{"a_c", "a\u00e9c", true},
+		// Wildcards match newlines.
+		{"a_c", "a\nc", true},
+		{"%x", "a\nx", true},
 	}
 	for _, tt := range tests {
-		if got := matchLike(tt.pattern, tt.s); got != tt.want {
-			t.Errorf("matchLike(%q, %q) = %v, want %v", tt.pattern, tt.s, got, tt.want)
+		if got := Like(tt.pattern, tt.s); got != tt.want {
+			t.Errorf("Like(%q, %q) = %v, want %v", tt.pattern, tt.s, got, tt.want)
 		}
 	}
 }
@@ -277,7 +284,7 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-// TestMayParseFloatIsNecessary holds the compareValues fast path to
+// TestMayParseFloatIsNecessary holds the Compare fast path to
 // strconv.ParseFloat: every string ParseFloat accepts must pass
 // mayParseFloat, so skipping the parse for the rest cannot change a
 // comparison.
@@ -314,7 +321,7 @@ func TestMayParseFloatIsNecessary(t *testing.T) {
 		}
 	}
 	// The same contract over random short strings from a numeric-ish
-	// alphabet, and compareValues against the parse-both reference.
+	// alphabet, and Compare against the parse-both reference.
 	reference := func(a, b string) int {
 		fa, errA := strconv.ParseFloat(a, 64)
 		fb, errB := strconv.ParseFloat(b, 64)
@@ -343,14 +350,90 @@ func TestMayParseFloatIsNecessary(t *testing.T) {
 		if _, err := strconv.ParseFloat(a, 64); err == nil && !mayParseFloat(a) {
 			t.Fatalf("ParseFloat accepts %q but mayParseFloat rejects it", a)
 		}
-		if got, want := compareValues(a, b), reference(a, b); got != want {
-			t.Fatalf("compareValues(%q, %q) = %d, want %d", a, b, got, want)
+		if got, want := Compare(a, b), reference(a, b); got != want {
+			t.Fatalf("Compare(%q, %q) = %d, want %d", a, b, got, want)
 		}
 	}
 }
 
 func TestCompareNonNumericAllocatesNothing(t *testing.T) {
-	if n := testing.AllocsPerRun(100, func() { compareValues("ext4", "defaults") }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { Compare("ext4", "defaults") }); n != 0 {
 		t.Errorf("non-numeric compare allocates %v times, want 0", n)
 	}
+}
+
+// TestNaNIsNotANumber pins NaN as a string: parsed as a float it is
+// neither less nor greater than anything, so it equalled every number.
+func TestNaNIsNotANumber(t *testing.T) {
+	tbl := New("t", "c")
+	if err := tbl.AddRow("nan"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		constraints string
+		want        int
+	}{
+		{"c = 0", 0},
+		{"c IN (5)", 0},
+		{"c != 0", 1},
+		{"c >= 5", 1}, // string order: "nan" > "5"
+		{"c > 5", 1},
+		{"c < 5", 0},
+		{"c = nan", 1},
+	} {
+		out, err := tbl.Select(Query{Constraints: tc.constraints})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != tc.want {
+			t.Errorf("%s selects %d rows of [nan], want %d", tc.constraints, out.Len(), tc.want)
+		}
+	}
+	for _, s := range []string{"nan", "NaN", "-nan", " 5", "5 ", "1e400"} {
+		if f, ok := Number(s); ok {
+			t.Errorf("Number(%q) = %v, true; want not a number", s, f)
+		}
+	}
+	for _, s := range []string{"5", "-0", "+1e3", "inf", "-Infinity", "0x1p-2"} {
+		if _, ok := Number(s); !ok {
+			t.Errorf("Number(%q) is not a number", s)
+		}
+	}
+}
+
+// likeReference is the specification Like is fuzzed against: the pattern
+// translated to an anchored regexp in which '.' also matches a newline.
+func likeReference(pattern string) *regexp.Regexp {
+	var b strings.Builder
+	b.WriteString(`(?s)\A`)
+	for _, r := range pattern {
+		switch r {
+		case '%':
+			b.WriteString(".*")
+		case '_':
+			b.WriteString(".")
+		default:
+			b.WriteString(regexp.QuoteMeta(string(r)))
+		}
+	}
+	b.WriteString(`\z`)
+	return regexp.MustCompile(b.String())
+}
+
+func FuzzLike(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"%", ""}, {"a%c", "abbbc"}, {"a_c", "aéc"}, {"a_c", "a\nc"}, {"%x", "a\nx"},
+		{"%a%a%a%a%b", strings.Repeat("a", 40)}, {"_%_", "é"}, {"%_é%", "xéé"},
+		{"%%", "x"}, {"a%b%", "aab"}, {"_", ""},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, pattern, s string) {
+		if !utf8.ValidString(pattern) || !utf8.ValidString(s) {
+			return // '_' counts an invalid byte as one character; the regexp reference cannot express that
+		}
+		if got, want := Like(pattern, s), likeReference(pattern).MatchString(s); got != want {
+			t.Fatalf("Like(%q, %q) = %v, reference %v", pattern, s, got, want)
+		}
+	})
 }

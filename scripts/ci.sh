@@ -51,16 +51,17 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 
 # Fuzz smoke over the untrusted-input parsers (journal and shard-stream
 # records, frames, request lines and the shard request body among them),
-# and the compiled tree query against its reference; go test accepts one
-# -fuzz target per invocation, so each runs separately. A shard request
-# scans what it decodes and the frame and request-line targets run
-# encoding/json beside the codec, so their new inputs are minimized for
-# at most 2s, not 60s.
+# and the compiled tree query and schema LIKE against their references; go
+# test accepts one -fuzz target per invocation, so each runs separately. A
+# shard request scans what it decodes, the frame and request-line targets
+# run encoding/json beside the codec and the LIKE target compiles a regexp
+# per input, so their new inputs are minimized for at most 2s, not 60s.
 fuzztime="${FUZZTIME:-10s}"
 go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run FuzzDecode ./internal/yaml/
 go test -fuzz FuzzSSHDParse -fuzztime "$fuzztime" -run FuzzSSHDParse ./internal/lens/
 go test -fuzz FuzzFramesRead -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzFramesRead ./internal/frames/
 go test -fuzz FuzzTreePath -fuzztime "$fuzztime" -run FuzzTreePath ./internal/configtree/
+go test -fuzz FuzzLike -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzLike ./internal/schema/
 go test -fuzz FuzzJournalRecord -fuzztime "$fuzztime" -run FuzzJournalRecord ./internal/journal/
 go test -fuzz FuzzStreamRecord -fuzztime "$fuzztime" -run FuzzStreamRecord ./internal/dist/
 go test -fuzz FuzzEntityRecord -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzEntityRecord ./internal/dist/
