@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet race cpu-matrix lint analyze fuzz resume-smoke worker-kill-smoke enospc-smoke ci bench bench-check
+.PHONY: build test vet race cpu-matrix lint analyze fuzz bench-module resume-smoke worker-kill-smoke enospc-smoke enospc-tmpfs-smoke ci bench bench-check
 
 build:
 	$(GO) build ./...
@@ -71,15 +71,24 @@ resume-smoke:
 worker-kill-smoke:
 	./scripts/worker_kill_smoke.sh
 
-# Disk-pressure smoke: fill the disk under a journaled fleet scan
-# (size-capped tmpfs when privileged, CV_FAULTS ENOSPC injection
-# otherwise); the scan must complete degraded, account every failed
-# append, and resume journaling on a follow-up run.
+# Disk-pressure smoke: fill the disk under a journaled fleet scan; the
+# scan must complete degraded, account every failed append, and resume
+# journaling on a follow-up run. enospc-smoke injects ENOSPC through
+# CV_FAULTS and never mounts; enospc-tmpfs-smoke fills a real size-capped
+# tmpfs, and prints a skip line where it cannot mount one.
 enospc-smoke:
-	./scripts/enospc_smoke.sh
+	./scripts/enospc_smoke.sh faults
+
+enospc-tmpfs-smoke:
+	./scripts/enospc_smoke.sh tmpfs
+
+# The benchmark module's own vet and tests: a change that breaks an API
+# bench/cvbench calls fails here instead of at the next benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The full gate: what CI runs on every change.
-ci: build lint analyze race cpu-matrix resume-smoke worker-kill-smoke enospc-smoke fuzz
+ci: build lint analyze race cpu-matrix bench-module resume-smoke worker-kill-smoke enospc-smoke enospc-tmpfs-smoke fuzz
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

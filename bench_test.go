@@ -411,6 +411,35 @@ func BenchmarkResolveLibrary(b *testing.B) {
 	}
 }
 
+// BenchmarkConfigDigest measures the journal's resume check: one
+// ConfigDigest of a fleet image and of an Ubuntu host under the built-in
+// library, after a first digest has fingerprinted the rule files.
+func BenchmarkConfigDigest(b *testing.B) {
+	v, err := New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, _ := fixtures.Image("app", "v1", fixtures.Profile{Seed: 1})
+	host, _ := fixtures.UbuntuHost("host", fixtures.Profile{Seed: 1})
+	for _, bc := range []struct {
+		name string
+		ent  Entity
+	}{{"image", img.Entity()}, {"ubuntu-host", host}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if _, err := v.ConfigDigest(bc.ent, ""); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.ConfigDigest(bc.ent, ""); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- micro: Listing-6 encodings (E3 sanity; asserted in tests) ---
 
 func BenchmarkRuleParseCVL(b *testing.B) {

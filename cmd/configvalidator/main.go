@@ -107,11 +107,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if report == nil {
-		if *target != "" {
-			report, err = v.ValidateTarget(ent, *target)
-		} else {
-			report, err = v.Validate(ent)
-		}
+		report, err = v.ValidateTarget(ent, *target)
 		if err != nil {
 			return err
 		}

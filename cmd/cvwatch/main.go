@@ -109,14 +109,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		return frame.Entity(), nil
 	}
 
-	scan := func() (*configvalidator.Report, error) {
-		ent, err := load()
-		if err != nil {
-			return nil, err
-		}
-		return v.Validate(ent)
-	}
-
 	var previous *configvalidator.Report
 
 	// With a checkpoint journal the drift baseline survives restarts: the
@@ -151,6 +143,22 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		}
 	}
 
+	// scan validates the entity as it is now. With a checkpoint it also
+	// returns the entity's config digest, so the report commits under it
+	// and an unchanged tick appends nothing; an empty digest (on any
+	// digest error) still commits the baseline.
+	scan := func() (report *configvalidator.Report, digest string, err error) {
+		ent, err := load()
+		if err != nil {
+			return nil, "", err
+		}
+		if jrnl != nil {
+			digest, _ = v.ConfigDigest(ent, "")
+		}
+		report, err = v.Validate(ent)
+		return report, digest, err
+	}
+
 	scans := 0
 	consecutiveFailures := 0
 	ticker := time.NewTicker(*interval)
@@ -166,7 +174,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		}
 	}
 	for {
-		report, err := scan()
+		report, digest, err := scan()
 		if err != nil {
 			// A transient failure (frame mid-rewrite, unreachable root)
 			// must not kill the watch and must not reset the baseline:
@@ -204,9 +212,11 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 			}
 		}
 		previous = report
-		// Digest-less: the baseline is restored by Latest, never replayed.
-		// A failed commit, announced by OnDegraded, leaves the watch running.
-		_ = jrnl.Commit(report.EntityName, "", report, nil)
+		// The watch scans every tick and restores its baseline by Latest,
+		// never by Replay; the digest only lets Commit skip a report the
+		// journal already holds. A failed commit, announced by OnDegraded,
+		// leaves the watch running.
+		_ = jrnl.Commit(report.EntityName, digest, report, nil)
 		if *maxScans > 0 && scans >= *maxScans {
 			return nil
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	configvalidator "configvalidator"
 	"configvalidator/internal/fixtures"
 	"configvalidator/internal/frames"
 )
@@ -300,6 +301,45 @@ func TestWatchCheckpointRestoresBaseline(t *testing.T) {
 	}
 	if !strings.Contains(out2.String(), "REGRESSIONS") {
 		t.Errorf("drift across the restart not detected:\n%s", out2.String())
+	}
+}
+
+// TestWatchCheckpointAppendsOnlyChanges pins that -checkpoint commits each
+// scan under the entity's config digest: 40 ticks over an unchanged frame
+// leave one journal record, and a restart over a changed frame appends
+// exactly one more.
+func TestWatchCheckpointAppendsOnlyChanges(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "w.frame")
+	ckpt := filepath.Join(dir, "baseline.cvj")
+	watch := func(scans string) {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if err := run(context.Background(), []string{
+			"-frame", path, "-interval", "20ms", "-max-scans", scans, "-checkpoint", ckpt,
+		}, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	records := func() int64 {
+		t.Helper()
+		j, err := configvalidator.OpenJournal(ckpt, configvalidator.JournalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = j.Close() }()
+		return j.Stats().Replayed
+	}
+
+	writeFrameFile(t, path, 0, 8)
+	watch("40")
+	if got := records(); got != 1 {
+		t.Errorf("40 unchanged ticks left %d journal records, want 1", got)
+	}
+	writeFrameFile(t, path, 1, 8)
+	watch("1")
+	if got := records(); got != 2 {
+		t.Errorf("after a changed frame the journal holds %d records, want 2", got)
 	}
 }
 

@@ -1,14 +1,23 @@
 package configvalidator
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"configvalidator/internal/cvl"
 	"configvalidator/internal/entity"
 	"configvalidator/internal/fixtures"
+	"configvalidator/internal/frames"
+	"configvalidator/internal/lens"
+	"configvalidator/internal/pkgdb"
+	"configvalidator/internal/rules"
 )
 
 // permitRootLogin is a rule that passes when sshd_config's PermitRootLogin
@@ -140,9 +149,9 @@ func TestJournalResumeSeesPathRuleTargets(t *testing.T) {
 	}
 }
 
-// TestConfigDigestPinned pins the digest of a built-in-library scan, whose
-// rule files have no parents, so journals written before the digest
-// covered parent chains still replay.
+// TestConfigDigestPinned pins the cvdigest/2 digest of a built-in-library
+// scan. A change to these values is a format change: every journal
+// written before it re-scans each entity once, then replays again.
 func TestConfigDigestPinned(t *testing.T) {
 	v, err := New()
 	if err != nil {
@@ -150,8 +159,8 @@ func TestConfigDigestPinned(t *testing.T) {
 	}
 	host, _ := fixtures.UbuntuHost("pinned", fixtures.Profile{Seed: 3, MisconfigRate: 0.4})
 	for _, tc := range []struct{ target, want string }{
-		{"", "cd3013d1921533752abc57c31dd7d1d506b27ae1aa8fc66090b78d5c28e99e79"},
-		{"sshd", "8f0d877602e758ae6017b70fb98a0d76718b3e37cf5afc9da4cd043c5b9864d4"},
+		{"", "98826591ce9e4129a588ebb188a262eb5b66228ae601327bb0c1870b25ecf5f8"},
+		{"sshd", "471072051a73a4c82a1ebf100f4f0469c4d3a16953ba5ac334f43b19d2f84e26"},
 	} {
 		got, err := v.ConfigDigest(host, tc.target)
 		if err != nil {
@@ -160,5 +169,282 @@ func TestConfigDigestPinned(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("ConfigDigest(target %q) = %s, want %s", tc.target, got, tc.want)
 		}
+	}
+}
+
+// recorder is an entity that logs each call a scan or a digest makes to
+// read it: Type, Walk, ReadFile, Stat and RunFeature, with the argument.
+type recorder struct {
+	Entity
+	mu    sync.Mutex
+	calls map[string]bool
+}
+
+func record(e Entity) *recorder { return &recorder{Entity: e, calls: make(map[string]bool)} }
+
+func (r *recorder) log(call string) {
+	r.mu.Lock()
+	r.calls[call] = true
+	r.mu.Unlock()
+}
+
+func (r *recorder) Type() entity.Type { r.log("Type"); return r.Entity.Type() }
+
+func (r *recorder) Walk(root string, fn func(entity.FileInfo) error) error {
+	r.log("Walk " + root)
+	return r.Entity.Walk(root, fn)
+}
+
+func (r *recorder) ReadFile(path string) ([]byte, error) {
+	r.log("ReadFile " + path)
+	return r.Entity.ReadFile(path)
+}
+
+func (r *recorder) Stat(path string) (entity.FileInfo, error) {
+	r.log("Stat " + path)
+	return r.Entity.Stat(path)
+}
+
+func (r *recorder) RunFeature(name string) (string, error) {
+	r.log("RunFeature " + name)
+	return r.Entity.RunFeature(name)
+}
+
+// TestConfigDigestReadsWhatScansRead pins ConfigDigest's promise from the
+// reading side: every call a scan makes to read an entity, the digest of
+// the same selection makes too, with the same argument, so no input of a
+// verdict escapes the digest. It covers both rule libraries, every kind of
+// entity, and the whole manifest as well as each single target.
+func TestConfigDigestReadsWhatScansRead(t *testing.T) {
+	// Each kind builds its entity with rec wrapped around the backend, so
+	// the plugin host records what its plugins read.
+	kinds := []struct {
+		name  string
+		build func(t *testing.T, seed int64, rec func(Entity) Entity) Entity
+	}{
+		{"ubuntu host", func(t *testing.T, seed int64, rec func(Entity) Entity) Entity {
+			return rec(ubuntuHost(seed))
+		}},
+		{"system host", func(t *testing.T, seed int64, rec func(Entity) Entity) Entity {
+			h, _ := fixtures.SystemHost("h", fixtures.Profile{Seed: seed, MisconfigRate: 0.5})
+			return rec(h)
+		}},
+		{"image", func(t *testing.T, seed int64, rec func(Entity) Entity) Entity {
+			img, _ := fixtures.Image("app", "v1", fixtures.Profile{Seed: seed, MisconfigRate: 0.5})
+			return rec(img.Entity())
+		}},
+		{"container", func(t *testing.T, seed int64, rec func(Entity) Entity) Entity {
+			img, _ := fixtures.Image("app", "v1", fixtures.Profile{Seed: seed, MisconfigRate: 0.5})
+			return rec(newRunningContainer(t, img).Entity())
+		}},
+		{"plugin host", func(t *testing.T, seed int64, rec func(Entity) Entity) Entity {
+			// A host directory answers no feature itself: its plugins
+			// derive mysql.ssl and sysctl.runtime from its files.
+			dir := t.TempDir()
+			h := ubuntuHost(seed)
+			for _, p := range h.Files() {
+				data, _ := h.ReadFile(p)
+				fi, _ := h.Stat(p)
+				if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(p)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, p), data, fi.Mode.Perm()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return WithRuntimePlugins(rec(entity.NewOSDir("h", entity.TypeHost, dir)))
+		}},
+		{"frame", func(t *testing.T, seed int64, rec func(Entity) Entity) Entity {
+			frame, err := frames.Capture(ubuntuHost(seed), nil, time.Date(2017, 12, 12, 0, 0, 0, 0, time.UTC))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := frame.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := frames.Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rec(back.Entity())
+		}},
+	}
+	for _, lib := range []struct {
+		name string
+		opts []Option
+	}{{"builtin", nil}, {"extended", []Option{WithExtendedRules()}}} {
+		v, err := New(lib.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := []string{""}
+		for _, entry := range v.manifest.Entries {
+			targets = append(targets, entry.Name)
+		}
+		for _, kind := range kinds {
+			for seed := int64(1); seed <= 2; seed++ {
+				for _, target := range targets {
+					var scan, digest *recorder
+					ent := kind.build(t, seed, func(e Entity) Entity { scan = record(e); return scan })
+					if target == "" {
+						_, err = v.Validate(ent)
+					} else {
+						_, err = v.ValidateTarget(ent, target)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					ent = kind.build(t, seed, func(e Entity) Entity { digest = record(e); return digest })
+					if _, err := v.ConfigDigest(ent, target); err != nil {
+						t.Fatal(err)
+					}
+					var missed []string
+					for call := range scan.calls {
+						if !digest.calls[call] {
+							missed = append(missed, call)
+						}
+					}
+					if len(missed) > 0 {
+						slices.Sort(missed)
+						t.Errorf("%s library, %s seed %d, target %q: the scan made %d calls the digest did not: %s",
+							lib.name, kind.name, seed, target, len(missed), strings.Join(missed, "; "))
+					}
+				}
+			}
+		}
+	}
+}
+
+// ubuntuHost is the half-misconfigured UbuntuHost of a seed.
+func ubuntuHost(seed int64) *entity.Mem {
+	h, _ := fixtures.UbuntuHost("h", fixtures.Profile{Seed: seed, MisconfigRate: 0.5})
+	return h
+}
+
+// builtinRule returns the source of one rule of the built-in library: the
+// document of a rule file that defines name.
+func builtinRule(t *testing.T, file, name string) string {
+	t.Helper()
+	for _, doc := range strings.Split(rules.Files()[file], "\n---\n") {
+		if strings.Contains(doc, "_name: "+name+"\n") {
+			return doc
+		}
+	}
+	t.Fatalf("%s defines no rule %s", file, name)
+	return ""
+}
+
+// TestJournalResumeSeesFeatureOutputs pins that an entity digest covers
+// the output of each runtime feature a script rule judges: after a
+// rebuilt image drops its USER and HEALTHCHECK, or a host's MySQL stops
+// reporting SSL, a journaled fleet run re-scans the entity and reports the
+// new verdict instead of replaying the stale PASS.
+func TestJournalResumeSeesFeatureOutputs(t *testing.T) {
+	img, _ := fixtures.Image("app", "v1", fixtures.Profile{Seed: 1})
+	rebuilt := *img
+	rebuilt.Config.User, rebuilt.Config.Healthcheck = "", ""
+	before, after := ubuntuHost(1), ubuntuHost(1)
+	before.SetFeature("mysql.ssl", "have_ssl YES\n")
+	after.SetFeature("mysql.ssl", "have_ssl DISABLED\n")
+	for _, tc := range []struct {
+		rule, file, searchPath string
+		before, after          Entity
+	}{
+		{"image_user_not_root", "component_configs/docker.yaml", "/etc/docker", img.Entity(), rebuilt.Entity()},
+		{"image_healthcheck_present", "component_configs/docker.yaml", "/etc/docker", img.Entity(), rebuilt.Entity()},
+		{"mysql_ssl_enabled", "component_configs/mysql.yaml", "/etc/mysql", before, after},
+	} {
+		t.Run(tc.rule, func(t *testing.T) {
+			files := map[string]string{
+				"m.yaml":    "e:\n  config_search_paths: [" + tc.searchPath + "]\n  cvl_file: rule.yaml\n",
+				"rule.yaml": builtinRule(t, tc.file, tc.rule),
+			}
+			path := filepath.Join(t.TempDir(), "fleet.cvj")
+			if first := journaledScan(t, path, files, tc.before); first.Report.Results[0].Status != StatusPass {
+				t.Fatalf("before the change: %v, want PASS", first.Report.Results[0].Status)
+			}
+			second := journaledScan(t, path, files, tc.after)
+			if second.Resumed {
+				t.Errorf("resumed a journaled result after the feature output changed")
+			}
+			if got := second.Report.Results[0].Status; got != StatusFail {
+				t.Errorf("after the change: %v, want FAIL", got)
+			}
+		})
+	}
+}
+
+// TestJournalResumeSeesEntityType pins that an entity digest covers the
+// entity type: the same name and files scanned as another type re-scan
+// and report that type.
+func TestJournalResumeSeesEntityType(t *testing.T) {
+	files := map[string]string{
+		"m.yaml":    "sshd:\n  config_search_paths: [/etc/ssh]\n  cvl_file: rule.yaml\n",
+		"rule.yaml": permitRootLogin("no"),
+	}
+	as := func(typ entity.Type) Entity {
+		e := entity.NewMem("h", typ)
+		e.AddFile("/etc/ssh/sshd_config", []byte("PermitRootLogin no\n"))
+		return e
+	}
+	path := filepath.Join(t.TempDir(), "fleet.cvj")
+	if first := journaledScan(t, path, files, as(entity.TypeHost)); first.Report.EntityType != "host" {
+		t.Fatalf("first scan typed %q, want host", first.Report.EntityType)
+	}
+	second := journaledScan(t, path, files, as(entity.TypeImage))
+	if second.Resumed {
+		t.Error("resumed a journaled result after the entity type changed")
+	}
+	if second.Report.EntityType != "image" {
+		t.Errorf("after the type change: %q, want image", second.Report.EntityType)
+	}
+}
+
+// TestJournalReplaysChangesScansCannotSee pins the other side of the
+// digest: a change no scan reads leaves the digest as it was, so a
+// journaled fleet run replays a report byte-identical to the first.
+func TestJournalReplaysChangesScansCannotSee(t *testing.T) {
+	const unparsed = "/etc/ssh/moduli.orig"
+	if _, ok := lens.Default().ForFile(unparsed); ok {
+		t.Fatalf("a lens recognizes %s", unparsed)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*entity.Mem)
+	}{
+		{"mtime", func(h *entity.Mem) {
+			h.AddFile("/etc/ssh/sshd_config", []byte("PermitRootLogin no\n"), entity.WithModTime(time.Unix(1e9, 0)))
+		}},
+		{"package db", func(h *entity.Mem) {
+			h.AddPackage(pkgdb.Package{Name: "openssh-server", Version: "1:7.2p2", Architecture: "amd64", Status: "install ok installed"})
+		}},
+		{"unparsed file", func(h *entity.Mem) { h.AddFile(unparsed, []byte("2048 moduli\n")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{
+				"m.yaml":    "sshd:\n  config_search_paths: [/etc/ssh]\n  cvl_file: rule.yaml\n",
+				"rule.yaml": permitRootLogin("no"),
+			}
+			host := entity.NewMem("h", entity.TypeHost)
+			host.AddFile("/etc/ssh/sshd_config", []byte("PermitRootLogin no\n"))
+			path := filepath.Join(t.TempDir(), "fleet.cvj")
+			first := journaledScan(t, path, files, host)
+			tc.edit(host)
+			second := journaledScan(t, path, files, host)
+			if !second.Resumed {
+				t.Errorf("re-scanned after the %s change, which no scan reads", tc.name)
+			}
+			var a, b bytes.Buffer
+			if err := WriteJSON(&a, first.Report, OutputOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteJSON(&b, second.Report, OutputOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("replayed report differs:\n%s\nwant:\n%s", b.Bytes(), a.Bytes())
+			}
+		})
 	}
 }

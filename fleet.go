@@ -332,10 +332,7 @@ func (v *Validator) safeValidate(ent Entity, target string) (rep *Report, err er
 			err = &engine.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if target != "" {
-		return v.ValidateTarget(ent, target)
-	}
-	return v.Validate(ent)
+	return v.ValidateTarget(ent, target)
 }
 
 // Scan-error kinds, the keys of FleetSummary.ErrorsByKind.

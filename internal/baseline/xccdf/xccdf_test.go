@@ -6,8 +6,11 @@ import (
 	"time"
 
 	"configvalidator/internal/baseline"
+	"configvalidator/internal/baseline/scriptcheck"
+	"configvalidator/internal/engine"
 	"configvalidator/internal/entity"
 	"configvalidator/internal/fixtures"
+	"configvalidator/internal/rules"
 )
 
 func loadCIS40(t *testing.T) *Engine {
@@ -62,20 +65,61 @@ func TestEvaluateCleanAndDirty(t *testing.T) {
 	}
 }
 
+// TestAgreementWithScriptSemantics checks the three Table-2 engines verdict
+// for verdict. Over seeded, half-misconfigured system hosts, each check's
+// xccdf Passed, its scriptcheck Passed and whether the built-in CVL rule
+// its spec names (CVLTarget, CVLRule) reports PASS must agree. A CVL
+// verdict other than PASS or FAIL is reported as a disagreement too.
 func TestAgreementWithScriptSemantics(t *testing.T) {
-	// The xccdf and neutral-spec semantics must agree check by check on a
-	// partially misconfigured host.
 	eng := loadCIS40(t)
-	host, _ := fixtures.SystemHost("mixed", fixtures.Profile{Seed: 77, MisconfigRate: 0.5})
-	results := eng.Evaluate(host)
 	specs := baseline.CIS40()
-	if len(results) != len(specs) {
-		t.Fatalf("results = %d, specs = %d", len(results), len(specs))
+	checks := scriptcheck.FromSpecs(specs)
+	manifest, err := rules.Manifest()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range results {
-		if !strings.Contains(r.RuleID, specs[i].ID) {
-			t.Errorf("result %d = %s, spec = %s (order broken)", i, r.RuleID, specs[i].ID)
+	src := engine.NewCachedSource(rules.Reader())
+	cvlEngine := engine.New(nil)
+	disagreements := 0
+	for seed := int64(1); seed <= 100; seed++ {
+		host, _ := fixtures.SystemHost("mixed", fixtures.Profile{Seed: seed, MisconfigRate: 0.5})
+		results := eng.Evaluate(host)
+		if len(results) != len(specs) {
+			t.Fatalf("results = %d, specs = %d", len(results), len(specs))
 		}
+		outcomes := scriptcheck.New().Run(host, checks)
+		rep, err := cvlEngine.Validate(host, manifest, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cvlStatus := make(map[string]engine.Status, len(rep.Results))
+		for _, r := range rep.Results {
+			if r.Rule != nil {
+				cvlStatus[r.ManifestEntity+"/"+r.Rule.Name] = r.Status
+			}
+		}
+		for i, spec := range specs {
+			r, o := results[i], outcomes[i]
+			if !strings.Contains(r.RuleID, spec.ID) {
+				t.Fatalf("result %d = %s, spec = %s (order broken)", i, r.RuleID, spec.ID)
+			}
+			if r.Err != nil || o.Err != nil {
+				t.Fatalf("seed %d, %s: xccdf error %v, scriptcheck error %v", seed, spec.ID, r.Err, o.Err)
+			}
+			status, ok := cvlStatus[spec.CVLTarget+"/"+spec.CVLRule]
+			if !ok {
+				t.Fatalf("seed %d, %s: no CVL verdict for %s/%s", seed, spec.ID, spec.CVLTarget, spec.CVLRule)
+			}
+			cvlPass := status == engine.StatusPass
+			if r.Passed != o.Passed || r.Passed != cvlPass || (status != engine.StatusPass && status != engine.StatusFail) {
+				disagreements++
+				t.Errorf("seed %d, %s: xccdf passed=%t, scriptcheck passed=%t (found %q), CVL %v",
+					seed, spec.ID, r.Passed, o.Passed, o.Found, status)
+			}
+		}
+	}
+	if disagreements > 0 {
+		t.Errorf("%d of %d checks disagree", disagreements, 100*len(specs))
 	}
 }
 

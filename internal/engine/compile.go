@@ -115,14 +115,20 @@ func joinTreePath(configPath, name string) string {
 	return configPath + "/" + name
 }
 
-// applicable filters rules in place to those an entry's tag filter and
-// the entity type select; rules must be a slice the caller owns.
+// applicable filters rules in place to those that apply; rules must be a
+// slice the caller owns.
 func applicable(rules []*compiledRule, tags []string, entityType string) []*compiledRule {
 	out := rules[:0]
 	for _, c := range rules {
-		if c.rule.MatchesTags(tags) && c.rule.AppliesToType(entityType) {
+		if c.applies(tags, entityType) {
 			out = append(out, c)
 		}
 	}
 	return out
+}
+
+// applies reports whether an entry's tag filter and the entity type
+// select the rule.
+func (c *compiledRule) applies(tags []string, entityType string) bool {
+	return c.rule.MatchesTags(tags) && c.rule.AppliesToType(entityType)
 }

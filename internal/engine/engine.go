@@ -2,9 +2,11 @@ package engine
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"path"
 	"runtime"
 	"slices"
@@ -205,22 +207,6 @@ func (s *CachedSource) Fingerprint(path string) ([]RuleFileSum, error) {
 	return sums, nil
 }
 
-// PathTargets returns the path_name of every path rule that resolving
-// path yields: the files a scan stats wherever they lie.
-func (s *CachedSource) PathTargets(path string) ([]string, error) {
-	r, err := s.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	var targets []string
-	for _, c := range r.rules {
-		if c.rule.Type == cvl.TypePath {
-			targets = append(targets, c.rule.Name)
-		}
-	}
-	return targets, nil
-}
-
 // resolve returns the memoized resolution of path, resolving and
 // compiling it on first use.
 func (s *CachedSource) resolve(path string) (*resolution, error) {
@@ -405,6 +391,143 @@ func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src R
 		report.Results = results
 	}
 	return report, nil
+}
+
+// Digest returns the SHA-256 identity of everything Validate reads of ent
+// when it runs the manifest through src, so two entities with equal
+// digests validate to byte-identical reports. It folds in, in validate's
+// order:
+//
+//   - the entity type, which selects rules and names the report's type;
+//   - per enabled entry, its name, tags and search paths, and the
+//     Fingerprint of its rule file (phase 1 resolves that chain);
+//   - every file Discover lists under the search paths (phase 2): path,
+//     size, mode, owner, and the SHA-256 of the content phase 3 reads;
+//   - per path or script rule that applicable keeps (phase 4): the mode
+//     and owner Stat reports for its path_name, or its absence, and the
+//     output of its feature, or ErrNoFeature.
+//
+// No phase reads modification times, directories, files no lens
+// recognizes or the package database, so they stay out. Any other
+// failure to read an input is an error: a half-observed entity has no
+// digest. Fingerprint stays lazy: only a digest hashes the rule files.
+func (e *Engine) Digest(ent entity.Entity, manifest *cvl.Manifest, src *CachedSource) (sum [sha256.Size]byte, err error) {
+	d := digestWriter{h: sha256.New(), buf: make([]byte, 0, 256)}
+	d.str("cvdigest/2")
+	typ := ent.Type().String()
+	d.str(typ)
+	for _, entry := range manifest.EnabledEntries() {
+		if err := e.digestEntry(&d, ent, typ, entry, src); err != nil {
+			return sum, fmt.Errorf("entity %s: %w", entry.Name, err)
+		}
+	}
+	d.h.Sum(sum[:0])
+	return sum, nil
+}
+
+// digestEntry folds in what validate reads for one manifest entry.
+func (e *Engine) digestEntry(d *digestWriter, ent entity.Entity, typ string, entry *cvl.ManifestEntry, src *CachedSource) error {
+	r, err := src.resolve(entry.CVLFile)
+	var sums []RuleFileSum
+	if err == nil {
+		sums, err = src.Fingerprint(entry.CVLFile)
+	}
+	if err != nil {
+		return fmt.Errorf("rule file %s: %w", entry.CVLFile, err)
+	}
+	d.str(entry.Name)
+	d.strs(entry.Tags)
+	d.strs(entry.ConfigSearchPaths)
+	d.num(int64(len(sums)))
+	for _, f := range sums {
+		d.str(f.Path)
+		d.str(f.SHA256)
+	}
+
+	configs, err := e.crawler.Discover(ent, entry.ConfigSearchPaths)
+	if err != nil {
+		return err
+	}
+	d.num(int64(len(configs)))
+	for _, fc := range configs {
+		d.str(fc.Path)
+		d.stat(fc.Info)
+		d.num(fc.Info.Size)
+		data, err := ent.ReadFile(fc.Path)
+		if err != nil {
+			return fmt.Errorf("read %s: %w", fc.Path, err)
+		}
+		d.sum(sha256.Sum256(data))
+	}
+
+	for _, c := range r.rules {
+		if !c.applies(entry.Tags, typ) {
+			continue
+		}
+		switch c.rule.Type {
+		case cvl.TypePath:
+			fi, err := ent.Stat(c.rule.Name)
+			switch {
+			case err == nil:
+				d.str("stat")
+				d.stat(fi)
+			case errors.Is(err, entity.ErrNotExist):
+				d.str("absent")
+			default:
+				return fmt.Errorf("stat %s: %w", c.rule.Name, err)
+			}
+		case cvl.TypeScript:
+			out, err := ent.RunFeature(c.rule.ScriptFeature)
+			switch {
+			case err == nil:
+				d.str("feature")
+				d.str(out)
+			case errors.Is(err, entity.ErrNoFeature):
+				d.str("no-feature")
+			default:
+				return fmt.Errorf("feature %s: %w", c.rule.ScriptFeature, err)
+			}
+		}
+	}
+	return nil
+}
+
+// digestWriter folds length-prefixed fields into a hash, so two different
+// sequences of fields never hash alike.
+type digestWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (d *digestWriter) str(s string) {
+	d.buf = append(binary.AppendUvarint(d.buf[:0], uint64(len(s))), s...)
+	d.h.Write(d.buf)
+}
+
+func (d *digestWriter) strs(ss []string) {
+	d.num(int64(len(ss)))
+	for _, s := range ss {
+		d.str(s)
+	}
+}
+
+func (d *digestWriter) num(n int64) {
+	d.buf = binary.AppendVarint(d.buf[:0], n)
+	d.h.Write(d.buf)
+}
+
+// sum folds in a content hash through buf: writing sum[:] to the hash
+// interface directly would move each file's array to the heap.
+func (d *digestWriter) sum(sum [sha256.Size]byte) {
+	d.buf = append(d.buf[:0], sum[:]...)
+	d.h.Write(d.buf)
+}
+
+// stat folds in the metadata a path rule checks: mode and owner.
+func (d *digestWriter) stat(fi entity.FileInfo) {
+	d.num(int64(fi.Mode))
+	d.num(int64(fi.UID))
+	d.num(int64(fi.GID))
 }
 
 // mustRun is runParallel for phases whose tasks do their own panic

@@ -401,10 +401,7 @@ func (s *Server) runValidation(r *http.Request, ent configvalidator.Entity) (rep
 			report, err = nil, fmt.Errorf("validation panicked: %v", p)
 		}
 	}()
-	if target := r.URL.Query().Get("target"); target != "" {
-		return s.validator.ValidateTarget(ent, target)
-	}
-	return s.validator.Validate(ent)
+	return s.validator.ValidateTarget(ent, r.URL.Query().Get("target"))
 }
 
 // lintResponse carries structured findings. Each finding has stable

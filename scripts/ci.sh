@@ -35,6 +35,10 @@ go test -race -count=10 ./internal/engine
 # worker pool must pass at 1, 2 and 8 CPUs, whatever the CI host has.
 go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 
+# The benchmark module's own vet and tests: a change that breaks an API
+# bench/cvbench calls fails here instead of at the next benchmark run.
+(cd bench && go vet ./... && go test ./...)
+
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.
 ./scripts/resume_smoke.sh
@@ -44,10 +48,12 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 # in-process run's.
 ./scripts/worker_kill_smoke.sh
 
-# Disk-pressure smoke: fill the disk (size-capped tmpfs, or the CV_FAULTS
-# ENOSPC injector when unprivileged) under a journaled scan; the scan must
-# complete degraded and a follow-up run must resume journaling.
-./scripts/enospc_smoke.sh
+# Disk-pressure smoke: fill the disk under a journaled scan; the scan must
+# complete degraded and a follow-up run must resume journaling. The first
+# run injects ENOSPC through CV_FAULTS and never mounts; the second fills
+# a real size-capped tmpfs, and prints a skip line where it cannot mount.
+./scripts/enospc_smoke.sh faults
+./scripts/enospc_smoke.sh tmpfs
 
 # Fuzz smoke over the untrusted-input parsers (journal and shard-stream
 # records, frames, request lines and the shard request body among them),

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"configvalidator/internal/crawler"
@@ -133,11 +132,6 @@ type Validator struct {
 	telemetry *telemetry.Collector
 	faults    *faults.Injector
 	cache     *crawler.ParseCache
-
-	// targets memoizes ConfigDigest's path-rule targets per target
-	// selection.
-	targetsMu sync.Mutex
-	targets   map[string][]string
 }
 
 // Option customizes a Validator.
@@ -300,31 +294,36 @@ func (v *Validator) record(start time.Time, rep *Report, err error) {
 
 // Validate runs every enabled manifest entry (including composite rules)
 // against the entity.
-func (v *Validator) Validate(e Entity) (*Report, error) {
-	start := time.Now()
-	v.telemetry.ScanStarted()
-	defer v.telemetry.ScanEnded()
-	rep, err := v.engine.Validate(faults.Wrap(e, v.faults), v.manifest, v.source)
-	v.record(start, rep, err)
-	return rep, err
-}
+func (v *Validator) Validate(e Entity) (*Report, error) { return v.ValidateTarget(e, "") }
 
-// ValidateTarget runs only the named manifest entity (e.g. "sshd"). An
-// unknown target returns an error wrapping ErrUnknownTarget.
+// ValidateTarget runs only the named manifest entity (e.g. "sshd"); an
+// empty target runs the whole manifest, as Validate does. An unknown
+// target returns an error wrapping ErrUnknownTarget.
 func (v *Validator) ValidateTarget(e Entity, target string) (*Report, error) {
 	start := time.Now()
 	v.telemetry.ScanStarted()
 	defer v.telemetry.ScanEnded()
-	entry, ok := v.manifest.Entry(target)
-	if !ok {
-		err := fmt.Errorf("configvalidator: %w: %q", ErrUnknownTarget, target)
+	m, err := v.selection(target)
+	if err != nil {
 		v.record(start, nil, err)
 		return nil, err
 	}
-	sub := &cvl.Manifest{Entries: []*cvl.ManifestEntry{entry}}
-	rep, err := v.engine.Validate(faults.Wrap(e, v.faults), sub, v.source)
+	rep, err := v.engine.Validate(faults.Wrap(e, v.faults), m, v.source)
 	v.record(start, rep, err)
 	return rep, err
+}
+
+// selection returns the manifest a scan of target runs: the whole
+// manifest for "", else one holding only the named entry.
+func (v *Validator) selection(target string) (*cvl.Manifest, error) {
+	if target == "" {
+		return v.manifest, nil
+	}
+	entry, ok := v.manifest.Entry(target)
+	if !ok {
+		return nil, fmt.Errorf("configvalidator: %w: %q", ErrUnknownTarget, target)
+	}
+	return &cvl.Manifest{Entries: []*cvl.ManifestEntry{entry}}, nil
 }
 
 // ValidateRules applies an explicit rule list with explicit search paths —
