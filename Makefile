@@ -95,13 +95,16 @@ bench:
 
 # Benchmark regression gate: re-run the gated benchmarks and diff against
 # the committed baseline. Fails on a >15% ns/op regression or a >10%
-# allocs/op growth of BenchmarkTable2_ConfigValidator, any
-# BenchmarkFleetScan*, or the semantic-analysis benchmarks
+# allocs/op growth of BenchmarkTable2_ConfigValidator, the cold and warm
+# BenchmarkFleetScan<N>, or the semantic-analysis benchmarks
 # (BenchmarkSemanticLower/Check), or when a warm fleet scan is less than
-# 2x faster than its cold counterpart.
+# 2x faster than its cold counterpart. Each benchmark runs 5 times and
+# the snapshot keeps the median of each figure, so one slow run on a
+# shared host does not fail the gate. BenchmarkFleetScanJournaled is not
+# gated.
 BENCH_BASELINE ?= BENCH_parallel.json
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable2_ConfigValidator$$|BenchmarkFleetScan' -benchtime 3s . > /tmp/bench-check.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkSemanticLower$$|BenchmarkSemanticCheck$$' -benchtime 3s ./internal/analysis/sem >> /tmp/bench-check.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTable2_ConfigValidator$$|BenchmarkFleetScan(Warm)?[0-9]+$$' -count 5 -benchtime 600ms . > /tmp/bench-check.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSemanticLower$$|BenchmarkSemanticCheck$$' -count 5 -benchtime 600ms ./internal/analysis/sem >> /tmp/bench-check.txt
 	$(GO) run ./cmd/benchreport -snapshot /tmp/bench-check.txt > /tmp/bench-check.json
 	$(GO) run ./cmd/benchreport -diff $(BENCH_BASELINE) /tmp/bench-check.json

@@ -15,6 +15,9 @@ package configvalidator
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -69,7 +72,7 @@ func BenchmarkTable2_ConfigValidator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A fresh source per iteration: the gated number covers rule
 		// parsing as well as evaluation.
-		if _, err := eng.Validate(host, manifest, engine.NewCachedSource(reader)); err != nil {
+		if _, err := eng.Validate(host, manifest, engine.NewCachedSource(reader), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,6 +278,87 @@ func benchmarkFleetScanWarm(b *testing.B, n int) {
 func BenchmarkFleetScanWarm10(b *testing.B)  { benchmarkFleetScanWarm(b, 10) }
 func BenchmarkFleetScanWarm100(b *testing.B) { benchmarkFleetScanWarm(b, 100) }
 
+// renamed is an entity scanned under another name.
+type renamed struct {
+	Entity
+	name string
+}
+
+func (r renamed) Name() string { return r.name }
+
+// BenchmarkFleetScanJournaled measures the warm fleet scan of
+// benchmarkFleetScanWarm over 10 images through the journal's resume
+// protocol, on a journal that never fsyncs. "miss" scans every image
+// under a name the journal has not seen, so each scan runs in full and
+// appends a record; the journal starts over, untimed, every 50 passes to
+// bound its size. "replay" rescans the names one untimed pass journaled,
+// so each scan stops at its resume check. Not gated by bench-check.
+func BenchmarkFleetScanJournaled(b *testing.B) {
+	reg, _ := fixtures.Fleet(10, fixtures.Profile{Seed: 99, MisconfigRate: 0.3})
+	v, err := New(WithParseCache(NewParseCache(0)), WithParallelism(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const rounds = 50
+	var imgs []Entity
+	var fresh [rounds][]Entity
+	for _, ref := range reg.Images() {
+		img, err := reg.Pull(ref)
+		if err != nil {
+			b.Fatal(err)
+		}
+		imgs = append(imgs, img.Entity())
+		for r := range fresh {
+			fresh[r] = append(fresh[r], renamed{img.Entity(), fmt.Sprintf("%s#%d", ref, r)})
+		}
+	}
+	open := func() *Journal {
+		j, err := OpenJournal(filepath.Join(b.TempDir(), "fleet.cvj"), JournalOptions{SyncEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return j
+	}
+	scan := func(j *Journal, ents []Entity, resumed bool) {
+		for _, ent := range ents {
+			res := v.scanJournaled(context.Background(), ent, FleetOptions{Journal: j})
+			if res.Err != nil || res.Resumed != resumed {
+				b.Fatalf("%s: err %v, resumed %v, want %v", ent.Name(), res.Err, res.Resumed, resumed)
+			}
+		}
+	}
+	b.Run("miss", func(b *testing.B) {
+		j := open()
+		scan(j, imgs, false) // warm the cache
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%rounds == 0 {
+				b.StopTimer()
+				_ = j.Close()
+				j = open()
+				b.StartTimer()
+			}
+			scan(j, fresh[i%rounds], false)
+		}
+		b.StopTimer()
+		_ = j.Close()
+		b.ReportMetric(float64(len(imgs))/b.Elapsed().Seconds()*float64(b.N), "images/s")
+	})
+	b.Run("replay", func(b *testing.B) {
+		j := open()
+		scan(j, imgs, false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			scan(j, imgs, true)
+		}
+		b.StopTimer()
+		_ = j.Close()
+		b.ReportMetric(float64(len(imgs))/b.Elapsed().Seconds()*float64(b.N), "images/s")
+	})
+}
+
 // --- E6: composite rule evaluation (Listing 1) ---
 
 func BenchmarkComposite(b *testing.B) {
@@ -309,7 +393,7 @@ composite_rule: mysql.ssl-ca.CONFIGPATH=[mysqld].VALUE == "/etc/mysql/cacert.pem
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Validate(host, manifest, engine.NewCachedSource(read)); err != nil {
+		if _, err := eng.Validate(host, manifest, engine.NewCachedSource(read), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

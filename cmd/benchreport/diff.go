@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,7 +61,10 @@ type benchFile struct {
 }
 
 // parseBenchText extracts the "cpu:" line and the benchmark lines from
-// `go test -bench` text output. Benchmark lines look like:
+// `go test -bench` text output, one result per benchmark: the runs of a
+// `-count N` run collapse into their median iterations, ns/op, B/op and
+// allocs/op, so one outlying run cannot move a gate. Benchmark lines look
+// like:
 //
 //	BenchmarkFleetScan10-8   	    1602	   2118973 ns/op	  794018 B/op	   14541 allocs/op	 ... extra metrics
 //
@@ -120,7 +124,46 @@ func parseBenchText(r io.Reader) (benchFile, error) {
 	if len(out.Benchmarks) == 0 {
 		return benchFile{}, fmt.Errorf("no benchmark lines found")
 	}
+	out.Benchmarks = medians(out.Benchmarks)
 	return out, nil
+}
+
+// medians collapses the runs of each benchmark into one result, at the
+// place of its first run.
+func medians(runs []benchResult) []benchResult {
+	byName := make(map[string][]benchResult)
+	var out []benchResult
+	for _, r := range runs {
+		if byName[r.Name] == nil {
+			out = append(out, r)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	for i := range out {
+		rs := byName[out[i].Name]
+		out[i].Iters = *median(rs, func(r *benchResult) *int64 { return &r.Iters })
+		out[i].NsPerOp = *median(rs, func(r *benchResult) *float64 { return &r.NsPerOp })
+		out[i].BytesPerOp = median(rs, func(r *benchResult) *int64 { return r.BytesPerOp })
+		out[i].AllocsPerOp = median(rs, func(r *benchResult) *int64 { return r.AllocsPerOp })
+	}
+	return out
+}
+
+// median returns the median of one figure over the runs that printed it,
+// the mean of the middle two for an even count, or nil when none did.
+func median[T int64 | float64](runs []benchResult, figure func(*benchResult) *T) *T {
+	var vs []T
+	for i := range runs {
+		if v := figure(&runs[i]); v != nil {
+			vs = append(vs, *v)
+		}
+	}
+	if len(vs) == 0 {
+		return nil
+	}
+	slices.Sort(vs)
+	m := (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
+	return &m
 }
 
 // writeSnapshot converts bench text from r into snapshot JSON on w.
@@ -145,7 +188,7 @@ func readBenchFile(path string) (map[string]benchResult, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	byName := make(map[string]benchResult, len(f.Benchmarks))
-	for _, b := range f.Benchmarks {
+	for _, b := range medians(f.Benchmarks) {
 		byName[b.Name] = b
 	}
 	if len(byName) == 0 {

@@ -41,6 +41,33 @@ func TestParseBenchTextStripsGOMAXPROCSSuffix(t *testing.T) {
 	}
 }
 
+// TestParseBenchTextTakesMedianOfRuns pins how a -count run snapshots:
+// the three runs of one benchmark collapse into one result holding the
+// median iterations, ns/op, B/op and allocs/op, so the outlying run is
+// not what the gate compares, and benchmarks keep their first-run order.
+func TestParseBenchTextTakesMedianOfRuns(t *testing.T) {
+	const text = `cpu: Intel(R) Xeon(R) Processor
+BenchmarkSemanticCheck-2   	     100	    150000 ns/op	    9000 B/op	      90 allocs/op
+BenchmarkFleetScan10-2     	      10	   2000000 ns/op
+BenchmarkSemanticCheck-2   	     120	    100000 ns/op	    8000 B/op	      80 allocs/op
+BenchmarkSemanticCheck-2   	     110	    101000 ns/op	    8100 B/op	      81 allocs/op
+`
+	f, err := parseBenchText(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Benchmarks) != 2 || f.Benchmarks[0].Name != "BenchmarkSemanticCheck" || f.Benchmarks[1].Name != "BenchmarkFleetScan10" {
+		t.Fatalf("benchmarks = %+v, want SemanticCheck then FleetScan10", f.Benchmarks)
+	}
+	got := f.Benchmarks[0]
+	if got.Iters != 110 || got.NsPerOp != 101000 || got.Procs != 2 {
+		t.Errorf("median = %+v, want 110 iterations at 101000 ns/op on 2 procs", got)
+	}
+	if got.BytesPerOp == nil || *got.BytesPerOp != 8100 || got.AllocsPerOp == nil || *got.AllocsPerOp != 81 {
+		t.Errorf("median B/op and allocs/op = %v, %v, want 8100 and 81", got.BytesPerOp, got.AllocsPerOp)
+	}
+}
+
 func TestParseBenchTextRejectsEmpty(t *testing.T) {
 	if _, err := parseBenchText(strings.NewReader("PASS\nok x 1s\n")); err == nil {
 		t.Fatal("want error for output with no benchmark lines")

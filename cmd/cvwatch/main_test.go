@@ -14,6 +14,7 @@ import (
 	"time"
 
 	configvalidator "configvalidator"
+	"configvalidator/internal/entity"
 	"configvalidator/internal/fixtures"
 	"configvalidator/internal/frames"
 )
@@ -21,6 +22,12 @@ import (
 func writeFrameFile(t *testing.T, path string, misconfig float64, seed int64) {
 	t.Helper()
 	host, _ := fixtures.SystemHost("watched", fixtures.Profile{Seed: seed, MisconfigRate: misconfig})
+	writeHostFrame(t, path, host)
+}
+
+// writeHostFrame captures host into a frame file at path.
+func writeHostFrame(t *testing.T, path string, host *entity.Mem) {
+	t.Helper()
 	frame, err := frames.Capture(host, nil, time.Date(2017, 12, 12, 0, 0, 0, 0, time.UTC))
 	if err != nil {
 		t.Fatal(err)
@@ -307,12 +314,14 @@ func TestWatchCheckpointRestoresBaseline(t *testing.T) {
 // TestWatchCheckpointAppendsOnlyChanges pins that -checkpoint commits each
 // scan under the entity's config digest: 40 ticks over an unchanged frame
 // leave one journal record, and a restart over a changed frame appends
-// exactly one more.
+// exactly one more. A report that stays DEGRADED, here for a config file
+// its lens cannot parse, is no exception: it never replays, but 40 ticks
+// over it still leave one record.
 func TestWatchCheckpointAppendsOnlyChanges(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "w.frame")
 	ckpt := filepath.Join(dir, "baseline.cvj")
-	watch := func(scans string) {
+	watch := func(scans string) string {
 		t.Helper()
 		var out, errOut bytes.Buffer
 		if err := run(context.Background(), []string{
@@ -320,6 +329,7 @@ func TestWatchCheckpointAppendsOnlyChanges(t *testing.T) {
 		}, &out, &errOut); err != nil {
 			t.Fatal(err)
 		}
+		return out.String()
 	}
 	records := func() int64 {
 		t.Helper()
@@ -340,6 +350,17 @@ func TestWatchCheckpointAppendsOnlyChanges(t *testing.T) {
 	watch("1")
 	if got := records(); got != 2 {
 		t.Errorf("after a changed frame the journal holds %d records, want 2", got)
+	}
+
+	ckpt = filepath.Join(dir, "degraded.cvj")
+	host, _ := fixtures.SystemHost("watched", fixtures.Profile{Seed: 8})
+	host.AddFile("/etc/nginx/nginx.conf", []byte("server {\n"))
+	writeHostFrame(t, path, host)
+	if out := watch("40"); strings.Count(out, " degraded\n") != 40 {
+		t.Fatalf("the unparseable nginx.conf does not degrade every tick:\n%s", out)
+	}
+	if got := records(); got != 1 {
+		t.Errorf("40 ticks over a degraded frame left %d journal records, want 1", got)
 	}
 }
 

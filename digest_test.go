@@ -174,17 +174,34 @@ func TestConfigDigestPinned(t *testing.T) {
 
 // recorder is an entity that logs each call a scan or a digest makes to
 // read it: Type, Walk, ReadFile, Stat and RunFeature, with the argument.
+// It counts each call in n, and once sealed it also lists every call in
+// late.
 type recorder struct {
 	Entity
-	mu    sync.Mutex
-	calls map[string]bool
+	mu     sync.Mutex
+	calls  map[string]bool
+	n      map[string]int
+	sealed bool
+	late   []string
 }
 
-func record(e Entity) *recorder { return &recorder{Entity: e, calls: make(map[string]bool)} }
+func record(e Entity) *recorder {
+	return &recorder{Entity: e, calls: make(map[string]bool), n: make(map[string]int)}
+}
 
 func (r *recorder) log(call string) {
 	r.mu.Lock()
 	r.calls[call] = true
+	r.n[call]++
+	if r.sealed {
+		r.late = append(r.late, call)
+	}
+	r.mu.Unlock()
+}
+
+func (r *recorder) seal() {
+	r.mu.Lock()
+	r.sealed = true
 	r.mu.Unlock()
 }
 
@@ -446,5 +463,196 @@ func TestJournalReplaysChangesScansCannotSee(t *testing.T) {
 				t.Errorf("replayed report differs:\n%s\nwant:\n%s", b.Bytes(), a.Bytes())
 			}
 		})
+	}
+}
+
+// hostDir is the UbuntuHost of a seed written to a directory, read through
+// the built-in crawler plugins: the directory answers no feature itself,
+// and its plugins derive mysql.ssl and sysctl.runtime from its files.
+func hostDir(t *testing.T, seed int64) Entity {
+	dir := t.TempDir()
+	h := ubuntuHost(seed)
+	for _, p := range h.Files() {
+		data, _ := h.ReadFile(p)
+		fi, _ := h.Stat(p)
+		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(p)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, p), data, fi.Mode.Perm()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return WithRuntimePlugins(entity.NewOSDir("h", entity.TypeHost, dir))
+}
+
+// scanFleetOf runs a one-entity fleet scan with v over the journal j (nil
+// for none) and returns its one result, which must not have failed.
+func scanFleetOf(t *testing.T, v *Validator, j *Journal, ent Entity) FleetResult {
+	t.Helper()
+	var out []FleetResult
+	for res := range v.ValidateFleet(context.Background(), sendEntities(ent), FleetOptions{Workers: 1, Journal: j}) {
+		out = append(out, res)
+	}
+	if len(out) != 1 || out[0].Err != nil {
+		t.Fatalf("fleet results = %+v", out)
+	}
+	return out[0]
+}
+
+// TestJournaledScanReadsOnce pins the one read per scan: a journaled fleet
+// scan that misses the journal makes exactly the entity calls an
+// unjournaled scan makes, each once per argument, so its digest costs no
+// entity access of its own, and each feature runs once however many
+// script rules judge it.
+func TestJournaledScanReadsOnce(t *testing.T) {
+	kinds := []struct {
+		name  string
+		build func(t *testing.T) Entity
+	}{
+		{"ubuntu host", func(t *testing.T) Entity { return ubuntuHost(1) }},
+		{"image", func(t *testing.T) Entity {
+			img, _ := fixtures.Image("app", "v1", fixtures.Profile{Seed: 1, MisconfigRate: 0.5})
+			return img.Entity()
+		}},
+		{"plugin host", func(t *testing.T) Entity { return hostDir(t, 1) }},
+	}
+	for _, lib := range []struct {
+		name string
+		opts []Option
+	}{{"builtin", nil}, {"extended", []Option{WithExtendedRules()}}} {
+		v, err := New(append(lib.opts, WithParallelism(1), WithParseCache(NewParseCache(0)))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range kinds {
+			plain := record(kind.build(t))
+			scanFleetOf(t, v, nil, plain)
+			j, err := OpenJournal(filepath.Join(t.TempDir(), "fleet.cvj"), JournalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			journaled := record(kind.build(t))
+			if res := scanFleetOf(t, v, j, journaled); res.Resumed {
+				t.Fatalf("%s library, %s: a fresh journal replayed", lib.name, kind.name)
+			}
+			_ = j.Close()
+			features := 0
+			for call, n := range journaled.n {
+				if strings.HasPrefix(call, "RunFeature ") {
+					features++
+				}
+				if n != 1 || plain.n[call] != 1 {
+					t.Errorf("%s library, %s: %s made %d times journaled, %d unjournaled; want once each",
+						lib.name, kind.name, call, n, plain.n[call])
+				}
+			}
+			if len(journaled.n) != len(plain.n) {
+				t.Errorf("%s library, %s: %d distinct calls journaled, %d unjournaled",
+					lib.name, kind.name, len(journaled.n), len(plain.n))
+			}
+			if features == 0 {
+				t.Errorf("%s library, %s: no feature ran", lib.name, kind.name)
+			}
+		}
+	}
+}
+
+// replaySeal seals the recorder at the journal's replay hit, so any entity
+// call the scan makes after its resume check shows in late.
+type replaySeal struct {
+	*Collector
+	rec *recorder
+}
+
+func (m replaySeal) JournalEntitySkipped() { m.rec.seal(); m.Collector.JournalEntitySkipped() }
+
+// TestReplayStopsAtResumeCheck pins that a replay costs the read phase and
+// nothing after it: with parse and eval faults armed on every call, a
+// replaying scan fires none, and the entity sees no call after the
+// journal's replay hit.
+func TestReplayStopsAtResumeCheck(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.cvj")
+	img, _ := fixtures.Image("app", "v1", fixtures.Profile{Seed: 1, MisconfigRate: 0.5})
+	for _, ent := range []Entity{ubuntuHost(1), img.Entity()} {
+		clean, err := New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path, JournalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := scanFleetOf(t, clean, j, ent)
+		_ = j.Close()
+
+		inj, err := ParseFaults("op=parse every=1 kind=error; op=eval every=1 kind=error")
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulted, err := New(WithFaults(inj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := record(ent)
+		j, err = OpenJournal(path, JournalOptions{Metrics: replaySeal{NewCollector(), rec}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := scanFleetOf(t, faulted, j, rec)
+		_ = j.Close()
+		if !second.Resumed {
+			t.Fatalf("%s: re-scanned an unchanged entity", ent.Name())
+		}
+		if n := inj.Injected(); n != 0 {
+			t.Errorf("%s: a replay fired %d parse or eval faults, want 0", ent.Name(), n)
+		}
+		if len(rec.late) > 0 {
+			t.Errorf("%s: entity calls after the resume check: %s", ent.Name(), strings.Join(rec.late, "; "))
+		}
+		if !bytes.Equal(reportJSON(t, second.Report), reportJSON(t, first.Report)) {
+			t.Errorf("%s: the replayed report differs from the scanned one", ent.Name())
+		}
+	}
+}
+
+// TestJournalNeverReplaysDegradedReports pins that a DEGRADED report is
+// never a replay: after a journaled scan under a read or a parse fault,
+// the next fault-free scan re-scans and reports clean, and the one after
+// it replays that clean report.
+func TestJournalNeverReplaysDegradedReports(t *testing.T) {
+	for _, spec := range []string{
+		"op=read path=sshd_config every=1 kind=error msg=flaky",
+		"op=parse path=sshd_config every=1 kind=error msg=flaky",
+	} {
+		path := filepath.Join(t.TempDir(), "fleet.cvj")
+		run := func(opts ...Option) FleetResult {
+			t.Helper()
+			v, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := OpenJournal(path, JournalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			return scanFleetOf(t, v, j, ubuntuHost(1))
+		}
+		inj, err := ParseFaults(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first := run(WithFaults(inj)); len(first.Report.Degraded()) == 0 {
+			t.Fatalf("%s: the faulted scan is not degraded", spec)
+		}
+		second := run()
+		if second.Resumed || len(second.Report.Degraded()) != 0 {
+			t.Errorf("%s: run 2 resumed=%v with %d degraded results, want a clean re-scan",
+				spec, second.Resumed, len(second.Report.Degraded()))
+		}
+		if third := run(); !third.Resumed || len(third.Report.Degraded()) != 0 {
+			t.Errorf("%s: run 3 resumed=%v with %d degraded results, want the clean replay",
+				spec, third.Resumed, len(third.Report.Degraded()))
+		}
 	}
 }

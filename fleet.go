@@ -50,6 +50,10 @@ type FleetResult struct {
 	// re-scan this entity. Summarize tallies these so a degraded run is
 	// visible in the summary, not silently less durable.
 	JournalDegraded bool
+
+	// digest is the config digest a journaled scan took, which the result
+	// commits under; "" for none.
+	digest string
 }
 
 // Scheduler is the execution-substrate seam for fleet validation: it
@@ -207,47 +211,16 @@ func (localScheduler) Schedule(ctx context.Context, v *Validator, entities <-cha
 }
 
 // scanJournaled wraps scanOne in the journal's resume policy: an entity
-// the journal replays is not scanned, and every scanned outcome is
-// committed as it completes.
+// the journal replays is not scanned past its read phase, and every
+// scanned outcome is committed as it completes, under the digest that
+// read phase took.
 func (v *Validator) scanJournaled(ctx context.Context, ent Entity, opts FleetOptions) FleetResult {
-	var digest string
-	if opts.Journal != nil {
-		// An empty digest scans the entity and never replays its record.
-		digest = v.safeConfigDigest(ctx, ent, opts)
-		if rep, ok := opts.Journal.Replay(ent.Name(), digest); ok {
-			return FleetResult{Entity: ent.Name(), Report: rep, Resumed: true}
-		}
-	}
 	res := v.scanOne(ctx, ent, opts)
 	res.Entity = ent.Name()
 	// A failed append does not fail the scan: the result is delivered,
-	// marked as not persisted.
-	res.JournalDegraded = opts.Journal.Commit(res.Entity, digest, res.Report, res.Err) != nil
+	// marked as not persisted. A replayed report is journaled already.
+	res.JournalDegraded = opts.Journal.Commit(res.Entity, res.digest, res.Report, res.Err) != nil
 	return res
-}
-
-// safeConfigDigest bounds ConfigDigest by the scan deadline — a hung
-// entity must not stall the resume check any more than it may stall a
-// scan. As in scanAttempt, an abandoned digest goroutine is left to finish
-// on its own. A digest that fails or runs out of time is empty, which
-// never replays.
-func (v *Validator) safeConfigDigest(ctx context.Context, ent Entity, opts FleetOptions) string {
-	if opts.ScanTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.ScanTimeout)
-		defer cancel()
-	}
-	done := make(chan string, 1)
-	go func() {
-		d, _ := v.ConfigDigest(ent, opts.Target) // "" on any error
-		done <- d
-	}()
-	select {
-	case d := <-done:
-		return d
-	case <-ctx.Done():
-		return ""
-	}
 }
 
 // scanOne validates one entity under the fleet's robustness policy:
@@ -261,12 +234,12 @@ func (v *Validator) scanOne(ctx context.Context, ent Entity, opts FleetOptions) 
 	backoff := base
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		rep, err := v.scanAttempt(ctx, ent, opts.Target, opts.ScanTimeout)
-		if err == nil {
-			return FleetResult{Report: rep}
+		res := v.scanAttempt(ctx, ent, opts)
+		if res.Err == nil {
+			return res
 		}
-		lastErr = err
-		if attempt >= opts.Retries || !Transient(err) || ctx.Err() != nil {
+		lastErr = res.Err
+		if attempt >= opts.Retries || !Transient(lastErr) || ctx.Err() != nil {
 			break
 		}
 		v.telemetry.RetryScheduled()
@@ -282,57 +255,50 @@ func (v *Validator) scanOne(ctx context.Context, ent Entity, opts FleetOptions) 
 	return FleetResult{Err: fmt.Errorf("scan %s: %w", ent.Name(), lastErr)}
 }
 
-// scanAttempt runs a single validation attempt with panic recovery and an
-// optional deadline. Without a deadline (and with an uncancellable
-// context) it runs inline; otherwise the validation runs in a goroutine
-// that is abandoned if the deadline fires first.
-func (v *Validator) scanAttempt(ctx context.Context, ent Entity, target string, timeout time.Duration) (*Report, error) {
-	if timeout > 0 {
+// scanAttempt runs a single validation attempt, the journal's resume check
+// included, with panic recovery and an optional deadline. Without a
+// deadline (and with an uncancellable context) it runs inline; otherwise
+// the validation runs in a goroutine that is abandoned if the deadline
+// fires first.
+func (v *Validator) scanAttempt(ctx context.Context, ent Entity, opts FleetOptions) FleetResult {
+	if opts.ScanTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, opts.ScanTimeout)
 		defer cancel()
 	}
 	if ctx.Done() == nil {
-		return v.safeValidate(ent, target)
+		return v.safeScan(ent, opts.Target, opts.Journal)
 	}
 	start := time.Now()
-	type outcome struct {
-		rep *Report
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		rep, err := v.safeValidate(ent, target)
-		done <- outcome{rep: rep, err: err}
-	}()
+	done := make(chan FleetResult, 1)
+	go func() { done <- v.safeScan(ent, opts.Target, opts.Journal) }()
 	select {
-	case out := <-done:
-		return out.rep, out.err
+	case res := <-done:
+		return res
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			v.telemetry.ScanTimedOut(time.Since(start))
-			return nil, fmt.Errorf("%w (after %v)", ErrScanTimeout, timeout)
+			return FleetResult{Err: fmt.Errorf("%w (after %v)", ErrScanTimeout, opts.ScanTimeout)}
 		}
 		// Cancelled, not expired: surface the cancellation *cause* so a
 		// coordinator-revoked lease (ErrLeaseRevoked) classifies as revoked
 		// rather than blending into user cancellation.
-		return nil, context.Cause(ctx)
+		return FleetResult{Err: context.Cause(ctx)}
 	}
 }
 
-// safeValidate is one validation attempt with panic isolation: a panic in
-// a crawler, lens, or rule evaluation becomes a *PanicError carrying the
+// safeScan is one validation attempt with panic isolation: a panic in a
+// crawler, lens, or rule evaluation becomes a *PanicError carrying the
 // stack instead of killing the fleet run.
-func (v *Validator) safeValidate(ent Entity, target string) (rep *Report, err error) {
+func (v *Validator) safeScan(ent Entity, target string, j *Journal) (res FleetResult) {
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			v.telemetry.ScanPanicked(time.Since(start))
-			rep = nil
-			err = &engine.PanicError{Value: r, Stack: debug.Stack()}
+			res = FleetResult{Err: &engine.PanicError{Value: r, Stack: debug.Stack()}}
 		}
 	}()
-	return v.ValidateTarget(ent, target)
+	return v.scan(ent, target, j)
 }
 
 // Scan-error kinds, the keys of FleetSummary.ErrorsByKind.

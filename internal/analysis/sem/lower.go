@@ -124,7 +124,13 @@ func lowerRule(r *cvl.Rule) *RuleIR {
 	case cvl.TypeTree:
 		ri.Key = r.Name
 		ri.Lens = lensNameFor(r.FileContext)
-		ri.slotID = "tree|" + r.Name
+		// A tree rule judges the nodes its config paths name in the files
+		// its file_context selects: rules share a slot only on all three.
+		paths := r.ConfigPath
+		if len(paths) == 0 {
+			paths = []string{""}
+		}
+		ri.slotID = fmt.Sprintf("tree|%q|%q|%s", r.FileContext, paths, r.Name)
 		lowerValueMatchers(ri)
 	case cvl.TypeScript:
 		ri.Key = r.ScriptFeature

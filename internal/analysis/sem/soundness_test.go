@@ -250,6 +250,30 @@ func TestSoundnessTreeRules(t *testing.T) {
 	c.report(t, checked)
 }
 
+// TestSoundnessSlotsSeparateFiles pins that tree rules on one key name
+// judge one value only when they share file_context and config_path:
+// sshd's Port preferring 22 and my.cnf's mysqld/Port preferring 3306 both
+// pass on one host, so no finding may treat them as one value.
+func TestSoundnessSlotsSeparateFiles(t *testing.T) {
+	sshd := &cvl.Rule{Type: cvl.TypeTree, Name: "Port", FileContext: []string{"sshd_config"}, PreferredValue: []string{"22"}}
+	mysql := &cvl.Rule{Type: cvl.TypeTree, Name: "Port", ConfigPath: []string{"mysqld"}, FileContext: []string{"my.cnf"}, PreferredValue: []string{"3306"}}
+	host := entity.NewMem("host", entity.TypeHost)
+	host.AddFile("/etc/ssh/sshd_config", []byte("Port 22\n"))
+	host.AddFile("/etc/mysql/my.cnf", []byte("[mysqld]\nPort = 3306\n"))
+	rep, err := engine.New(nil).ValidateRules(host, []*cvl.Rule{sshd, mysql}, []string{"/etc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range rep.Results {
+		if res.Status != engine.StatusPass {
+			t.Fatalf("%s: %v %s, want PASS", res.Rule.FileContext, res.Status, res.Detail)
+		}
+	}
+	for _, f := range Check([]*IR{Lower("u", []*cvl.Rule{sshd, mysql})}, nil) {
+		t.Errorf("%s on rules that both pass on one host: %s", f.Code, f.Msg)
+	}
+}
+
 var witnessRE = regexp.MustCompile(`both reject value ("(?:[^"\\]|\\.)*")`)
 
 // TestSoundnessSeverityWitness generates pairs of tree rules on one key

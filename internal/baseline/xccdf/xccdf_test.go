@@ -88,7 +88,7 @@ func TestAgreementWithScriptSemantics(t *testing.T) {
 			t.Fatalf("results = %d, specs = %d", len(results), len(specs))
 		}
 		outcomes := scriptcheck.New().Run(host, checks)
-		rep, err := cvlEngine.Validate(host, manifest, src)
+		rep, err := cvlEngine.Validate(host, manifest, src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

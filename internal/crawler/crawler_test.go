@@ -30,7 +30,7 @@ func TestCrawlPaths(t *testing.T) {
 		byPath[fc.Path] = fc
 	}
 	sshd, ok := byPath["/etc/ssh/sshd_config"]
-	if !ok || sshd.LensName != "sshd" || sshd.Err != nil {
+	if !ok || sshd.lens.Name() != "sshd" || sshd.Err != nil {
 		t.Fatalf("sshd config = %+v", sshd)
 	}
 	if n, ok := sshd.Result.Tree.Child("PermitRootLogin"); !ok || n.Value != "no" {
@@ -108,7 +108,7 @@ func TestCrawlFilePathDirectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(configs) != 1 || configs[0].LensName != "sysctl" {
+	if len(configs) != 1 || configs[0].lens.Name() != "sysctl" {
 		t.Errorf("configs = %+v", configs)
 	}
 }

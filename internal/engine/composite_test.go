@@ -91,7 +91,7 @@ func validateStack(t *testing.T, m *entity.Mem) *Report {
 		}
 		return []byte(src), nil
 	}
-	rep, err := New(nil).Validate(m, manifest, NewCachedSource(read))
+	rep, err := New(nil).Validate(m, manifest, NewCachedSource(read), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestManifestDisabledEntitySkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := func(path string) ([]byte, error) { return []byte(files[path]), nil }
-	rep, err := New(nil).Validate(entity.NewMem("h", entity.TypeHost), manifest, NewCachedSource(read))
+	rep, err := New(nil).Validate(entity.NewMem("h", entity.TypeHost), manifest, NewCachedSource(read), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestManifestMissingRuleFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := func(path string) ([]byte, error) { return nil, fmt.Errorf("no file %q", path) }
-	if _, err := New(nil).Validate(entity.NewMem("h", entity.TypeHost), manifest, NewCachedSource(read)); err == nil {
+	if _, err := New(nil).Validate(entity.NewMem("h", entity.TypeHost), manifest, NewCachedSource(read), nil); err == nil {
 		t.Error("missing rule file accepted")
 	}
 }
@@ -213,7 +213,7 @@ func TestManifestEntryTagFilter(t *testing.T) {
 	read := func(p string) ([]byte, error) { return []byte(files[p]), nil }
 	m := entity.NewMem("h", entity.TypeHost)
 	m.AddFile("/etc/ssh/sshd_config", []byte("PermitRootLogin yes\nCiphers aes256-ctr\n"))
-	rep, err := New(nil).Validate(m, manifest, NewCachedSource(read))
+	rep, err := New(nil).Validate(m, manifest, NewCachedSource(read), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestCompositeParenthesesAtManifestLevel(t *testing.T) {
 	// ip_forward fails, syncookies passes -> OR true; missing ref false,
 	// negated true -> composite passes.
 	m.AddFile("/etc/sysctl.conf", []byte("net.ipv4.ip_forward = 1\nnet.ipv4.tcp_syncookies = 1\n"))
-	rep, err := New(nil).Validate(m, manifest, NewCachedSource(read))
+	rep, err := New(nil).Validate(m, manifest, NewCachedSource(read), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,16 +27,12 @@ import (
 // Options tune engine execution.
 type Options struct {
 	// Parallelism bounds the worker pool used inside one entity
-	// validation: rule files resolve, discovered files load, and
-	// independent non-composite rules evaluate concurrently. 0 (the
-	// default) uses runtime.GOMAXPROCS(0); 1 runs the same path with the
-	// pool inline on the caller's goroutine. The search-path walk always
-	// runs on the caller's goroutine in manifest order and stops at the
-	// first resolve or walk error, so a scan aborts at the same entry,
-	// having walked the same roots and read no file, at every setting.
-	// Reports are identical at every setting — results land in slots
-	// fixed by manifest position and composite rules evaluate last,
-	// serially — only wall-clock time changes.
+	// validation: rule files resolve, discovered files are read and
+	// parsed, and independent non-composite rules evaluate concurrently.
+	// 0 (the default) uses runtime.GOMAXPROCS(0); 1 runs the same path
+	// with the pool inline on the caller's goroutine. What a scan reads,
+	// where an error aborts it, and its report are the same at every
+	// setting (see read and evaluate); only wall-clock time changes.
 	//
 	// Entities validated with Parallelism > 1 must tolerate concurrent
 	// reads (every built-in entity backend does: they are immutable
@@ -59,10 +55,9 @@ func New(c *crawler.Crawler) *Engine {
 }
 
 // NewWithOptions creates an engine with explicit execution options. When
-// the crawler has a parse cache, the engine also memoizes verdicts: tree
-// and schema rules are pure functions of (rule, parsed configs), so when
-// the cache makes two entities' configs the same Results the verdict is
-// reused instead of re-evaluated (see evalcache.go).
+// the crawler has a parse cache, the engine also memoizes verdicts: a
+// rule judging configs of the same content as an earlier scan reuses its
+// verdict instead of re-evaluating (see evalcache.go).
 func NewWithOptions(c *crawler.Crawler, opts Options) *Engine {
 	if c == nil {
 		c = crawler.New(nil, crawler.Options{})
@@ -94,6 +89,7 @@ func (e *Engine) SetFaults(inj *faults.Injector) { e.faults = inj }
 type entityRun struct {
 	entry   *cvl.ManifestEntry
 	rules   []*compiledRule
+	err     error // resolving the entry's rule file, which aborts the scan
 	configs []*crawler.FileConfig
 	results []*Result
 	// verdicts is the memo table for this run's config signature; nil
@@ -113,19 +109,66 @@ func (r *entityRun) resultCount() int {
 	return n
 }
 
-// RuleSource resolves a rule-file path to its effective rules (inheritance
-// applied), compiled for evaluation. Each call returns a slice the caller
-// owns and may filter in place; the compiled rules in it are shared and
-// immutable.
-type RuleSource interface {
-	Resolve(path string) ([]*compiledRule, error)
+// scan is what a validation's read phase took of the entity, which the
+// digest folds and evaluation judges.
+type scan struct {
+	name, typ string
+	runs      []entityRun
+	files     []*crawler.FileConfig // every run's configs, in manifest order
+	probes    []probe
 }
 
-// ruleList is the RuleSource of ValidateRules: a list compiled for one
-// call and handed to that call's single entry.
-type ruleList []*compiledRule
+// probe is the one Stat of a path rule's target, or the one run of a
+// script rule's feature, that a scan makes however many rules check it;
+// the rules on a call that panicked degrade. verdicts memoizes verdicts
+// on a feature's output.
+type probe struct {
+	typ      cvl.RuleType
+	name     string
+	fi       entity.FileInfo
+	out      string
+	err      error
+	panicked bool
+	verdicts *sigVerdicts
+}
 
-func (l ruleList) Resolve(string) ([]*compiledRule, error) { return l, nil }
+// probe returns the scan's probe for a path or script rule, or nil.
+func (s *scan) probe(c *compiledRule) *probe {
+	typ, name := c.rule.Type, c.rule.Name
+	if typ == cvl.TypeScript {
+		name = c.rule.ScriptFeature
+	}
+	for i := range s.probes {
+		if p := &s.probes[i]; p.typ == typ && p.name == name {
+			return p
+		}
+	}
+	return nil
+}
+
+// take makes a path or script rule's entity call unless an earlier rule
+// made it. s.probes has room for every such rule.
+func (e *Engine) take(s *scan, ent entity.Entity, c *compiledRule) {
+	if c.rule.Type != cvl.TypePath && c.rule.Type != cvl.TypeScript || s.probe(c) != nil {
+		return
+	}
+	p := probe{typ: c.rule.Type, name: c.rule.Name}
+	defer func() {
+		if r := recover(); r != nil {
+			p.err, p.panicked = fmt.Errorf("rule evaluation panicked: %v", r), true
+		}
+		s.probes = append(s.probes, p)
+	}()
+	if p.typ == cvl.TypePath {
+		p.fi, p.err = ent.Stat(p.name)
+		return
+	}
+	p.name = c.rule.ScriptFeature
+	if p.out, p.err = ent.RunFeature(p.name); p.err == nil && e.memo != nil {
+		sig := scriptSig(p.out)
+		p.verdicts = e.memo.forSig(sig[:], 0)
+	}
+}
 
 // CachedSource memoizes rule-file resolution and compilation — the
 // production configuration for fleet scans, where the same rule library
@@ -138,8 +181,6 @@ type CachedSource struct {
 	byFile map[string]*resolution
 	sums   map[string][]RuleFileSum
 }
-
-var _ RuleSource = (*CachedSource)(nil)
 
 // resolution is one rule file resolved: its compiled effective rules and
 // the files the resolution read, child first.
@@ -160,7 +201,8 @@ func NewCachedSource(read cvl.FileReader) *CachedSource {
 	return &CachedSource{read: read, byFile: make(map[string]*resolution), sums: make(map[string][]RuleFileSum)}
 }
 
-// Resolve implements RuleSource. The returned slice is a fresh copy on
+// Resolve returns the effective rules of a rule file (inheritance
+// applied), compiled for evaluation. The returned slice is a fresh copy on
 // every call: the engine filters rule lists in place by tag and entity
 // type, and handing out the cached backing array would let one caller's
 // filter clobber another's view of the shared library.
@@ -240,73 +282,181 @@ func (s *CachedSource) resolve(path string) (*resolution, error) {
 // Validate runs every enabled manifest entry against the entity and returns
 // the report. Rule files resolve through src (typically a CachedSource
 // shared across a fleet scan). Composite rules are evaluated last, over the
-// per-entity outcomes.
-func (e *Engine) Validate(ent entity.Entity, manifest *cvl.Manifest, src RuleSource) (*Report, error) {
-	return e.validate(ent, manifest.EnabledEntries(), src, true)
+// per-entity outcomes. A non-nil resume is a resume check between the read
+// phase and the parse: it is handed the digest of what the scan read, the
+// one Digest returns, and a report it returns stands for the rest of the
+// scan. A scan that could not read an input has no digest and skips it.
+func (e *Engine) Validate(ent entity.Entity, manifest *cvl.Manifest, src *CachedSource, resume func(digest string) (*Report, bool)) (*Report, error) {
+	s, err := e.read(ent, manifest.EnabledEntries(), src, resume != nil)
+	if err != nil {
+		return nil, err
+	}
+	if resume != nil {
+		if digest, err := s.digest(src); err == nil {
+			if rep, ok := resume(digest); ok {
+				return rep, nil
+			}
+		}
+	}
+	return e.evaluate(&s, true), nil
 }
 
 // ValidateRules applies a flat rule list to an entity using the given
 // search paths — the single-entity path used by examples, tests, and the
-// benchmark harness. The list is compiled for this call and runs as one
-// synthetic "default" entry with no manifest, so a composite rule yields
-// StatusError in place.
+// benchmark harness. The list is compiled for this call into a source
+// holding it as its one rule file, and runs as one synthetic "default"
+// entry with no manifest, so a composite rule yields StatusError in place.
 func (e *Engine) ValidateRules(ent entity.Entity, rules []*cvl.Rule, searchPaths []string) (*Report, error) {
 	entry := &cvl.ManifestEntry{Name: "default", Enabled: true, ConfigSearchPaths: searchPaths}
-	return e.validate(ent, []*cvl.ManifestEntry{entry}, ruleList(compileRules(rules)), false)
+	src := &CachedSource{byFile: map[string]*resolution{entry.CVLFile: {rules: compileRules(rules)}}}
+	s, err := e.read(ent, []*cvl.ManifestEntry{entry}, src, false)
+	if err != nil {
+		return nil, err
+	}
+	return e.evaluate(&s, false), nil
 }
 
-// validate is the one evaluation path. Each phase either runs on the
-// worker pool, writing only slots fixed by manifest position, or runs on
-// the caller's goroutine in manifest order, so the report — and the point
-// where an error aborts the scan — is the same at every parallelism:
+// Digest returns the hex SHA-256 identity of everything Validate reads of
+// ent when it runs the manifest through src, so two entities with equal
+// digests validate to byte-identical reports: the read phase folded in
+// the scan's order (scan.digest), without a parse. An input the scan
+// could not read, a file over the size limit included, is an error: a
+// half-observed entity has no digest.
+func (e *Engine) Digest(ent entity.Entity, manifest *cvl.Manifest, src *CachedSource) (string, error) {
+	s, err := e.read(ent, manifest.EnabledEntries(), src, true)
+	if err != nil {
+		return "", err
+	}
+	return s.digest(src)
+}
+
+// read is the read phase of a validation: it makes every entity call the
+// scan makes, and parses nothing. Each step either runs on the worker pool,
+// writing only slots fixed by manifest position, or on the caller's
+// goroutine in manifest order, so what is read, and the point where an
+// error aborts the scan, is the same at every parallelism:
 //
 //  1. resolve every entry's rules concurrently (reads only the library);
 //  2. walk each entry's search paths in manifest order, stopping at the
 //     first resolve or walk error before any file is read;
-//  3. read and parse every discovered file concurrently;
-//  4. settle what needs no evaluation on the caller, in manifest order —
-//     each rule's eval fault check, then its verdict-memo lookup — and
-//     evaluate the remaining non-composite rules concurrently;
-//  5. evaluate composites last, serially, so a later composite observes
-//     an earlier one's outcome.
-//
-// Without a manifest there are no other entities for a composite to
-// refer to, so composites evaluate in place (to StatusError) instead.
-func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src RuleSource, manifest bool) (*Report, error) {
+//  3. read every discovered file concurrently, hashed when hash is set;
+//  4. Stat each path rule's target and run each script rule's feature,
+//     once per name, on the caller in manifest order.
+func (e *Engine) read(ent entity.Entity, entries []*cvl.ManifestEntry, src *CachedSource, hash bool) (scan, error) {
 	par := e.parallelism()
-	typ := ent.Type().String()
-	runs := make([]entityRun, len(entries))
-	errs := make([]error, len(entries))
+	s := scan{name: ent.Name(), typ: ent.Type().String(), runs: make([]entityRun, len(entries))}
+	runs, typ := s.runs, s.typ
 	mustRun(par, len(entries), func(i int) {
 		run := &runs[i]
 		run.entry = entries[i]
 		rules, err := src.Resolve(run.entry.CVLFile)
-		run.rules, errs[i] = applicable(rules, run.entry.Tags, typ), err
+		run.rules, run.err = applicable(rules, run.entry.Tags, typ), err
 	})
 
-	nfiles := 0
+	nfiles, nprobes := 0, 0
 	for i := range runs {
 		run := &runs[i]
-		err := errs[i]
+		err := run.err
 		if err == nil {
 			run.configs, err = e.crawler.Discover(ent, run.entry.ConfigSearchPaths)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("engine: entity %s: %w", run.entry.Name, err)
+			return scan{}, fmt.Errorf("engine: entity %s: %w", run.entry.Name, err)
 		}
 		nfiles += len(run.configs)
+		for _, c := range run.rules {
+			if c.rule.Type == cvl.TypePath || c.rule.Type == cvl.TypeScript {
+				nprobes++
+			}
+		}
 	}
 	files := make([]*crawler.FileConfig, 0, nfiles)
 	for i := range runs {
 		files = append(files, runs[i].configs...)
 	}
-	mustRun(par, len(files), func(i int) { e.crawler.Load(ent, files[i]) })
+	mustRun(par, len(files), func(i int) { e.crawler.Read(ent, files[i], hash) })
+	s.files, s.probes = files, make([]probe, 0, nprobes)
+	for i := range runs {
+		for _, c := range runs[i].rules {
+			e.take(&s, ent, c)
+		}
+	}
+	return s, nil
+}
+
+// digest folds what the read phase took into the hex cvdigest/2 identity:
+// the entity type; per entry, its name, tags, search paths and rule-chain
+// Fingerprint, every file Discover listed with its metadata and content
+// sum, and the Stat or feature output each path or script rule checks.
+// Nothing else a scan could see, such as modification times or the
+// package database, is read, so nothing else is folded.
+func (s *scan) digest(src *CachedSource) (string, error) {
+	d := digestWriter{h: sha256.New(), buf: make([]byte, 0, 256)}
+	d.str("cvdigest/2")
+	d.str(s.typ)
+	for i := range s.runs {
+		run := &s.runs[i]
+		sums, err := src.Fingerprint(run.entry.CVLFile)
+		if err != nil {
+			return "", fmt.Errorf("entity %s: rule file %s: %w", run.entry.Name, run.entry.CVLFile, err)
+		}
+		d.str(run.entry.Name)
+		d.strs(run.entry.Tags)
+		d.strs(run.entry.ConfigSearchPaths)
+		d.num(int64(len(sums)))
+		for _, f := range sums {
+			d.str(f.Path)
+			d.str(f.SHA256)
+		}
+		d.num(int64(len(run.configs)))
+		for _, fc := range run.configs {
+			if fc.Err != nil {
+				return "", fmt.Errorf("entity %s: %w", run.entry.Name, fc.Err)
+			}
+			d.str(fc.Path)
+			d.stat(fc.Info)
+			d.num(fc.Info.Size)
+			d.h.Write(fc.Sum())
+		}
+		for _, c := range run.rules {
+			switch p := s.probe(c); {
+			case p == nil:
+			case p.err == nil && p.typ == cvl.TypePath:
+				d.str("stat")
+				d.stat(p.fi)
+			case p.err == nil:
+				d.str("feature")
+				d.str(p.out)
+			case p.typ == cvl.TypePath && errors.Is(p.err, entity.ErrNotExist):
+				d.str("absent")
+			case p.typ == cvl.TypeScript && errors.Is(p.err, entity.ErrNoFeature):
+				d.str("no-feature")
+			default:
+				return "", fmt.Errorf("entity %s: %s: %w", run.entry.Name, p.name, p.err)
+			}
+		}
+	}
+	return hex.EncodeToString(d.h.Sum(d.buf[:0])), nil
+}
+
+// evaluate is the rest of a validation, and makes no entity call: it
+// parses every file read concurrently, then settles what needs no
+// evaluation on the caller, in manifest order (each rule's eval fault
+// check, then its verdict-memo lookup), and evaluates the remaining
+// non-composite rules concurrently. Composites evaluate last, serially,
+// so a later composite observes an earlier one's outcome. Without a
+// manifest there are no other entities for a composite to refer to, so
+// composites evaluate in place (to StatusError) instead.
+func (e *Engine) evaluate(s *scan, manifest bool) *Report {
+	par, files := e.parallelism(), s.files
+	mustRun(par, len(files), func(i int) { e.crawler.Parse(files[i]) })
 
 	// Every result of the report lives in one block, and each run appends
 	// to its own window of the report's result list, sized to its result
 	// count, so the windows fill the list in manifest order. The task list
 	// has room for every rule that may reach the pool: all of them, less
 	// the memo candidates when a memo can settle those first.
+	runs := s.runs
 	total, maxTasks := 0, 0
 	for i := range runs {
 		total += runs[i].resultCount()
@@ -318,11 +468,10 @@ func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src R
 	}
 	block := make([]Result, total)
 	results := make([]*Result, total)
-	name := ent.Name()
 	add := func(run *entityRun, rule *compiledRule, v verdict) *Result {
 		res := &block[0]
 		block = block[1:]
-		res.EntityName, res.ManifestEntity = name, run.entry.Name
+		res.EntityName, res.ManifestEntity = s.name, run.entry.Name
 		if rule != nil {
 			res.Rule = rule.rule
 		}
@@ -335,6 +484,7 @@ func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src R
 		run  *entityRun
 		res  *Result
 		rule *compiledRule
+		p    *probe
 	}
 	tasks := make([]evalTask, 0, maxTasks)
 	var composites []evalTask
@@ -364,14 +514,14 @@ func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src R
 			v, settled := e.settle(run, rule)
 			res := add(run, rule, v)
 			if !settled {
-				tasks = append(tasks, evalTask{run: run, res: res, rule: rule})
+				tasks = append(tasks, evalTask{run: run, res: res, rule: rule, p: s.probe(rule)})
 			}
 		}
 		run.verdicts.runlock()
 	}
 	mustRun(par, len(tasks), func(i int) {
 		t := tasks[i]
-		t.res.set(e.safeEvalRule(ent, t.run, t.rule))
+		t.res.set(e.safeEvalRule(t.run, t.rule, t.p))
 	})
 
 	if len(composites) > 0 {
@@ -386,110 +536,11 @@ func (e *Engine) validate(ent entity.Entity, entries []*cvl.ManifestEntry, src R
 		}
 	}
 
-	report := &Report{EntityName: name, EntityType: typ}
+	report := &Report{EntityName: s.name, EntityType: s.typ}
 	if total > 0 {
 		report.Results = results
 	}
-	return report, nil
-}
-
-// Digest returns the SHA-256 identity of everything Validate reads of ent
-// when it runs the manifest through src, so two entities with equal
-// digests validate to byte-identical reports. It folds in, in validate's
-// order:
-//
-//   - the entity type, which selects rules and names the report's type;
-//   - per enabled entry, its name, tags and search paths, and the
-//     Fingerprint of its rule file (phase 1 resolves that chain);
-//   - every file Discover lists under the search paths (phase 2): path,
-//     size, mode, owner, and the SHA-256 of the content phase 3 reads;
-//   - per path or script rule that applicable keeps (phase 4): the mode
-//     and owner Stat reports for its path_name, or its absence, and the
-//     output of its feature, or ErrNoFeature.
-//
-// No phase reads modification times, directories, files no lens
-// recognizes or the package database, so they stay out. Any other
-// failure to read an input is an error: a half-observed entity has no
-// digest. Fingerprint stays lazy: only a digest hashes the rule files.
-func (e *Engine) Digest(ent entity.Entity, manifest *cvl.Manifest, src *CachedSource) (sum [sha256.Size]byte, err error) {
-	d := digestWriter{h: sha256.New(), buf: make([]byte, 0, 256)}
-	d.str("cvdigest/2")
-	typ := ent.Type().String()
-	d.str(typ)
-	for _, entry := range manifest.EnabledEntries() {
-		if err := e.digestEntry(&d, ent, typ, entry, src); err != nil {
-			return sum, fmt.Errorf("entity %s: %w", entry.Name, err)
-		}
-	}
-	d.h.Sum(sum[:0])
-	return sum, nil
-}
-
-// digestEntry folds in what validate reads for one manifest entry.
-func (e *Engine) digestEntry(d *digestWriter, ent entity.Entity, typ string, entry *cvl.ManifestEntry, src *CachedSource) error {
-	r, err := src.resolve(entry.CVLFile)
-	var sums []RuleFileSum
-	if err == nil {
-		sums, err = src.Fingerprint(entry.CVLFile)
-	}
-	if err != nil {
-		return fmt.Errorf("rule file %s: %w", entry.CVLFile, err)
-	}
-	d.str(entry.Name)
-	d.strs(entry.Tags)
-	d.strs(entry.ConfigSearchPaths)
-	d.num(int64(len(sums)))
-	for _, f := range sums {
-		d.str(f.Path)
-		d.str(f.SHA256)
-	}
-
-	configs, err := e.crawler.Discover(ent, entry.ConfigSearchPaths)
-	if err != nil {
-		return err
-	}
-	d.num(int64(len(configs)))
-	for _, fc := range configs {
-		d.str(fc.Path)
-		d.stat(fc.Info)
-		d.num(fc.Info.Size)
-		data, err := ent.ReadFile(fc.Path)
-		if err != nil {
-			return fmt.Errorf("read %s: %w", fc.Path, err)
-		}
-		d.sum(sha256.Sum256(data))
-	}
-
-	for _, c := range r.rules {
-		if !c.applies(entry.Tags, typ) {
-			continue
-		}
-		switch c.rule.Type {
-		case cvl.TypePath:
-			fi, err := ent.Stat(c.rule.Name)
-			switch {
-			case err == nil:
-				d.str("stat")
-				d.stat(fi)
-			case errors.Is(err, entity.ErrNotExist):
-				d.str("absent")
-			default:
-				return fmt.Errorf("stat %s: %w", c.rule.Name, err)
-			}
-		case cvl.TypeScript:
-			out, err := ent.RunFeature(c.rule.ScriptFeature)
-			switch {
-			case err == nil:
-				d.str("feature")
-				d.str(out)
-			case errors.Is(err, entity.ErrNoFeature):
-				d.str("no-feature")
-			default:
-				return fmt.Errorf("feature %s: %w", c.rule.ScriptFeature, err)
-			}
-		}
-	}
-	return nil
+	return report
 }
 
 // digestWriter folds length-prefixed fields into a hash, so two different
@@ -513,13 +564,6 @@ func (d *digestWriter) strs(ss []string) {
 
 func (d *digestWriter) num(n int64) {
 	d.buf = binary.AppendVarint(d.buf[:0], n)
-	d.h.Write(d.buf)
-}
-
-// sum folds in a content hash through buf: writing sum[:] to the hash
-// interface directly would move each file's array to the heap.
-func (d *digestWriter) sum(sum [sha256.Size]byte) {
-	d.buf = append(d.buf[:0], sum[:]...)
 	d.h.Write(d.buf)
 }
 
@@ -557,12 +601,13 @@ func runParallel(par, n int, task func(i int)) (panicVal any) {
 		}
 		return panicVal
 	}
-	p := &pool{n: n, task: task, panicIdx: -1, done: make(chan struct{})}
+	p := &pool{n: n, task: task, panicIdx: -1}
+	p.finished.Add(n)
 	for w := 1; w < min(par, n); w++ {
 		go p.work()
 	}
 	p.work()
-	<-p.done
+	p.finished.Wait()
 	return p.panicVal
 }
 
@@ -570,9 +615,8 @@ func runParallel(par, n int, task func(i int)) (panicVal any) {
 type pool struct {
 	n        int
 	task     func(i int)
-	next     atomic.Int64 // next task index to claim
-	finished atomic.Int64 // tasks finished; the n-th closes done
-	done     chan struct{}
+	next     atomic.Int64   // next task index to claim
+	finished sync.WaitGroup // one count per task
 	mu       sync.Mutex
 	panicIdx int // lowest index that panicked; -1 for none
 	panicVal any
@@ -589,9 +633,7 @@ func (p *pool) work() {
 			}
 			p.mu.Unlock()
 		}
-		if p.finished.Add(1) == int64(p.n) {
-			close(p.done)
-		}
+		p.finished.Done()
 	}
 }
 
@@ -640,13 +682,13 @@ func (e *Engine) checkFault(entry *cvl.ManifestEntry, rule *compiledRule, what s
 // matcher or lens structure degrades that single rule's result instead of
 // aborting the entity scan. A memoizable verdict is stored for the run's
 // config signature; a panicked outcome never is.
-func (e *Engine) safeEvalRule(ent entity.Entity, run *entityRun, rule *compiledRule) (v verdict) {
+func (e *Engine) safeEvalRule(run *entityRun, rule *compiledRule, p *probe) (v verdict) {
 	defer func() {
 		if r := recover(); r != nil {
 			v = degraded(fmt.Errorf("rule evaluation panicked: %v", r))
 		}
 	}()
-	v = e.evalRule(ent, run.entry, rule, run.configs)
+	v = e.evalRule(run, rule, p)
 	if memoizable(rule.rule) {
 		run.verdicts.put(rule.rule, v)
 	}
@@ -668,16 +710,16 @@ func (e *Engine) safeEvalComposite(entry *cvl.ManifestEntry, rule *compiledRule,
 	return rule.evalComposite(resolver)
 }
 
-func (e *Engine) evalRule(ent entity.Entity, entry *cvl.ManifestEntry, rule *compiledRule, configs []*crawler.FileConfig) verdict {
+func (e *Engine) evalRule(run *entityRun, rule *compiledRule, p *probe) verdict {
 	switch rule.rule.Type {
 	case cvl.TypeTree:
-		return rule.evalTree(configs)
+		return rule.evalTree(run.configs)
 	case cvl.TypeSchema:
-		return rule.evalSchema(configs)
+		return rule.evalSchema(run.configs)
 	case cvl.TypePath:
-		return rule.evalPath(ent, entry, configs)
+		return rule.evalPath(p, run)
 	case cvl.TypeScript:
-		return e.evalScript(ent, rule)
+		return rule.evalScript(p)
 	case cvl.TypeComposite:
 		// Only a flat rule list gets here: manifest runs defer composites.
 		return errorVerdict(errors.New("composite rules require a manifest context"))
@@ -896,13 +938,15 @@ func expectRowsSatisfied(spec string, rows int) (bool, error) {
 
 // --- path rules ---
 
-func (c *compiledRule) evalPath(ent entity.Entity, entry *cvl.ManifestEntry, configs []*crawler.FileConfig) verdict {
-	rule := c.rule
-	fi, err := ent.Stat(rule.Name)
-	if err != nil {
-		if !errors.Is(err, entity.ErrNotExist) {
-			return errorVerdict(err)
-		}
+// evalPath judges the Stat the read phase took of the rule's path.
+func (c *compiledRule) evalPath(p *probe, run *entityRun) verdict {
+	rule, fi := c.rule, p.fi
+	switch {
+	case p.panicked:
+		return degraded(p.err)
+	case p.err != nil && !errors.Is(p.err, entity.ErrNotExist):
+		return errorVerdict(p.err)
+	case p.err != nil:
 		if rule.Exists != nil && !*rule.Exists {
 			return pass(c.msgPass, rule.Name)
 		}
@@ -910,7 +954,7 @@ func (c *compiledRule) evalPath(ent entity.Entity, entry *cvl.ManifestEntry, con
 		// none, the application is not present on this entity and the
 		// path rule does not apply (an image without Apache shouldn't
 		// fail Apache's file-permission checks).
-		if len(configs) == 0 && len(entry.ConfigSearchPaths) > 0 {
+		if len(run.configs) == 0 && len(run.entry.ConfigSearchPaths) > 0 {
 			return c.notApplicable("target application not present on this entity")
 		}
 		return fail(c.msgAbsent, "path not found", rule.Name)
@@ -935,27 +979,23 @@ func (c *compiledRule) evalPath(ent entity.Entity, entry *cvl.ManifestEntry, con
 
 // --- script rules ---
 
-func (e *Engine) evalScript(ent entity.Entity, c *compiledRule) verdict {
-	output, err := ent.RunFeature(c.rule.ScriptFeature)
-	if err != nil {
-		if errors.Is(err, entity.ErrNoFeature) {
-			return c.notApplicable(fmt.Sprintf("runtime feature %q not available on this entity", c.rule.ScriptFeature))
-		}
-		return errorVerdict(err)
+// evalScript judges the feature output the read phase took for the rule.
+// The verdict on a feature output is entity-independent, so fleets whose
+// entities answer a feature identically judge that answer once.
+func (c *compiledRule) evalScript(p *probe) verdict {
+	switch {
+	case p.panicked:
+		return degraded(p.err)
+	case errors.Is(p.err, entity.ErrNoFeature):
+		return c.notApplicable(fmt.Sprintf("runtime feature %q not available on this entity", c.rule.ScriptFeature))
+	case p.err != nil:
+		return errorVerdict(p.err)
 	}
-	// The verdict on a feature output is entity-independent — memoize it
-	// so fleets whose entities answer a feature identically judge that
-	// answer once.
-	var verdicts *sigVerdicts
-	if e.memo != nil {
-		sig := scriptSig(output)
-		verdicts = e.memo.forSig(sig[:], 0)
-	}
-	if v, ok := verdicts.get(c.rule); ok {
+	if v, ok := p.verdicts.get(c.rule); ok {
 		return v
 	}
-	v := c.judgeScript(output)
-	verdicts.put(c.rule, v)
+	v := c.judgeScript(p.out)
+	p.verdicts.put(c.rule, v)
 	return v
 }
 

@@ -9,18 +9,16 @@ import (
 	"configvalidator/internal/cvl"
 )
 
-// The evaluation memo extends content-addressing from parsing to verdicts:
-// tree and schema rules are pure functions of (rule, normalized configs),
-// so when the parse cache makes two entities' configs literally the same
-// Results, the rule outcome is provably identical and the evaluation can
-// be skipped. Script rules are memoized too, but keyed by the feature
-// output they judged (scriptSig) rather than by the config signature. Path
-// rules read file metadata that no signature captures, and composites read
-// other rules' per-entity outcomes; neither is memoized.
-//
-// An engine builds the memo only when its crawler has a
-// crawler.ParseCache — without one, every scan allocates fresh Results, no
-// signature ever repeats, and the memo is pure overhead.
+// The evaluation memo extends content-addressing from parsing to verdicts.
+// Tree and schema rules are pure functions of (rule, parsed configs), and
+// a parse is a function of the path, which selects the lens, and the
+// content: a rule whose entry holds files of the same paths and content
+// sums as an earlier scan's (configSig) reuses that scan's verdict. Script
+// rules are memoized too, keyed by the feature output they judged
+// (scriptSig). Path rules read file metadata that no signature captures,
+// and composites read other rules' per-entity outcomes; neither is
+// memoized. An engine builds the memo only beside a crawler.ParseCache,
+// whose key makes Read hash every file.
 
 // maxMemoVerdicts bounds the verdict memo.
 const maxMemoVerdicts = 1 << 16
@@ -124,12 +122,10 @@ func memoizable(rule *cvl.Rule) bool {
 	return rule.Type == cvl.TypeTree || rule.Type == cvl.TypeSchema
 }
 
-// configSig fingerprints a config set by each file's path, parse identity
-// (the Result UID — stable for cache-shared Results, never reused), and
-// error text, appended to buf. Paths and error texts are length-prefixed,
-// so distinct config sets never share a signature. Two entities with
-// equal signatures present rule evaluation with indistinguishable input.
-// An empty set gets a constant marker: "this entry crawled nothing" is
+// configSig fingerprints a config set by each file's path and content
+// SHA-256, or its error text, appended to buf. Paths and error texts are
+// length-prefixed, so distinct config sets never share a signature. An
+// empty set gets a constant marker: "this entry crawled nothing" is
 // itself content, and the resulting not-applicable verdicts are the most
 // common outcome in a heterogeneous fleet (most images don't carry most
 // applications).
@@ -139,11 +135,10 @@ func configSig(buf []byte, configs []*crawler.FileConfig) []byte {
 	}
 	for _, fc := range configs {
 		buf = appendField(buf, fc.Path)
-		switch {
-		case fc.Err != nil:
+		if fc.Err != nil {
 			buf = appendField(append(buf, 'E'), fc.Err.Error())
-		case fc.Result != nil:
-			buf = strconv.AppendUint(append(buf, 'U'), fc.Result.UID(), 36)
+		} else {
+			buf = append(append(buf, 'S'), fc.Sum()...)
 		}
 		buf = append(buf, ';')
 	}

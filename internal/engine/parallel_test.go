@@ -48,13 +48,13 @@ func TestParallelReportMatchesSerial(t *testing.T) {
 		stackEntity(true, "0", "/etc/mysql/cacert.pem"), // all legs pass
 		stackEntity(false, "1", "/tmp/nope"),            // all legs fail
 	} {
-		serialRep, err := NewWithOptions(nil, Options{Parallelism: 1}).Validate(ent, manifest, NewCachedSource(read))
+		serialRep, err := NewWithOptions(nil, Options{Parallelism: 1}).Validate(ent, manifest, NewCachedSource(read), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := resultKeys(serialRep)
 		for _, par := range []int{2, 8} {
-			rep, err := NewWithOptions(nil, Options{Parallelism: par}).Validate(ent, manifest, NewCachedSource(read))
+			rep, err := NewWithOptions(nil, Options{Parallelism: par}).Validate(ent, manifest, NewCachedSource(read), nil)
 			if err != nil {
 				t.Fatalf("parallelism %d: %v", par, err)
 			}
@@ -119,7 +119,7 @@ func TestParallelPrepPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want the original panic value", r)
 		}
 	}()
-	_, _ = NewWithOptions(nil, Options{Parallelism: 4}).Validate(ent, manifest, NewCachedSource(read))
+	_, _ = NewWithOptions(nil, Options{Parallelism: 4}).Validate(ent, manifest, NewCachedSource(read), nil)
 }
 
 // TestCachedSourceDefensiveCopy pins the aliasing fix: callers may append
@@ -222,7 +222,7 @@ func TestSharedCompiledRulesConcurrent(t *testing.T) {
 	}
 	want := make([]string, len(ents))
 	for i, ent := range ents {
-		rep, err := NewWithOptions(nil, Options{Parallelism: 1}).Validate(ent, manifest, NewCachedSource(read))
+		rep, err := NewWithOptions(nil, Options{Parallelism: 1}).Validate(ent, manifest, NewCachedSource(read), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestSharedCompiledRulesConcurrent(t *testing.T) {
 		go func(g int) {
 			for i := 0; i < 3*len(ents); i++ {
 				k := (g + i) % len(ents)
-				rep, err := eng.Validate(ents[k], manifest, src)
+				rep, err := eng.Validate(ents[k], manifest, src, nil)
 				if err != nil {
 					errs <- err
 					return

@@ -21,7 +21,7 @@ func TestCleanHostPassesAllRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := engine.New(nil).Validate(host, manifest, engine.NewCachedSource(rules.Reader()))
+	rep, err := engine.New(nil).Validate(host, manifest, engine.NewCachedSource(rules.Reader()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestExtendedManifestOnGeneratedHosts(t *testing.T) {
 	eng := engine.New(nil)
 
 	clean, _ := UbuntuHost("clean", Profile{Seed: 61})
-	rep, err := eng.Validate(clean, manifest, engine.NewCachedSource(reader))
+	rep, err := eng.Validate(clean, manifest, engine.NewCachedSource(reader), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestExtendedManifestOnGeneratedHosts(t *testing.T) {
 	}
 
 	dirty, _ := UbuntuHost("dirty", Profile{Seed: 62, MisconfigRate: 1})
-	rep, err = eng.Validate(dirty, manifest, engine.NewCachedSource(reader))
+	rep, err = eng.Validate(dirty, manifest, engine.NewCachedSource(reader), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDirtyHostFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := engine.New(nil).Validate(host, manifest, engine.NewCachedSource(rules.Reader()))
+	rep, err := engine.New(nil).Validate(host, manifest, engine.NewCachedSource(rules.Reader()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

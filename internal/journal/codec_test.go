@@ -227,7 +227,7 @@ func fleetReport(tb testing.TB) *engine.Report {
 		tb.Fatal(err)
 	}
 	eng := engine.New(crawler.New(nil, crawler.Options{}))
-	rep, err := eng.Validate(img.Entity(), m, engine.NewCachedSource(rules.Reader()))
+	rep, err := eng.Validate(img.Entity(), m, engine.NewCachedSource(rules.Reader()), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

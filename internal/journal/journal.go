@@ -625,7 +625,9 @@ func (j *Journal) syncNow() error {
 
 // Replay returns the entity's journaled report when it was committed
 // under digest, so the caller need not scan. An empty digest never
-// replays, nor does a failed scan. A hit counts as
+// replays, nor does a failed scan, nor a report holding a DEGRADED result:
+// its checks ran on input the scan could not take in full, which a
+// re-scan of the same digest may. A hit counts as
 // Metrics.JournalEntitySkipped.
 func (j *Journal) Replay(entity, digest string) (*engine.Report, bool) {
 	if j == nil || digest == "" {
@@ -634,7 +636,7 @@ func (j *Journal) Replay(entity, digest string) (*engine.Report, bool) {
 	j.mu.Lock()
 	rec, ok := j.index[entity]
 	j.mu.Unlock()
-	if !ok || rec.Digest != digest {
+	if !ok || rec.Digest != digest || len(rec.Report.Report().Degraded()) > 0 {
 		return nil, false
 	}
 	if j.opts.Metrics != nil {
@@ -645,10 +647,11 @@ func (j *Journal) Replay(entity, digest string) (*engine.Report, bool) {
 
 // Commit journals one scan outcome: the report under digest, or, when
 // scanErr is set, an audit-only record that never replays. A report under
-// an empty digest is kept as the Latest baseline but never replayed; one
-// already journaled under the same digest is not appended again. The
-// journal keeps rep for Replay and Latest, so it must not change. A failed
-// append counts as Metrics.JournalAppendError and is returned.
+// an empty digest is kept as the Latest baseline but never replayed. One
+// already journaled under the same digest is not appended again, unless
+// the journaled one is degraded and rep is not: the clean report replaces
+// it. The journal keeps rep for Replay and Latest, so it must not change.
+// A failed append counts as Metrics.JournalAppendError and is returned.
 func (j *Journal) Commit(entity, digest string, rep *engine.Report, scanErr error) error {
 	if j == nil {
 		return nil
@@ -658,9 +661,9 @@ func (j *Journal) Commit(entity, digest string, rep *engine.Report, scanErr erro
 		rec.Err = scanErr.Error()
 	} else {
 		j.mu.Lock()
-		held := digest != "" && j.index[entity].Digest == digest
+		held := j.index[entity]
 		j.mu.Unlock()
-		if held {
+		if digest != "" && held.Digest == digest && (len(held.Report.Report().Degraded()) == 0 || len(rep.Degraded()) > 0) {
 			return nil
 		}
 		rec.Digest, rec.Report = digest, NewReportRecord(rep)

@@ -16,6 +16,7 @@ import (
 )
 
 // sampleReport builds a small but renderer-complete report for entity i.
+// It holds no DEGRADED result, so it replays (see degradedReport).
 func sampleReport(i int) *engine.Report {
 	rule := &cvl.Rule{
 		Type:            cvl.TypeTree,
@@ -40,7 +41,7 @@ func sampleReport(i int) *engine.Report {
 			{
 				EntityName:     fmt.Sprintf("host-%02d", i),
 				ManifestEntity: "sshd",
-				Status:         engine.StatusDegraded,
+				Status:         engine.StatusError,
 				Message:        "crawler: read failed",
 			},
 		},
@@ -607,6 +608,55 @@ func TestCRCCatchesLengthPreservingCorruption(t *testing.T) {
 func TestFormatPinned(t *testing.T) {
 	if got := crc32.ChecksumIEEE([]byte("configvalidator")); got != 0x69aa3b76 {
 		t.Fatalf("crc32(configvalidator) = %#x; on-disk format changed", got)
+	}
+}
+
+// degradedReport is sampleReport(i) with a DEGRADED result added: a check
+// that ran on input the scan could not take in full.
+func degradedReport(i int) *engine.Report {
+	rep := sampleReport(i)
+	rep.Results = append(rep.Results, &engine.Result{
+		EntityName:     rep.EntityName,
+		ManifestEntity: "sshd",
+		Status:         engine.StatusDegraded,
+		Message:        "crawler: parse /etc/ssh/sshd_config: injected",
+	})
+	return rep
+}
+
+// TestDegradedReportsNeverReplay pins the degraded half of the resume
+// policy: a report holding a DEGRADED result never replays, committing it
+// again under its digest appends nothing, a clean report under the same
+// digest replaces it, and a later degraded one does not displace the
+// clean one.
+func TestDegradedReportsNeverReplay(t *testing.T) {
+	j := mustOpen(t, filepath.Join(t.TempDir(), "fleet.cvj"), Options{})
+	defer j.Close()
+	commit := func(rep *engine.Report) {
+		t.Helper()
+		if err := j.Commit("host-00", "d0", rep, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(degradedReport(0))
+	if _, ok := j.Replay("host-00", "d0"); ok {
+		t.Error("a degraded report replayed")
+	}
+	commit(degradedReport(0))
+	if got := j.Stats().Appends; got != 1 {
+		t.Errorf("a repeated degraded commit appended: %d appends, want 1", got)
+	}
+	commit(sampleReport(0))
+	rep, ok := j.Replay("host-00", "d0")
+	if !ok || len(rep.Degraded()) != 0 {
+		t.Fatalf("the clean report did not replace the degraded one: replayed %v", ok)
+	}
+	commit(degradedReport(0))
+	if got := j.Stats().Appends; got != 2 {
+		t.Errorf("appends = %d, want 2 (the degraded report must not displace the clean one)", got)
+	}
+	if _, ok := j.Replay("host-00", "d0"); !ok {
+		t.Error("the clean report stopped replaying")
 	}
 }
 

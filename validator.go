@@ -300,17 +300,37 @@ func (v *Validator) Validate(e Entity) (*Report, error) { return v.ValidateTarge
 // empty target runs the whole manifest, as Validate does. An unknown
 // target returns an error wrapping ErrUnknownTarget.
 func (v *Validator) ValidateTarget(e Entity, target string) (*Report, error) {
+	res := v.scan(e, target, nil)
+	return res.Report, res.Err
+}
+
+// scan is ValidateTarget with the journal's resume check: once the scan
+// has read the entity, the report j holds under its name and config
+// digest, if any, stands for the rest of it. A replay records no scan in
+// telemetry; the journal counts it.
+func (v *Validator) scan(e Entity, target string, j *Journal) (res FleetResult) {
 	start := time.Now()
 	v.telemetry.ScanStarted()
 	defer v.telemetry.ScanEnded()
 	m, err := v.selection(target)
 	if err != nil {
 		v.record(start, nil, err)
-		return nil, err
+		return FleetResult{Err: err}
 	}
-	rep, err := v.engine.Validate(faults.Wrap(e, v.faults), m, v.source)
-	v.record(start, rep, err)
-	return rep, err
+	var resume func(string) (*Report, bool)
+	if j != nil {
+		name := e.Name()
+		resume = func(digest string) (*Report, bool) {
+			res.digest = digest
+			res.Report, res.Resumed = j.Replay(name, digest)
+			return res.Report, res.Resumed
+		}
+	}
+	res.Report, res.Err = v.engine.Validate(faults.Wrap(e, v.faults), m, v.source, resume)
+	if !res.Resumed {
+		v.record(start, res.Report, res.Err)
+	}
+	return res
 }
 
 // selection returns the manifest a scan of target runs: the whole
