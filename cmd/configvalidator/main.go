@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -84,12 +85,9 @@ func run(args []string, out io.Writer) error {
 
 	// With -checkpoint, an unchanged entity replays its journaled report
 	// instead of re-scanning (idempotent re-validation); a changed or
-	// never-seen one scans and commits.
-	var (
-		report *configvalidator.Report
-		jrnl   *configvalidator.Journal
-		digest string
-	)
+	// never-seen one scans and commits. The one-entity fleet scan takes
+	// the resume check and the commit's digest from its own read.
+	var jrnl *configvalidator.Journal
 	if *ckpt != "" {
 		jrnl, err = configvalidator.OpenJournal(*ckpt, configvalidator.JournalOptions{
 			OnDegraded: func(derr error) {
@@ -100,20 +98,18 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer func() { _ = jrnl.Close() }()
-		digest, _ = v.ConfigDigest(ent, *target)
-		if rep, ok := jrnl.Replay(ent.Name(), digest); ok {
-			report = rep
-			fmt.Fprintf(os.Stderr, "configvalidator: %s unchanged, replaying journaled result\n", ent.Name())
-		}
 	}
-	if report == nil {
-		report, err = v.ValidateTarget(ent, *target)
-		if err != nil {
-			return err
-		}
-		// A failed commit, announced by OnDegraded, leaves the report standing.
-		_ = jrnl.Commit(ent.Name(), digest, report, nil)
+	ents := make(chan configvalidator.Entity, 1)
+	ents <- ent
+	close(ents)
+	res := <-v.ValidateFleet(context.Background(), ents, configvalidator.FleetOptions{Workers: 1, Target: *target, Journal: jrnl})
+	if res.Err != nil {
+		return res.Err
 	}
+	if res.Resumed {
+		fmt.Fprintf(os.Stderr, "configvalidator: %s unchanged, replaying journaled result\n", ent.Name())
+	}
+	report := res.Report
 
 	outOpts := configvalidator.OutputOptions{
 		ShowPassing: *showPass,

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -93,22 +94,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		}
 		defer shutdown()
 	}
-	load := func() (configvalidator.Entity, error) {
-		if *hostDir != "" {
-			return entity.NewOSDir("watched-host", entity.TypeHost, *hostDir), nil
-		}
-		f, err := os.Open(*frameFile)
-		if err != nil {
-			return nil, err
-		}
-		defer func() { _ = f.Close() }()
-		frame, err := frames.Read(f)
-		if err != nil {
-			return nil, err
-		}
-		return frame.Entity(), nil
-	}
-
 	var previous *configvalidator.Report
 
 	// With a checkpoint journal the drift baseline survives restarts: the
@@ -143,20 +128,30 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		}
 	}
 
-	// scan validates the entity as it is now. With a checkpoint it also
-	// returns the entity's config digest, so the report commits under it
-	// and an unchanged tick appends nothing; an empty digest (on any
-	// digest error) still commits the baseline.
-	scan := func() (report *configvalidator.Report, digest string, err error) {
-		ent, err := load()
-		if err != nil {
-			return nil, "", err
+	// scan validates the entity as it is now, as a one-entity fleet scan
+	// that runs to completion however the watch is stopped. With a
+	// checkpoint, an unchanged tick replays the journaled report, and a
+	// scanned one commits under the digest of what it read.
+	scan := func() (*configvalidator.Report, error) {
+		var ent configvalidator.Entity
+		if *hostDir != "" {
+			ent = entity.NewOSDir("watched-host", entity.TypeHost, *hostDir)
+		} else {
+			data, err := os.ReadFile(*frameFile)
+			if err != nil {
+				return nil, err
+			}
+			frame, err := frames.Read(bytes.NewReader(data))
+			if err != nil {
+				return nil, err
+			}
+			ent = frame.Entity()
 		}
-		if jrnl != nil {
-			digest, _ = v.ConfigDigest(ent, "")
-		}
-		report, err = v.Validate(ent)
-		return report, digest, err
+		ents := make(chan configvalidator.Entity, 1)
+		ents <- ent
+		close(ents)
+		res := <-v.ValidateFleet(context.Background(), ents, configvalidator.FleetOptions{Workers: 1, Journal: jrnl})
+		return res.Report, res.Err
 	}
 
 	scans := 0
@@ -174,7 +169,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 		}
 	}
 	for {
-		report, digest, err := scan()
+		report, err := scan()
 		if err != nil {
 			// A transient failure (frame mid-rewrite, unreachable root)
 			// must not kill the watch and must not reset the baseline:
@@ -212,11 +207,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) error {
 			}
 		}
 		previous = report
-		// The watch scans every tick and restores its baseline by Latest,
-		// never by Replay; the digest only lets Commit skip a report the
-		// journal already holds. A failed commit, announced by OnDegraded,
-		// leaves the watch running.
-		_ = jrnl.Commit(report.EntityName, digest, report, nil)
 		if *maxScans > 0 && scans >= *maxScans {
 			return nil
 		}

@@ -364,6 +364,46 @@ func TestWatchCheckpointAppendsOnlyChanges(t *testing.T) {
 	}
 }
 
+// TestWatchCheckpointForgetsAFaultedRead pins that -checkpoint commits
+// each tick's report under the digest of what that tick read. A tick that
+// read a truncated sshd_config fails its checks; the first fault-free
+// restart over the unchanged frame re-scans and reports the fixes once,
+// and the next one replays the clean report and prints no drift.
+func TestWatchCheckpointForgetsAFaultedRead(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "w.frame")
+	ckpt := filepath.Join(dir, "baseline.cvj")
+	writeFrameFile(t, path, 0, 9)
+	watch := func(faults string) string {
+		t.Helper()
+		t.Setenv("CV_FAULTS", faults)
+		var out, errOut bytes.Buffer
+		if err := run(context.Background(), []string{
+			"-frame", path, "-interval", "10ms", "-max-scans", "1", "-checkpoint", ckpt,
+		}, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	if out := watch("op=read path=sshd_config kind=short bytes=10"); strings.Contains(out, " 0 fail") {
+		t.Fatalf("the truncated sshd_config fails no check:\n%s", out)
+	}
+	if out := watch(""); !strings.Contains(out, "FIXES") {
+		t.Errorf("restart 1 reports no fixes over the faulted tick:\n%s", out)
+	}
+	if out := watch(""); strings.Count(out, "\n") != 1 {
+		t.Errorf("restart 2 over the unchanged frame prints drift:\n%s", out)
+	}
+	j, err := configvalidator.OpenJournal(ckpt, configvalidator.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j.Close() }()
+	if rec, ok := j.Latest(); !ok || rec.Report.Report().Counts()[configvalidator.StatusFail] != 0 {
+		t.Errorf("the journal's latest report is not the clean one: %+v", rec)
+	}
+}
+
 // syncBuffer is a mutex-guarded bytes.Buffer: the watcher goroutine
 // writes while the test polls.
 type syncBuffer struct {

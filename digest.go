@@ -13,8 +13,9 @@ import "fmt"
 // content); the Stat of each path rule's target; and the output of each
 // script rule's feature. A change no scan reads, such as a modification
 // time, the package database or a file no lens parses, leaves the digest
-// as it was. A journaled fleet scan takes the same digest from its own
-// read, so it reads each input once.
+// as it was. A journaled fleet scan, configvalidator's and cvwatch's
+// included, takes the same digest from its own read, and a journaled
+// coordinator digests the frame it ships, so each reads an entity once.
 //
 // target selects one manifest entity as in ValidateTarget; empty digests
 // the full manifest. Panics from entity implementations are recovered into

@@ -3,6 +3,7 @@ package configvalidator
 import (
 	"bytes"
 	"context"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -199,6 +200,18 @@ func (r *recorder) log(call string) {
 	r.mu.Unlock()
 }
 
+// RecordCalls wraps e in a recorder for the external test package: it
+// returns the wrapped entity and a function that copies the count of each
+// call made of it so far.
+func RecordCalls(e Entity) (Entity, func() map[string]int) {
+	r := record(e)
+	return r, func() map[string]int {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return maps.Clone(r.n)
+	}
+}
+
 func (r *recorder) seal() {
 	r.mu.Lock()
 	r.sealed = true
@@ -230,8 +243,11 @@ func (r *recorder) RunFeature(name string) (string, error) {
 // TestConfigDigestReadsWhatScansRead pins ConfigDigest's promise from the
 // reading side: every call a scan makes to read an entity, the digest of
 // the same selection makes too, with the same argument, so no input of a
-// verdict escapes the digest. It covers both rule libraries, every kind of
-// entity, and the whole manifest as well as each single target.
+// verdict escapes the digest. A frame captured from the entity digests
+// like the entity, which is what lets a coordinator that digests the
+// frames it ships share a journal with a local run. It covers both rule
+// libraries, every kind of entity, and the whole manifest as well as each
+// single target.
 func TestConfigDigestReadsWhatScansRead(t *testing.T) {
 	// Each kind builds its entity with rec wrapped around the backend, so
 	// the plugin host records what its plugins read.
@@ -313,7 +329,8 @@ func TestConfigDigestReadsWhatScansRead(t *testing.T) {
 						t.Fatal(err)
 					}
 					ent = kind.build(t, seed, func(e Entity) Entity { digest = record(e); return digest })
-					if _, err := v.ConfigDigest(ent, target); err != nil {
+					want, err := v.ConfigDigest(ent, target)
+					if err != nil {
 						t.Fatal(err)
 					}
 					var missed []string
@@ -326,6 +343,14 @@ func TestConfigDigestReadsWhatScansRead(t *testing.T) {
 						slices.Sort(missed)
 						t.Errorf("%s library, %s seed %d, target %q: the scan made %d calls the digest did not: %s",
 							lib.name, kind.name, seed, target, len(missed), strings.Join(missed, "; "))
+					}
+					frame, err := frames.Capture(ent, nil, time.Now())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err := v.ConfigDigest(frame.Entity(), target); err != nil || got != want {
+						t.Errorf("%s library, %s seed %d, target %q: its frame digests to %s (%v), the entity to %s",
+							lib.name, kind.name, seed, target, got, err, want)
 					}
 				}
 			}

@@ -59,11 +59,6 @@ type Options struct {
 	// surfaced so operators can tell "consumer stalled" from "workers
 	// slow".
 	StallWarn time.Duration
-	// CaptureRoots restricts frame capture to these path roots; empty
-	// captures the whole entity. In-memory entities (images, frames) are
-	// cheap to capture whole; for OS-backed entities set this to the
-	// manifest's config roots.
-	CaptureRoots []string
 	// HTTPClient overrides the client used for worker RPCs. The default
 	// has no global timeout: shard streams are long-lived by design and
 	// bounded by the lease watchdog instead.
@@ -113,11 +108,13 @@ func (o Options) withDefaults() Options {
 // Results the failed worker already delivered are kept; a revoked stream
 // racing its replacement cannot double-count an entity, because the
 // coordinator emits each entity exactly once (first writer wins, later
-// arrivals are dropped and counted). With FleetOptions.Journal set, an
-// entity the journal replays is not shipped and every merged result is
-// committed, worker-resumed ones included, so a killed coordinator
-// resumes the way a killed local run does; without one, no entity is
-// digested.
+// arrivals are dropped and counted). Each entity is read once, by the
+// frame capture that ships it. With FleetOptions.Journal set, the
+// coordinator digests that frame in memory under FleetOptions.Target: an
+// entity the journal replays is not shipped, and every merged result,
+// worker-resumed ones included, is committed under the digest of the
+// frame its worker scanned, so a killed coordinator resumes the way a
+// killed local run does. Without a journal, no entity is digested.
 type Coordinator struct {
 	workers []string
 	opts    Options
@@ -326,9 +323,9 @@ func (c *Coordinator) Schedule(ctx context.Context, v *configvalidator.Validator
 	return r.results
 }
 
-// produce drains the entity stream: resumable entities are replayed from
-// the coordinator journal immediately; the rest are captured as frames
-// and packed into shards of ShardSize.
+// produce drains the entity stream: every entity is captured as a frame;
+// one the coordinator journal replays is emitted at once, and the rest
+// are packed into shards of ShardSize.
 func (c *Coordinator) produce(r *run, v *configvalidator.Validator, entities <-chan configvalidator.Entity, produced chan<- struct{}) {
 	defer close(produced)
 	var cur []item
@@ -367,26 +364,27 @@ func (c *Coordinator) produce(r *run, v *configvalidator.Validator, entities <-c
 	}
 }
 
-// pack prepares one entity for shipping: digest for resume and journaling
-// when there is a coordinator journal, then frame capture. It reports
-// done=true when the entity needs no remote scan — replayed from the
-// coordinator journal, or failed during capture — in which case the
-// result has already been emitted.
+// pack prepares one entity for shipping: frame capture, the one read of
+// the live entity, then, when there is a coordinator journal, the digest
+// of that frame for resume and journaling. It reports done=true when the
+// entity needs no remote scan — failed during capture, or replayed from
+// the coordinator journal — in which case the result has already been
+// emitted.
 func (c *Coordinator) pack(r *run, v *configvalidator.Validator, ent configvalidator.Entity) (item, bool) {
 	name := ent.Name()
+	frame, err := frames.Capture(ent, nil, time.Now())
+	if err != nil {
+		r.emit(configvalidator.FleetResult{Entity: name, Err: fmt.Errorf("capture frame: %w", err)}, "")
+		return item{}, true
+	}
 	// Without a journal, lines carry an empty digest; workers echo it.
 	var digest string
 	if r.fopts.Journal != nil {
-		digest, _ = v.ConfigDigest(ent, r.fopts.Target)
+		digest, _ = v.ConfigDigest(frame.Entity(), r.fopts.Target)
 		if rep, ok := r.fopts.Journal.Replay(name, digest); ok {
 			r.emit(configvalidator.FleetResult{Entity: name, Report: rep, Resumed: true}, digest)
 			return item{}, true
 		}
-	}
-	frame, err := frames.Capture(ent, c.opts.CaptureRoots, time.Now())
-	if err != nil {
-		r.emit(configvalidator.FleetResult{Entity: name, Err: fmt.Errorf("capture frame: %w", err)}, digest)
-		return item{}, true
 	}
 	r.frame = frame.Append(r.frame[:0])
 	rec := EntityRecord{Name: name, Digest: digest, Frame: r.frame}
@@ -606,6 +604,9 @@ func (c *Coordinator) dispatch(r *run, leaseCtx context.Context, w string, s *sh
 			url.QueryEscape(c.opts.HeartbeatInterval.String()),
 			url.QueryEscape(r.fopts.ScanTimeout.String()),
 			r.fopts.Retries)
+		if r.fopts.Target != "" {
+			u += "&target=" + url.QueryEscape(r.fopts.Target)
+		}
 		if s.noSegment {
 			u += "&segment=0"
 		}

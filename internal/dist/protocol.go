@@ -15,7 +15,10 @@
 //
 // A shard scan is one HTTP request to a worker:
 //
-//	POST /v1/shard/scan?shard=<id>&heartbeat=<dur>&timeout=<dur>&retries=<n>
+//	POST /v1/shard/scan?shard=<id>&heartbeat=<dur>&timeout=<dur>&retries=<n>[&target=<entry>]
+//
+// target, sent only when FleetOptions.Target is set, restricts each scan
+// to that manifest entry as a local run does, ErrUnknownTarget included.
 //
 // The request body is newline-delimited JSON, one EntityRecord per
 // entity, each carrying the entity serialized as a configuration frame
@@ -57,10 +60,11 @@ import (
 type EntityRecord struct {
 	// Name is the entity's name; unique within a fleet run.
 	Name string `json:"name"`
-	// Digest is the coordinator-computed config digest, echoed back on the
-	// entity's result so the coordinator can journal it without
-	// recomputing. Empty when the digest could not be computed (the result
-	// is then journaled audit-only, as in a local run).
+	// Digest is the config digest of Frame, computed by a coordinator with
+	// a journal and echoed back on the entity's result so the coordinator
+	// can journal it without recomputing. Empty without a coordinator
+	// journal, or when the digest could not be computed (the result is
+	// then never replayed, as in a local run).
 	Digest string `json:"digest,omitempty"`
 	// Frame is the entity serialized with frames.Write (JSON encodes it as
 	// base64).

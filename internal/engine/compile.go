@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 
 	"configvalidator/internal/configtree"
@@ -115,16 +116,15 @@ func joinTreePath(configPath, name string) string {
 	return configPath + "/" + name
 }
 
-// applicable filters rules in place to those that apply; rules must be a
-// slice the caller owns.
+// applicable returns the rules that apply, leaving rules as they are so
+// that they may be shared: rules itself when every rule applies, else a
+// filtered copy.
 func applicable(rules []*compiledRule, tags []string, entityType string) []*compiledRule {
-	out := rules[:0]
-	for _, c := range rules {
-		if c.applies(tags, entityType) {
-			out = append(out, c)
-		}
+	drop := func(c *compiledRule) bool { return !c.applies(tags, entityType) }
+	if !slices.ContainsFunc(rules, drop) {
+		return rules
 	}
-	return out
+	return slices.DeleteFunc(slices.Clone(rules), drop)
 }
 
 // applies reports whether an entry's tag filter and the entity type

@@ -203,9 +203,9 @@ func NewCachedSource(read cvl.FileReader) *CachedSource {
 
 // Resolve returns the effective rules of a rule file (inheritance
 // applied), compiled for evaluation. The returned slice is a fresh copy on
-// every call: the engine filters rule lists in place by tag and entity
-// type, and handing out the cached backing array would let one caller's
-// filter clobber another's view of the shared library.
+// every call, so a caller may reorder or append to it without changing
+// what later callers see of the shared library. A scan reads the
+// memoized list itself, which applicable never modifies.
 func (s *CachedSource) Resolve(path string) ([]*compiledRule, error) {
 	r, err := s.resolve(path)
 	if err != nil {
@@ -349,8 +349,10 @@ func (e *Engine) read(ent entity.Entity, entries []*cvl.ManifestEntry, src *Cach
 	mustRun(par, len(entries), func(i int) {
 		run := &runs[i]
 		run.entry = entries[i]
-		rules, err := src.Resolve(run.entry.CVLFile)
-		run.rules, run.err = applicable(rules, run.entry.Tags, typ), err
+		r, err := src.resolve(run.entry.CVLFile)
+		if run.err = err; err == nil {
+			run.rules = applicable(r.rules, run.entry.Tags, typ)
+		}
 	})
 
 	nfiles, nprobes := 0, 0

@@ -216,6 +216,7 @@ func (s *Server) handleShardScan(w http.ResponseWriter, r *http.Request) {
 	degradedSent := false
 	results := s.validator.ValidateFleet(r.Context(), feed, configvalidator.FleetOptions{
 		Workers:     s.ShardWorkers,
+		Target:      r.URL.Query().Get("target"),
 		ScanTimeout: scanTimeout,
 		Retries:     retries,
 		Journal:     seg,
