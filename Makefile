@@ -43,12 +43,14 @@ analyze:
 # untrusted input — among them the journal record read from disk, the
 # shard-stream record read from a worker and the shard request body and
 # request lines a worker receives, the frame and request-line codecs
-# against encoding/json — and over the compiled tree query and schema
-# LIKE against their references (one -fuzz target per invocation, as go
-# test requires). A shard request scans what it decodes, the codec
-# targets run encoding/json beside them and the LIKE target compiles a
-# regexp per input, so their new inputs are minimized for at most 2s
-# instead of the default 60s, which would eat the run.
+# against encoding/json, the lint body POST /v1/lint analyzes against the
+# loader — and over the compiled tree query and schema LIKE against their
+# references (one -fuzz target per invocation, as go test requires). A
+# shard request scans what it decodes, the codec targets run encoding/json
+# beside them, the lint target runs every analyzer pass and the loader and
+# the LIKE target compiles a regexp per input, so their new inputs are
+# minimized for at most 2s instead of the default 60s, which would eat the
+# run.
 fuzz:
 	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run FuzzDecode ./internal/yaml/
 	$(GO) test -fuzz FuzzSSHDParse -fuzztime $(FUZZTIME) -run FuzzSSHDParse ./internal/lens/
@@ -59,6 +61,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStreamRecord -fuzztime $(FUZZTIME) -run FuzzStreamRecord ./internal/dist/
 	$(GO) test -fuzz FuzzEntityRecord -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzEntityRecord ./internal/dist/
 	$(GO) test -fuzz FuzzShardRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzShardRequest ./internal/server/
+	$(GO) test -fuzz FuzzAnalyzeFile -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzAnalyzeFile ./internal/analysis/
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.

@@ -170,6 +170,31 @@ func TestCustomManifest(t *testing.T) {
 	}
 }
 
+// TestCustomManifestNestedParent: every rule file of an entity's chain,
+// parents included, resolves relative to the manifest's directory.
+func TestCustomManifestNestedParent(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "rules"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, filepath.Join(dir, "manifest.yaml"), "sshd:\n  config_search_paths: [/etc/ssh]\n  cvl_file: rules/child.yaml\n")
+	writeFile(t, filepath.Join(dir, "rules", "base.yaml"), "config_name: Port\nconfig_path: [\"\"]\npreferred_value: [\"22\"]\n")
+	for parent, wantErr := range map[string]bool{"rules/base.yaml": false, "base.yaml": true} {
+		writeFile(t, filepath.Join(dir, "rules", "child.yaml"),
+			"parent_cvl_file: "+parent+"\n---\nconfig_name: PermitRootLogin\nconfig_path: [\"\"]\npreferred_value: [\"no\"]\n")
+		out, err := runCLI(t, "-demo", "host", "-misconfig", "0", "-manifest", filepath.Join(dir, "manifest.yaml"), "-show-passing")
+		if wantErr {
+			if err == nil || !strings.Contains(err.Error(), "read rule file base.yaml") {
+				t.Errorf("parent %q: err = %v, want a failed read of base.yaml", parent, err)
+			}
+			continue
+		}
+		if err != nil || !strings.Contains(out, "sshd/Port") || !strings.Contains(out, "2 total") {
+			t.Errorf("parent %q: err = %v, output:\n%s", parent, err, out)
+		}
+	}
+}
+
 func TestExtendedPackFlag(t *testing.T) {
 	out, err := runCLI(t, "-demo", "host", "-misconfig", "0", "-extended", "-show-passing")
 	if err != nil {

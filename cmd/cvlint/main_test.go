@@ -187,6 +187,41 @@ func TestProjectDirectoryMode(t *testing.T) {
 	}
 }
 
+// TestNestedParentMatchesTheScan lints the layout configvalidator
+// -manifest loads: every rule file of the chain resolves against the
+// manifest's directory, so a parent named relative to a nested rule file
+// is missing, and one named from the manifest's directory is clean.
+func TestNestedParentMatchesTheScan(t *testing.T) {
+	for _, tc := range []struct {
+		parent   string
+		wantCode int
+		want     string
+	}{
+		{"base.yaml", 1, `rules/child.yaml:1:1: error CVL101: parent rule file "base.yaml" not found in project`},
+		{"rules/base.yaml", 0, "3 file(s) checked, 0 error(s), 0 warning(s)"},
+	} {
+		dir := t.TempDir()
+		files := map[string]string{
+			"manifest.yaml":    "sshd:\n  cvl_file: rules/child.yaml\n",
+			"rules/child.yaml": "parent_cvl_file: " + tc.parent + "\n---\n" + strings.Replace(cleanRule, "PermitRootLogin", "Port", 1),
+			"rules/base.yaml":  cleanRule,
+		}
+		for name, content := range files {
+			path := filepath.Join(dir, filepath.FromSlash(name))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		code, out, _ := runCapture(t, "-q", dir)
+		if code != tc.wantCode || !strings.Contains(out, tc.want) {
+			t.Errorf("parent %q: exit=%d, want %d and %q in:\n%s", tc.parent, code, tc.wantCode, tc.want, out)
+		}
+	}
+}
+
 func TestSingleFileParentIsWarning(t *testing.T) {
 	path := writeTemp(t, "child.yaml", "parent_cvl_file: elsewhere.yaml\n---\n"+cleanRule)
 	code, out, _ := runCapture(t, path)

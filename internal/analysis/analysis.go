@@ -90,8 +90,11 @@ func (d Diagnostic) String() string {
 
 // Project is the unit of analysis: a set of rule files and manifests,
 // keyed by path. Parent and manifest references are resolved against
-// these paths (exactly, relative to the referencing file, or relative to
-// a load root).
+// these paths as the loader resolves them: relative to the directory of
+// the manifest that reaches the referencing file. A file no manifest
+// reaches, or one analyzed alone (Options.ExternalParents), resolves its
+// references as-is, relative to its own directory, or relative to a load
+// root.
 type Project struct {
 	files    map[string][]byte
 	order    []string
@@ -161,14 +164,17 @@ func (p *Project) AddDir(dir string) error {
 // reference as-is, relative to from's directory, then relative to each
 // load root. It returns the matching project path.
 func (p *Project) resolveRef(from, ref string) (string, bool) {
-	candidates := []string{filepath.ToSlash(filepath.Clean(ref))}
-	if dir := filepath.Dir(from); dir != "." {
-		candidates = append(candidates, filepath.ToSlash(filepath.Join(dir, ref)))
-	}
+	candidates := []string{ref, filepath.Join(filepath.Dir(from), ref)}
 	for _, root := range p.roots {
-		candidates = append(candidates, filepath.ToSlash(filepath.Join(root, ref)))
+		candidates = append(candidates, filepath.Join(root, ref))
 	}
+	return p.find(candidates...)
+}
+
+// find returns the first candidate path the project holds.
+func (p *Project) find(candidates ...string) (string, bool) {
 	for _, c := range candidates {
+		c = filepath.ToSlash(filepath.Clean(c))
 		if _, ok := p.files[c]; ok {
 			return c, true
 		}
@@ -220,6 +226,7 @@ func Analyze(p *Project, opts Options) *Result {
 	a := newAnalyzer(p, opts)
 	a.parseRuleFiles()
 	a.parseManifests()
+	a.reach()
 	a.resolveInheritance()
 	a.checkRules()
 	a.checkComposites()

@@ -449,6 +449,62 @@ composite_rule: web.some-key.CONFIGPATH=[main].VALUE == "x"
 	}
 }
 
+// A bare composite reference binds to a rule result under the engine's
+// name equivalence, so the dotted sysctl spelling of a slashed rule name
+// is no unknown rule.
+func TestCompositeRefUsesEngineNameEquivalence(t *testing.T) {
+	p := NewProject()
+	p.AddManifest("manifest.yaml", []byte("sysctl:\n  cvl_file: sysctl.yaml\nstack:\n  cvl_file: stack.yaml\n"))
+	p.AddRuleFile("sysctl.yaml", []byte(strings.Replace(cleanRule, "ssl_protocols", "net/ipv4/ip_forward", 1)))
+	p.AddRuleFile("stack.yaml", []byte(`composite_rule_name: stack
+composite_rule_description: "d"
+tags: ["#cis"]
+matched_description: "ok"
+composite_rule: sysctl.net.ipv4.ip_forward && sysctl.nosuchrule
+`))
+	res := Analyze(p, Options{})
+	var refs []string
+	for _, d := range res.Diagnostics {
+		if d.Code == CodeUnknownRuleRef {
+			refs = append(refs, d.Msg)
+		}
+	}
+	if len(refs) != 1 || !strings.Contains(refs[0], `"nosuchrule"`) {
+		t.Errorf("CVL202 findings = %q, want one for nosuchrule", refs)
+	}
+}
+
+// TestNestedParentResolvesAgainstManifest: the loader reads every file of
+// a manifest entity's chain relative to the manifest's directory, so a
+// nested rule file's parent_cvl_file resolves from there, not from the
+// rule file's own directory.
+func TestNestedParentResolvesAgainstManifest(t *testing.T) {
+	for _, tc := range []struct {
+		parent string
+		want   string // "" for a clean project
+	}{
+		{"base.yaml", CodeMissingParent},
+		{"rules/base.yaml", ""},
+	} {
+		p := NewProject()
+		p.AddManifest("proj/manifest.yaml", []byte("host:\n  cvl_file: rules/child.yaml\n"))
+		p.AddRuleFile("proj/rules/child.yaml", []byte("parent_cvl_file: "+tc.parent+"\n---\n"+
+			strings.Replace(cleanRule, "ssl_protocols", "listen", 1)))
+		p.AddRuleFile("proj/rules/base.yaml", []byte(cleanRule))
+		res := Analyze(p, Options{})
+		if tc.want == "" {
+			if len(res.Diagnostics) != 0 {
+				t.Errorf("parent %q: %v", tc.parent, res.Diagnostics)
+			}
+			continue
+		}
+		d := findCode(t, res, tc.want)
+		if d.File != "proj/rules/child.yaml" || d.Line != 1 || d.Severity != SevError {
+			t.Errorf("parent %q: %s", tc.parent, d)
+		}
+	}
+}
+
 // TestManifestParentCVLFileChecked: no scan reads a manifest-level
 // parent_cvl_file, so the analyzer rejects the key (CVL301) instead of
 // following it — following it would count the named file as reachable and

@@ -3,8 +3,8 @@ package analysis
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 
 	"configvalidator/internal/cvl"
@@ -22,12 +22,7 @@ func (e *ruleEntry) start() yaml.Pos { return e.m.Start() }
 
 // keyPos returns the position of key in the rule mapping, falling back to
 // the rule's start.
-func (e *ruleEntry) keyPos(key string) yaml.Pos {
-	if p := e.m.KeyPos(key); !p.IsZero() {
-		return p
-	}
-	return e.m.Start()
-}
+func (e *ruleEntry) keyPos(key string) yaml.Pos { return keyPos(e.m, key) }
 
 // fileInfo is the analyzer's view of one rule file.
 type fileInfo struct {
@@ -37,8 +32,8 @@ type fileInfo struct {
 	rules     []*ruleEntry
 
 	// Inheritance resolution state.
-	state     int // 0 unvisited, 1 visiting, 2 resolved
-	effective map[string]*ruleEntry
+	state     int         // 0 unvisited, 1 visiting, 2 resolved
+	effective []*cvl.Rule // the loader's merged rule list
 }
 
 // manEntity is one entity stanza of a manifest.
@@ -46,7 +41,6 @@ type manEntity struct {
 	manifest string
 	name     string
 	namePos  yaml.Pos
-	enabled  bool
 	cvlFile  string
 	cvlPos   yaml.Pos
 	tags     []string
@@ -61,6 +55,11 @@ type analyzer struct {
 	ruleFiles []string // rule-file paths in project order
 	manifests []string // manifest paths in project order
 	entities  []*manEntity
+	// entries maps every parsed rule back to its mapping.
+	entries map[*cvl.Rule]*ruleEntry
+	// base maps each rule file a manifest reaches to that manifest's
+	// directory, which the loader resolves the file's references against.
+	base map[string]string
 
 	// replacements records every (inherited rule, replacing rule) pair
 	// found while resolving inheritance, for the cross-chain checks
@@ -78,7 +77,8 @@ type replacePair struct {
 }
 
 func newAnalyzer(p *Project, opts Options) *analyzer {
-	a := &analyzer{p: p, opts: opts, files: map[string]*fileInfo{}}
+	a := &analyzer{p: p, opts: opts, files: map[string]*fileInfo{},
+		entries: map[*cvl.Rule]*ruleEntry{}, base: map[string]string{}}
 	for _, path := range p.order {
 		if p.manifest[path] {
 			a.manifests = append(a.manifests, path)
@@ -176,85 +176,70 @@ func (a *analyzer) parseRuleFile(path string, content []byte) *fileInfo {
 	return fi
 }
 
-// ruleNameOf extracts the rule's name for attribution even when the full
-// parse fails.
-func ruleNameOf(m *yaml.Map) string {
-	for _, key := range []string{"config_name", "config_schema_name", "path_name", "script_name", "composite_rule_name"} {
-		if s, ok := m.String(key); ok {
-			return s
-		}
-	}
-	return ""
-}
-
-// checkRuleMap validates one rule mapping: unknown keywords and
-// wrong-group keywords key-by-key (positioned at the offending key), then
-// the full semantic parse.
+// checkRuleMap parses one rule mapping with the loader and reports what
+// it finds: every key outside the rule type's vocabulary (CVL003 unknown,
+// CVL004 another type's keyword), or else the loader's first problem
+// (CVL005), each at its key.
 func (a *analyzer) checkRuleMap(path string, m *yaml.Map) *ruleEntry {
 	entry := &ruleEntry{file: path, m: m}
-	name := ruleNameOf(m)
-	broken := false
-	for _, key := range m.Keys() {
-		if _, known := cvl.Keywords[key]; !known {
-			msg := fmt.Sprintf("unknown keyword %q", key)
-			if s := cvl.SuggestKeyword(key); s != "" {
-				msg += fmt.Sprintf(" (did you mean %q?)", s)
-			}
-			a.report(CodeUnknownKeyword, path, m.KeyPos(key), name, "%s", msg)
-			broken = true
-		}
-	}
-	ruleType, err := cvl.DetectRuleType(m)
-	if err != nil {
-		if !broken {
-			a.report(CodeInvalidRule, path, m.Start(), name, "%v", err)
-		}
-		return entry
-	}
-	allowed := cvl.AllowedGroups(ruleType)
-	for _, key := range m.Keys() {
-		if group, known := cvl.Keywords[key]; known && !allowed[group] {
-			a.report(CodeWrongGroup, path, m.KeyPos(key), name,
-				"keyword %q belongs to %s rules, not %s rules", key, group, ruleType)
-			broken = true
-		}
-	}
-	if broken {
-		return entry
-	}
 	rule, err := cvl.ParseRule(m)
-	if err != nil {
-		pos := m.Start()
-		if key := offendingKeyword(err.Error()); key != "" && !m.KeyPos(key).IsZero() {
-			pos = m.KeyPos(key)
-		}
-		a.report(CodeInvalidRule, path, pos, name, "%v", err)
+	if err == nil {
+		rule.Source = path
+		entry.rule = rule
+		a.entries[rule] = entry
 		return entry
 	}
-	rule.Source = path
-	rule.Line = m.Start().Line
-	entry.rule = rule
+	var first *cvl.KeyError
+	outside := false
+	for _, p := range problemsOf(err) {
+		var ke *cvl.KeyError
+		if !errors.As(p, &ke) {
+			continue
+		}
+		if first == nil {
+			first = ke
+		}
+		if ke.Err != nil {
+			continue
+		}
+		code := CodeWrongGroup
+		if _, known := cvl.Keywords[ke.Key]; !known {
+			code = CodeUnknownKeyword
+		}
+		a.report(code, path, m.KeyPos(ke.Key), ke.Name, "%v", ke)
+		outside = true
+	}
+	if !outside && first != nil {
+		a.report(CodeInvalidRule, path, keyPos(m, first.Key), first.Name, "%v", first)
+	}
 	return entry
 }
 
-// offendingKeyword extracts the keyword named in a cvl.ParseRule error of
-// the form `keyword "x": ...`, so the diagnostic can point at that key.
-func offendingKeyword(msg string) string {
-	const prefix = `keyword "`
-	if !strings.HasPrefix(msg, prefix) {
-		return ""
+// problemsOf lists the problems a loader error carries: it reads as the
+// first and unwraps to every one the loader found.
+func problemsOf(err error) []error {
+	if err == nil {
+		return nil
 	}
-	rest := msg[len(prefix):]
-	end := strings.IndexByte(rest, '"')
-	if end < 0 {
-		return ""
+	var all interface{ Unwrap() []error }
+	if errors.As(err, &all) {
+		return all.Unwrap()
 	}
-	return rest[:end]
+	return []error{err}
+}
+
+// keyPos returns the position of key in m, or m's start for "" or a key
+// m lacks.
+func keyPos(m *yaml.Map, key string) yaml.Pos {
+	if key != "" {
+		if p := m.KeyPos(key); !p.IsZero() {
+			return p
+		}
+	}
+	return m.Start()
 }
 
 // --- pass 2: manifests ---
-
-var manifestKeys = []string{"enabled", "config_search_paths", "cvl_file", "rule_type", "tags"}
 
 func (a *analyzer) parseManifests() {
 	owner := map[string]string{} // entity name → manifest that defined it
@@ -263,93 +248,90 @@ func (a *analyzer) parseManifests() {
 	}
 }
 
+// parseManifest parses a manifest with the loader, reporting each problem
+// it finds (CVL301) at its key, and records the entities it yields.
 func (a *analyzer) parseManifest(path string, content []byte, owner map[string]string) {
-	doc, err := yaml.Decode(content)
-	if err != nil {
-		var se *yaml.SyntaxError
-		if errors.As(err, &se) {
-			a.report(CodeSyntax, path, yaml.Pos{Line: se.Line, Col: se.Col}, "", "%s", se.Msg)
-		} else {
-			a.report(CodeSyntax, path, yaml.Pos{}, "", "%v", err)
-		}
+	man, err := cvl.ParseManifest(path, content)
+	var se *yaml.SyntaxError
+	if errors.As(err, &se) {
+		a.report(CodeSyntax, path, yaml.Pos{Line: se.Line, Col: se.Col}, "", "%s", se.Msg)
 		return
 	}
-	if doc == nil {
-		return
-	}
-	root, ok := doc.(*yaml.Map)
-	if !ok {
+	// The loader decoded the same bytes; decode them again for positions.
+	doc, _ := yaml.Decode(content)
+	if man == nil {
 		a.report(CodeNotMapping, path, yaml.Pos{}, "", "manifest document is %T, want a mapping of entities", doc)
 		return
 	}
-	for _, name := range root.Keys() {
-		namePos := root.KeyPos(name)
-		body, ok := root.Map(name)
-		if !ok {
-			a.report(CodeBadManifest, path, namePos, "", "entity %q must be a mapping", name)
+	for _, p := range problemsOf(err) {
+		var ke *cvl.KeyError
+		if !errors.As(p, &ke) {
 			continue
 		}
-		ent := &manEntity{manifest: path, name: name, namePos: namePos, enabled: true}
-		for _, key := range body.Keys() {
-			pos := body.KeyPos(key)
-			value, _ := body.Get(key)
-			var err error
-			switch key {
-			case "enabled":
-				err = asBool(value, &ent.enabled)
-			case "config_search_paths":
-				var paths []string
-				err = asStringSlice(value, &paths)
-			case "cvl_file":
-				if err = asString(value, &ent.cvlFile); err == nil {
-					ent.cvlPos = pos
-				}
-			case "parent_cvl_file":
-				// Scans never read the key; cvl.ParseManifest rejects it.
-				a.report(CodeBadManifest, path, pos, "", "entity %q: parent_cvl_file belongs in the rule file, not the manifest", name)
-				continue
-			case "rule_type":
-				var rt string
-				if err = asString(value, &rt); err == nil {
-					_, err = cvl.ParseRuleType(rt)
-				}
-			case "tags":
-				if err = asStringSlice(value, &ent.tags); err == nil {
-					ent.tagsPos = pos
-				}
-			default:
-				msg := fmt.Sprintf("unknown manifest key %q", key)
-				if s := suggestFrom(key, manifestKeys); s != "" {
-					msg += fmt.Sprintf(" (did you mean %q?)", s)
-				}
-				a.report(CodeBadManifest, path, pos, "", "entity %q: %s", name, msg)
-				continue
-			}
-			if err != nil {
-				a.report(CodeBadManifest, path, pos, "", "entity %q: key %q: %v", name, key, err)
+		msg := ke.Error()
+		if ke.Err == nil {
+			msg = fmt.Sprintf("entity %q: unknown manifest key %q", ke.Name, ke.Key)
+			if ke.Suggest != "" {
+				msg += fmt.Sprintf(" (did you mean %q?)", ke.Suggest)
 			}
 		}
-		if ent.cvlFile == "" {
-			a.report(CodeBadManifest, path, namePos, "", "entity %q missing cvl_file", name)
-		}
-		if prev, dup := owner[name]; dup {
-			a.report(CodeDuplicateEntity, path, namePos, "", "entity %q already defined in %s", name, prev)
+		a.report(CodeBadManifest, path, ke.Map.KeyPos(ke.Key), "", "%s", msg)
+	}
+	root := doc.(*yaml.Map)
+	for _, e := range man.Entries {
+		body, _ := root.Map(e.Name)
+		ent := &manEntity{manifest: path, name: e.Name, namePos: root.KeyPos(e.Name),
+			cvlFile: e.CVLFile, cvlPos: body.KeyPos("cvl_file"), tags: e.Tags, tagsPos: body.KeyPos("tags")}
+		if prev, dup := owner[e.Name]; dup {
+			a.report(CodeDuplicateEntity, path, ent.namePos, "", "entity %q already defined in %s", e.Name, prev)
 		} else {
-			owner[name] = path
+			owner[e.Name] = path
 		}
 		a.entities = append(a.entities, ent)
 	}
 }
 
-// suggestFrom proposes the closest candidate within edit distance 2.
-func suggestFrom(key string, candidates []string) string {
-	best, bestDist := "", 3
-	for _, c := range candidates {
-		if d := editDistance(key, c); d < bestDist {
-			best, bestDist = c, d
+// reach follows every manifest entity's cvl_file and parent_cvl_file
+// chain, recording for each rule file it meets the directory of the first
+// manifest that reaches it.
+func (a *analyzer) reach() {
+	for _, ent := range a.entities {
+		if ent.cvlFile == "" {
+			continue
+		}
+		dir := filepath.ToSlash(filepath.Dir(ent.manifest))
+		target, found := a.ref(ent.manifest, ent.cvlFile)
+		for found && a.files[target] != nil {
+			if _, seen := a.base[target]; seen {
+				break
+			}
+			a.base[target] = dir
+			parent := a.files[target].parent
+			if parent == "" {
+				break
+			}
+			target, found = a.ref(target, parent)
 		}
 	}
-	return best
+}
+
+// ref resolves a cvl_file or parent_cvl_file reference made in the file
+// from. In a project the loader reads every file of a manifest entity's
+// chain relative to the manifest's directory, so a manifest's references,
+// and those of the rule files it reaches, resolve against it. A file no
+// manifest reaches, and any file under ExternalParents, resolves as a
+// lone file does (Project.resolveRef).
+func (a *analyzer) ref(from, ref string) (string, bool) {
+	if !a.opts.ExternalParents {
+		dir, reached := a.base[from]
+		if a.p.manifest[from] {
+			dir, reached = filepath.Dir(from), true
+		}
+		if reached {
+			return a.p.find(filepath.Join(dir, ref))
+		}
+	}
+	return a.p.resolveRef(from, ref)
 }
 
 // --- pass 3: inheritance graph ---
@@ -361,9 +343,10 @@ func (a *analyzer) resolveInheritance() {
 }
 
 // effective resolves a file's inheritance chain and returns its effective
-// rule set (key → defining entry), reporting missing parents, cycles,
-// dead overrides/disables, and silent shadowing along the way.
-func (a *analyzer) effective(path string) map[string]*ruleEntry {
+// rule list, merged as the loader merges it (cvl.MergeRules), reporting
+// missing parents, cycles, dead overrides/disables, and silent shadowing
+// along the way.
+func (a *analyzer) effective(path string) []*cvl.Rule {
 	fi := a.files[path]
 	if fi == nil {
 		return nil
@@ -372,9 +355,9 @@ func (a *analyzer) effective(path string) map[string]*ruleEntry {
 		return fi.effective
 	}
 	fi.state = 1
-	var parentEff map[string]*ruleEntry
+	var inherited []*cvl.Rule
 	if fi.parent != "" {
-		target, found := a.p.resolveRef(path, fi.parent)
+		target, found := a.ref(path, fi.parent)
 		pfi := a.files[target]
 		switch {
 		case !found || pfi == nil:
@@ -384,47 +367,43 @@ func (a *analyzer) effective(path string) map[string]*ruleEntry {
 			a.report(CodeCycle, path, fi.parentPos, "",
 				"inheritance cycle: %q inherits %q, which (transitively) inherits it back", path, fi.parent)
 		default:
-			parentEff = a.effective(target)
+			inherited = a.effective(target)
 		}
 	}
-	eff := make(map[string]*ruleEntry, len(parentEff)+len(fi.rules))
-	for k, v := range parentEff {
-		eff[k] = v
+	byKey := make(map[string]*ruleEntry, len(inherited))
+	for _, r := range inherited {
+		byKey[r.Key()] = a.entries[r]
 	}
+	own := make([]*cvl.Rule, 0, len(fi.rules))
 	seenHere := map[string]bool{}
 	for _, e := range fi.rules {
 		if e.rule == nil {
 			continue
 		}
+		own = append(own, e.rule)
 		key := e.rule.Key()
-		inherited, inParent := parentEff[key]
+		parent, inParent := byKey[key]
 		switch {
 		case e.rule.Disabled:
 			if !inParent {
 				a.report(CodeDeadDisabled, path, e.start(), e.rule.Name,
 					"disabled rule matches no inherited rule; nothing to disable")
 			}
-			delete(eff, key)
 		case inParent && !e.rule.Override && !seenHere[key]:
 			a.report(CodeShadowed, path, e.start(), e.rule.Name,
-				"silently shadows the rule inherited from %s; add override: true to make the replacement explicit", inherited.file)
-			a.replacements = append(a.replacements, replacePair{parent: inherited, child: e})
-			eff[key] = e
+				"silently shadows the rule inherited from %s; add override: true to make the replacement explicit", parent.file)
+			a.replacements = append(a.replacements, replacePair{parent: parent, child: e})
 		case !inParent && e.rule.Override:
 			a.report(CodeDeadOverride, path, e.start(), e.rule.Name,
 				"marked override: true but no inherited rule matches")
-			eff[key] = e
-		default:
-			if inParent {
-				a.replacements = append(a.replacements, replacePair{parent: inherited, child: e})
-			}
-			eff[key] = e
+		case inParent:
+			a.replacements = append(a.replacements, replacePair{parent: parent, child: e})
 		}
 		seenHere[key] = true
 	}
 	fi.state = 2
-	fi.effective = eff
-	return eff
+	fi.effective = cvl.MergeRules(inherited, own)
+	return fi.effective
 }
 
 // --- pass 4: per-rule semantic checks ---
@@ -532,16 +511,17 @@ func (a *analyzer) checkRuleStyle(e *ruleEntry) {
 
 // --- pass 5: cross-file composite checks ---
 
-// entityRuleNames returns the rule names reachable from an entity's
-// manifest entry: its cvl_file chain plus any manifest-level parent.
-func (a *analyzer) entityRuleNames(files []string) map[string]bool {
-	names := map[string]bool{}
+// hasRule reports whether an entity's rule files define a rule a
+// composite reference names, under the engine's name equivalence.
+func (a *analyzer) hasRule(files []string, name string) bool {
 	for _, f := range files {
-		for _, e := range a.effective(f) {
-			names[e.rule.Name] = true
+		for _, r := range a.effective(f) {
+			if cvl.SameRuleName(r.Name, name) {
+				return true
+			}
 		}
 	}
-	return names
+	return false
 }
 
 func (a *analyzer) checkComposites() {
@@ -554,7 +534,7 @@ func (a *analyzer) checkComposites() {
 		entityNames = append(entityNames, ent.name)
 		var files []string
 		if ent.cvlFile != "" {
-			if target, found := a.p.resolveRef(ent.manifest, ent.cvlFile); found && a.files[target] != nil {
+			if target, found := a.ref(ent.manifest, ent.cvlFile); found && a.files[target] != nil {
 				files = []string{target}
 			} else {
 				a.report(CodeMissingRuleFile, ent.manifest, ent.cvlPos, "",
@@ -574,7 +554,7 @@ func (a *analyzer) checkComposites() {
 				files, known := entityFiles[ref.Entity]
 				if !known {
 					msg := fmt.Sprintf("references entity %q, which no manifest defines", ref.Entity)
-					if s := suggestFrom(ref.Entity, entityNames); s != "" {
+					if s := cvl.Suggest(ref.Entity, entityNames); s != "" {
 						msg += fmt.Sprintf(" (did you mean %q?)", s)
 					}
 					a.report(CodeUnknownEntity, path, pos, e.rule.Name, "%s", msg)
@@ -585,7 +565,7 @@ func (a *analyzer) checkComposites() {
 				if ref.WantValue || ref.Op != "" {
 					continue
 				}
-				if !a.entityRuleNames(files)[ref.Key] {
+				if !a.hasRule(files, ref.Key) {
 					a.report(CodeUnknownRuleRef, path, pos, e.rule.Name,
 						"no rule named %q on entity %q; the reference will fall back to configuration-key existence", ref.Key, ref.Entity)
 				}
@@ -606,8 +586,8 @@ func (a *analyzer) checkTagFilters(entityFiles map[string][]string) {
 		}
 		available := map[string]bool{}
 		for _, f := range files {
-			for _, e := range a.effective(f) {
-				for _, t := range e.rule.Tags {
+			for _, r := range a.effective(f) {
+				for _, t := range r.Tags {
 					available[t] = true
 				}
 			}
@@ -627,109 +607,10 @@ func (a *analyzer) checkReachability() {
 	if len(a.entities) == 0 {
 		return // no manifests: plain rule-file lint, reachability is moot
 	}
-	reachable := map[string]bool{}
-	var mark func(path string)
-	mark = func(path string) {
-		if path == "" || reachable[path] {
-			return
-		}
-		reachable[path] = true
-		fi := a.files[path]
-		if fi == nil || fi.parent == "" {
-			return
-		}
-		if target, found := a.p.resolveRef(path, fi.parent); found {
-			mark(target)
-		}
-	}
-	for _, ent := range a.entities {
-		if ent.cvlFile == "" {
-			continue
-		}
-		if target, found := a.p.resolveRef(ent.manifest, ent.cvlFile); found {
-			mark(target)
-		}
-	}
 	for _, path := range a.ruleFiles {
-		if !reachable[path] {
+		if _, reached := a.base[path]; !reached {
 			a.report(CodeUnreachableFile, path, yaml.Pos{}, "",
 				"rule file is not referenced by any manifest (directly or through inheritance)")
 		}
 	}
-}
-
-// --- value coercion (manifest parsing) ---
-
-func asString(value any, dst *string) error {
-	switch v := value.(type) {
-	case string:
-		*dst = v
-	case int64:
-		*dst = strconv.FormatInt(v, 10)
-	case float64:
-		*dst = strconv.FormatFloat(v, 'g', -1, 64)
-	case bool:
-		*dst = strconv.FormatBool(v)
-	default:
-		return fmt.Errorf("want a string, got %T", value)
-	}
-	return nil
-}
-
-func asStringSlice(value any, dst *[]string) error {
-	switch v := value.(type) {
-	case []any:
-		out := make([]string, 0, len(v))
-		for _, item := range v {
-			var s string
-			if err := asString(item, &s); err != nil {
-				return fmt.Errorf("list element: %w", err)
-			}
-			out = append(out, s)
-		}
-		*dst = out
-	case string:
-		*dst = []string{v}
-	case nil:
-		*dst = nil
-	default:
-		return fmt.Errorf("want a list of strings, got %T", value)
-	}
-	return nil
-}
-
-func asBool(value any, dst *bool) error {
-	b, ok := value.(bool)
-	if !ok {
-		return fmt.Errorf("want a boolean, got %T", value)
-	}
-	*dst = b
-	return nil
-}
-
-// editDistance is the Levenshtein distance, used for did-you-mean hints.
-func editDistance(a, b string) int {
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
 }

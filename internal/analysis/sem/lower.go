@@ -88,22 +88,24 @@ type IR struct {
 	Unit string
 	// Rules holds the lowered rules in input order.
 	Rules []*RuleIR
-	// byName indexes rules by rule name (first definition wins), used to
-	// resolve composite references.
-	byName map[string]*RuleIR
 }
 
-// ByName returns the lowered rule with the given name.
+// ByName returns the first lowered rule a composite reference's rule name
+// names, under the engine's equivalence (cvl.SameRuleName).
 func (ir *IR) ByName(name string) (*RuleIR, bool) {
-	r, ok := ir.byName[name]
-	return r, ok
+	for _, r := range ir.Rules {
+		if cvl.SameRuleName(r.Rule.Name, name) {
+			return r, true
+		}
+	}
+	return nil, false
 }
 
 // Lower lowers a resolved rule set into the constraint IR. Rules must be
 // post-inheritance: every entry is an effective rule, with overridden
 // parents already replaced.
 func Lower(unit string, rules []*cvl.Rule) *IR {
-	ir := &IR{Unit: unit, byName: make(map[string]*RuleIR, len(rules))}
+	ir := &IR{Unit: unit}
 	for _, r := range rules {
 		if r == nil || r.Disabled {
 			continue
@@ -111,9 +113,6 @@ func Lower(unit string, rules []*cvl.Rule) *IR {
 		ri := lowerRule(r)
 		ri.Unit = unit
 		ir.Rules = append(ir.Rules, ri)
-		if _, dup := ir.byName[r.Name]; !dup {
-			ir.byName[r.Name] = ri
-		}
 	}
 	return ir
 }

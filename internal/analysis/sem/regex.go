@@ -218,7 +218,8 @@ func digitIntervals(re *syntax.Regexp) ([]interval[float64], bool) {
 type digitSpan struct{ lo, hi string }
 
 // digitSpans walks one branch and returns every (min,max) digit layout it
-// can produce. Optional elements (x? / x{n,m}) fork the layout list.
+// can produce. Optional elements (x? / x{n,m}) and inner alternations fork
+// the layout list.
 func digitSpans(re *syntax.Regexp) ([]digitSpan, bool) {
 	spans := []digitSpan{{}}
 	var walk func(r *syntax.Regexp) bool
@@ -228,6 +229,23 @@ func digitSpans(re *syntax.Regexp) ([]digitSpan, bool) {
 			return true
 		case syntax.OpCapture:
 			return walk(r.Sub[0])
+		case syntax.OpAlternate:
+			// Simplify factors common prefixes out of a range's
+			// branches (1(?:0(?:2[4-9]|[3-9][0-9])|[1-9][0-9][0-9])), so
+			// each branch continues every layout built so far.
+			base := spans
+			var out []digitSpan
+			for _, sub := range r.Sub {
+				spans = append([]digitSpan(nil), base...)
+				if !walk(sub) {
+					return false
+				}
+				if out = append(out, spans...); len(out) > digitBranchLimit {
+					return false
+				}
+			}
+			spans = out
+			return true
 		case syntax.OpConcat:
 			for _, sub := range r.Sub {
 				if !walk(sub) {

@@ -162,6 +162,20 @@ func regexPref(pattern string) *Set {
 }
 
 func TestRegexSetDigitIntervals(t *testing.T) {
+	// regexp/syntax factors the branches' common prefixes into nested
+	// alternations; the interval reading must see through them.
+	numeric, exact := regexSet(portHighRegex, false)
+	if numeric == nil || numeric.kind != kindNumeric || exact {
+		t.Fatalf("port regex approximated as %v, want an inexact numeric set", numeric)
+	}
+	for v, want := range map[string]bool{"1023": false, "1024": true, "1100": true, "2000": true, "65535": true, "65536": false} {
+		if member, _ := numeric.Contains(v); member != want {
+			t.Errorf("numeric set contains %s = %v, want %v", v, member, want)
+		}
+	}
+	if !Numeric(interval[float64]{lo: 0, hi: 1023}).ProvablyDisjoint(numeric) {
+		t.Errorf("ports below 1024 should be provably disjoint from the numeric set %s", numeric.Describe())
+	}
 	s := regexPref(portHighRegex)
 	if s.ProvablyEmpty() {
 		t.Fatalf("port regex should not be empty")
@@ -383,6 +397,22 @@ func TestCheckCompositeConstantFolding(t *testing.T) {
 	}
 	if !related {
 		t.Fatalf("the folded member rule should be listed as related")
+	}
+}
+
+// A composite reference folds against a rule under the engine's name
+// equivalence: sysctl.net.ipv4.ip_forward names net/ipv4/ip_forward.
+func TestCheckCompositeFoldsDottedReference(t *testing.T) {
+	member := treeRule("net/ipv4/ip_forward", []string{"0"}, []string{"0"}) // can never pass
+	comp := &cvl.Rule{Type: cvl.TypeComposite, Name: "routing_off", Source: "u",
+		CompositeExpr: mustComposite(t, "sysctl.net.ipv4.ip_forward && sysctl.other")}
+	ir := Lower("u", []*cvl.Rule{member, comp})
+	if ri, ok := ir.ByName("net.ipv4.ip_forward"); !ok || ri.Rule != member {
+		t.Fatalf("ByName(net.ipv4.ip_forward) = %v, %v; want the slashed rule", ri, ok)
+	}
+	fs := Check([]*IR{ir}, []Entity{{Name: "sysctl", Units: []string{"u"}}})
+	if !hasCode(fs, CodeCompositeContradiction) {
+		t.Fatalf("the dotted reference names a rule that can never pass; got %v", findingCodes(fs))
 	}
 }
 

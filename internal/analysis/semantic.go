@@ -46,30 +46,11 @@ func (a *analyzer) checkSemantics() {
 	if a.opts.NoSemantic {
 		return
 	}
-	index := make(map[*cvl.Rule]*ruleEntry)
-	for _, path := range a.ruleFiles {
-		for _, e := range a.files[path].rules {
-			if e.rule != nil {
-				index[e.rule] = e
-			}
-		}
-	}
 	var units []*sem.IR
 	for _, path := range a.ruleFiles {
-		eff := a.effective(path)
-		if len(eff) == 0 {
-			continue
+		if eff := a.effective(path); len(eff) > 0 {
+			units = append(units, sem.Lower(path, eff))
 		}
-		keys := make([]string, 0, len(eff))
-		for k := range eff {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		rules := make([]*cvl.Rule, 0, len(keys))
-		for _, k := range keys {
-			rules = append(rules, eff[k].rule)
-		}
-		units = append(units, sem.Lower(path, rules))
 	}
 	var entities []sem.Entity
 	if len(a.entityFiles) > 0 {
@@ -83,27 +64,27 @@ func (a *analyzer) checkSemantics() {
 		}
 	}
 	for _, f := range sem.Check(units, entities) {
-		a.reportFinding(f, index)
+		a.reportFinding(f)
 	}
 	for _, pair := range a.replacements {
 		if pair.parent.rule == nil || pair.child.rule == nil {
 			continue
 		}
 		for _, f := range sem.CheckReplacement(pair.parent.rule, pair.child.rule) {
-			a.reportFinding(f, index)
+			a.reportFinding(f)
 		}
 	}
 }
 
 // reportFinding converts one sem finding into a positioned diagnostic.
-func (a *analyzer) reportFinding(f sem.Finding, index map[*cvl.Rule]*ruleEntry) {
-	e := index[f.Rule]
+func (a *analyzer) reportFinding(f sem.Finding) {
+	e := a.entries[f.Rule]
 	if e == nil {
 		return
 	}
 	d := a.diagFor(e, f.Code, anchorKey(f), f.Rule.Name, "%s", f.Msg)
 	for _, rel := range f.Related {
-		re := index[rel.Rule]
+		re := a.entries[rel.Rule]
 		if re == nil {
 			continue
 		}
@@ -139,12 +120,8 @@ func anchorKeyFor(r *cvl.Rule, code string) string {
 // diagFor builds a diagnostic anchored at a rule entry's key (or its
 // start when key is "" or absent).
 func (a *analyzer) diagFor(e *ruleEntry, code, key, rule, format string, args ...any) Diagnostic {
-	pos := e.start()
-	if key != "" {
-		pos = e.keyPos(key)
-	}
 	before := len(a.diags)
-	a.report(code, e.file, pos, rule, format, args...)
+	a.report(code, e.file, e.keyPos(key), rule, format, args...)
 	d := a.diags[before]
 	a.diags = a.diags[:before]
 	return d
@@ -152,11 +129,7 @@ func (a *analyzer) diagFor(e *ruleEntry, code, key, rule, format string, args ..
 
 // relatedFor builds a secondary location for a rule entry.
 func (a *analyzer) relatedFor(e *ruleEntry, key, msg string) RelatedPos {
-	pos := e.start()
-	if key != "" {
-		pos = e.keyPos(key)
-	}
-	line, col := posOr(pos)
+	line, col := posOr(e.keyPos(key))
 	name := ""
 	if e.rule != nil {
 		name = e.rule.Name

@@ -84,6 +84,21 @@ type CompositeResolver interface {
 	ConfigValue(entityName, key, section string) (value string, found bool)
 }
 
+// SameRuleName reports whether a composite reference's rule name names a
+// rule: dotted and slashed spellings are equivalent, so the reference
+// sysctl.net.ipv4.ip_forward binds to the rule net/ipv4/ip_forward.
+func SameRuleName(a, b string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := 0; i < len(a); i++ {
+		if x, y := a[i], b[i]; x != y && (x != '.' && x != '/' || y != '.' && y != '/') {
+			return false
+		}
+	}
+	return true
+}
+
 // Eval evaluates the expression against the resolver.
 func (e *CompositeExpr) Eval(res CompositeResolver) (bool, error) {
 	return e.root.eval(res)

@@ -1,10 +1,13 @@
 package cvl
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+
+	"configvalidator/internal/yaml"
 )
 
 // Listing 2 of the paper, verbatim.
@@ -317,6 +320,122 @@ func TestParseRuleErrors(t *testing.T) {
 				t.Errorf("rule %q accepted", tt.src)
 			}
 		})
+	}
+}
+
+// Every loader parse error wraps a *KeyError naming the key at fault and
+// the mapping that holds it; the error text stays the loader's.
+func TestParseErrorsNameTheKey(t *testing.T) {
+	tests := []struct {
+		name, src string
+		manifest  bool
+		key       string
+		line      int // the key's line; the mapping's start for key ""
+		text      string
+	}{
+		{"unknown keyword", "config_name: x\nconfig_pth: [a]\n", false, "config_pth", 2,
+			`cvl: f.yaml: rule 1: unknown keyword "config_pth" (did you mean "config_path"?)`},
+		{"wrong group", "config_name: x\nquery_constraints: q\n", false, "query_constraints", 2,
+			`cvl: f.yaml: rule 1: keyword "query_constraints" belongs to schema rules, not config_tree rules`},
+		{"bad value", "---\nconfig_name: x\ntags: [a]\noccurrence: sometimes\n", false, "occurrence", 4,
+			`cvl: f.yaml: rule 1: keyword "occurrence": occurrence must be any, all, or first; got "sometimes"`},
+		{"no name keyword", "config_name: a\n---\ntags: [a]\n", false, "", 3,
+			`cvl: f.yaml: rule 2: rule has no name keyword (one of config_name, config_schema_name, path_name, script_name, composite_rule_name) and no rule_type`},
+		{"parent not a string", "parent_cvl_file: [a]\n", false, "parent_cvl_file", 1,
+			`cvl: f.yaml: parent_cvl_file must be a string`},
+		{"duplicate parent", "parent_cvl_file: a\n---\nparent_cvl_file: b\n", false, "parent_cvl_file", 3,
+			`cvl: f.yaml: duplicate parent_cvl_file`},
+		{"unknown manifest key", "nginx:\n  cvl_file: x\n  wat: 1\n", true, "wat", 3,
+			`cvl: manifest f.yaml: entity "nginx": unknown key "wat"`},
+		{"bad manifest value", "nginx:\n  enabled: nope\n  cvl_file: x\n", true, "enabled", 2,
+			`cvl: manifest f.yaml: entity "nginx": key "enabled": want a boolean, got string`},
+		{"missing cvl_file", "a:\n  cvl_file: x\nnginx:\n  enabled: true\n", true, "nginx", 3,
+			`cvl: manifest f.yaml: entity "nginx" missing cvl_file`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var err error
+			if tt.manifest {
+				_, err = ParseManifest("f.yaml", []byte(tt.src))
+			} else {
+				_, err = ParseRuleFile("f.yaml", []byte(tt.src))
+			}
+			if err == nil || err.Error() != tt.text {
+				t.Fatalf("error = %v, want %s", err, tt.text)
+			}
+			var ke *KeyError
+			if !errors.As(err, &ke) {
+				t.Fatalf("%v wraps no *KeyError", err)
+			}
+			pos := ke.Map.Start()
+			if tt.key != "" {
+				pos = ke.Map.KeyPos(tt.key)
+			}
+			if ke.Key != tt.key || pos.Line != tt.line {
+				t.Errorf("key %q at line %d, want %q at line %d", ke.Key, pos.Line, tt.key, tt.line)
+			}
+		})
+	}
+}
+
+// ParseRule reads as the loader's first problem and unwraps to every key
+// outside the rule type's vocabulary.
+func TestParseRuleKeepsEveryVocabularyProblem(t *testing.T) {
+	m, err := yaml.Decode([]byte("config_name: x\nfoo: 1\nquery_constraints: q\nbar: 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ParseRule(m.(*yaml.Map))
+	if err == nil || err.Error() != `unknown keyword "foo"` {
+		t.Fatalf("error = %v", err)
+	}
+	var all interface{ Unwrap() []error }
+	if !errors.As(err, &all) {
+		t.Fatalf("%v does not list its problems", err)
+	}
+	var keys []string
+	for _, p := range all.Unwrap() {
+		var ke *KeyError
+		if errors.As(p, &ke) && ke.Err == nil && ke.Name == "x" {
+			keys = append(keys, ke.Key)
+		}
+	}
+	if !reflect.DeepEqual(keys, []string{"foo", "query_constraints", "bar"}) {
+		t.Errorf("vocabulary problems at %v", keys)
+	}
+}
+
+func TestSameRuleName(t *testing.T) {
+	for _, tc := range []struct {
+		a, b string
+		same bool
+	}{
+		{"net/ipv4/ip_forward", "net.ipv4.ip_forward", true},
+		{"net.ipv4/ip_forward", "net/ipv4.ip_forward", true},
+		{"listen", "listen", true},
+		{"net/ipv4/ip_forward", "net-ipv4-ip_forward", false},
+		{"a0", "a-", false},
+		{"ssl", "ssl_ca", false},
+	} {
+		if got := SameRuleName(tc.a, tc.b); got != tc.same {
+			t.Errorf("SameRuleName(%q, %q) = %v", tc.a, tc.b, got)
+		}
+	}
+}
+
+// A loader-parsed rule records the line its mapping starts on.
+func TestRuleLineIsMappingLine(t *testing.T) {
+	src := "parent_cvl_file: p.yaml\n---\n# a comment\nconfig_name: a\ntags: [x]\n---\n- config_name: b\n- config_name: c\n"
+	rf, err := ParseRuleFile("f.yaml", []byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []int
+	for _, r := range rf.Rules {
+		lines = append(lines, r.Line)
+	}
+	if !reflect.DeepEqual(lines, []int{4, 7, 8}) {
+		t.Errorf("rule lines = %v, want [4 7 8]", lines)
 	}
 }
 

@@ -1,5 +1,7 @@
 package cvl
 
+import "sort"
+
 // KeywordGroup classifies where a CVL keyword may appear.
 type KeywordGroup int
 
@@ -97,6 +99,16 @@ var Keywords = map[string]KeywordGroup{
 	"composite_rule":             GroupComposite,
 }
 
+// keywordList is the vocabulary in sorted order, for suggestions.
+var keywordList = func() []string {
+	out := make([]string, 0, len(Keywords))
+	for kw := range Keywords {
+		out = append(out, kw)
+	}
+	sort.Strings(out)
+	return out
+}()
+
 // KeywordCount returns how many keywords belong to the group; pass 0 for
 // the total.
 func KeywordCount(group KeywordGroup) int {
@@ -159,14 +171,4 @@ func typeGroup(t RuleType) KeywordGroup {
 		return GroupComposite
 	}
 	return 0
-}
-
-// AllowedGroups returns the keyword groups valid for a rule type: the
-// common group plus the type's own group.
-func AllowedGroups(t RuleType) map[KeywordGroup]bool {
-	out := map[KeywordGroup]bool{GroupCommon: true}
-	if g := typeGroup(t); g != 0 {
-		out[g] = true
-	}
-	return out
 }

@@ -37,12 +37,14 @@ func resolveRules(read FileReader, path string, visiting map[string]bool) ([]*Ru
 		}
 		effective = parentRules
 	}
-	return mergeRules(effective, rf.Rules), nil
+	return MergeRules(effective, rf.Rules), nil
 }
 
-// mergeRules applies child rules over a parent's effective set: same-key
-// rules replace in place, new rules append, disabled rules are removed.
-func mergeRules(parent, child []*Rule) []*Rule {
+// MergeRules applies a rule file's own rules over its parent's effective
+// set, as inheritance resolves them: a rule with the same Key replaces the
+// inherited one in place, a new rule appends, and a disabled rule removes
+// the rule it matches (a disabled rule that matches none is dropped).
+func MergeRules(parent, child []*Rule) []*Rule {
 	out := make([]*Rule, 0, len(parent)+len(child))
 	index := make(map[string]int, len(parent))
 	for _, r := range parent {

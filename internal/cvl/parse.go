@@ -1,6 +1,7 @@
 package cvl
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -43,10 +44,12 @@ func ParseRuleFile(path string, content []byte) (*RuleFile, error) {
 		if m.Len() == 1 && m.Has("parent_cvl_file") {
 			parent, ok := m.String("parent_cvl_file")
 			if !ok {
-				return nil, fmt.Errorf("cvl: %s: parent_cvl_file must be a string", path)
+				return nil, fmt.Errorf("cvl: %s: %w", path, &KeyError{Map: m, Key: "parent_cvl_file",
+					Err: errors.New("want a string"), msg: "parent_cvl_file must be a string"})
 			}
 			if rf.Parent != "" {
-				return nil, fmt.Errorf("cvl: %s: duplicate parent_cvl_file", path)
+				return nil, fmt.Errorf("cvl: %s: %w", path, &KeyError{Map: m, Key: "parent_cvl_file",
+					Err: errors.New("already declared"), msg: "duplicate parent_cvl_file"})
 			}
 			rf.Parent = parent
 			continue
@@ -56,45 +59,116 @@ func ParseRuleFile(path string, content []byte) (*RuleFile, error) {
 			return nil, fmt.Errorf("cvl: %s: rule %d: %w", path, i+1, err)
 		}
 		rule.Source = path
-		rule.Line = i + 1
 		rf.Rules = append(rf.Rules, rule)
 	}
 	return rf, nil
 }
 
+// KeyError is a problem the loader found at one key of a CVL mapping: a
+// rule, a parent_cvl_file directive, or a manifest entity. Every problem
+// ParseRule finds, and every one ParseManifest finds in the entities, is
+// one; loader errors wrap it, so errors.As recovers where it sits.
+type KeyError struct {
+	// Map is the mapping the problem sits in: the rule, the directive, the
+	// manifest root (for an entity's own key), or the entity's settings.
+	Map *yaml.Map
+	// Key is the offending key of Map; "" when the mapping as a whole is
+	// at fault, as for a rule without a name keyword.
+	Key string
+	// Name is the rule or manifest entity Map defines, for attribution; ""
+	// when it names none.
+	Name string
+	// Err is what is wrong with Key's value, or with the mapping when Key
+	// is "". It is nil when Key is not in the vocabulary of Map's kind: an
+	// unknown key, or a keyword of another rule type.
+	Err error
+	// Suggest is the key closest to an unknown Key that Map's kind may
+	// hold, or "" when none is close.
+	Suggest string
+
+	msg string
+}
+
+// Error returns the problem as the loader reports it.
+func (e *KeyError) Error() string { return e.msg }
+
+// Unwrap returns Err.
+func (e *KeyError) Unwrap() error { return e.Err }
+
+// problems is every problem found in one rule mapping or manifest, in the
+// order the loader meets them. It reads as the first, which is what the
+// loader reports; Unwrap exposes them all to the analyzer.
+type problems []error
+
+func (p problems) Error() string   { return p[0].Error() }
+func (p problems) Unwrap() []error { return p }
+
 // ParseRule converts one YAML mapping into a Rule, validating keywords and
-// type-specific requirements.
+// type-specific requirements. Every problem it finds is a *KeyError: one
+// for each key outside the rule type's vocabulary, and at most one of any
+// other kind. The error reads as the first and unwraps to them all.
 func ParseRule(m *yaml.Map) (*Rule, error) {
-	ruleType, err := DetectRuleType(m)
-	if err != nil {
-		return nil, err
+	ruleType, typeErr := detectRuleType(m)
+	var probs problems
+	if typeErr != nil {
+		probs = append(probs, &KeyError{Map: m, Err: typeErr, msg: typeErr.Error()})
 	}
 	own := typeGroup(ruleType)
-	r := &Rule{Type: ruleType, Permission: -1, MaxPermission: -1}
+	r := &Rule{Type: ruleType, Permission: -1, MaxPermission: -1, Line: m.Start().Line}
 	for i := 0; i < m.Len(); i++ {
 		key, value := m.At(i)
 		group, known := Keywords[key]
-		if !known {
-			return nil, fmt.Errorf("unknown keyword %q%s", key, keywordSuggestion(key))
-		}
-		if group != GroupCommon && group != own {
-			return nil, fmt.Errorf("keyword %q belongs to %s rules, not %s rules", key, group, ruleType)
-		}
-		if err := applyKeyword(r, key, value); err != nil {
-			return nil, fmt.Errorf("keyword %q: %w", key, err)
+		switch {
+		case !known:
+			ke := &KeyError{Map: m, Key: key, Suggest: Suggest(key, keywordList),
+				msg: fmt.Sprintf("unknown keyword %q", key)}
+			if ke.Suggest != "" {
+				ke.msg += fmt.Sprintf(" (did you mean %q?)", ke.Suggest)
+			}
+			probs = append(probs, ke)
+		case typeErr != nil:
+			// Without a type only the vocabulary as a whole is known.
+		case group != GroupCommon && group != own:
+			probs = append(probs, &KeyError{Map: m, Key: key,
+				msg: fmt.Sprintf("keyword %q belongs to %s rules, not %s rules", key, group, ruleType)})
+		case len(probs) == 0:
+			if err := applyKeyword(r, key, value); err != nil {
+				probs = append(probs, &KeyError{Map: m, Key: key, Err: err,
+					msg: fmt.Sprintf("keyword %q: %v", key, err)})
+			}
 		}
 	}
-	if err := validateRule(r); err != nil {
-		return nil, err
+	if len(probs) == 0 {
+		if err := validateRule(r); err != nil {
+			probs = append(probs, &KeyError{Map: m, Err: err, msg: err.Error()})
+		}
+	}
+	if len(probs) > 0 {
+		name := ruleName(m)
+		for _, p := range probs {
+			p.(*KeyError).Name = name
+		}
+		return nil, probs
 	}
 	return r, nil
 }
 
-// DetectRuleType determines a rule mapping's type: an explicit rule_type
+// ruleName returns the value of the first name keyword the mapping holds
+// as a string, so a rule that fails to parse can still be named.
+func ruleName(m *yaml.Map) string {
+	for _, nk := range nameKeywords {
+		if s, ok := m.String(nk.kw); ok {
+			return s
+		}
+	}
+	return ""
+}
+
+// detectRuleType determines a rule mapping's type: an explicit rule_type
 // declaration wins, otherwise exactly one type-specific name keyword
 // (config_name, config_schema_name, path_name, script_name,
 // composite_rule_name) must be present.
-func DetectRuleType(m *yaml.Map) (RuleType, error) {
+func detectRuleType(m *yaml.Map) (RuleType, error) {
 	var found RuleType
 	n := 0
 	for i := 0; i < m.Len(); i++ {
@@ -208,13 +282,9 @@ func applyKeyword(r *Rule, key string, value any) error {
 		}
 		r.CompositeExpr = expr
 		return nil
-	case "rule_type", "parent_cvl_file", "enabled", "config_search_paths":
-		// rule_type handled in detectRuleType; the rest are manifest-level
-		// keys that are tolerated but ignored inside a rule mapping only
-		// for rule_type.
-		if key == "rule_type" {
-			return nil
-		}
+	case "rule_type":
+		return nil // read by detectRuleType
+	case "parent_cvl_file", "enabled", "config_search_paths":
 		return fmt.Errorf("manifest keyword not valid inside a rule")
 	default:
 		return fmt.Errorf("unhandled keyword") // unreachable: Keywords gate
@@ -283,7 +353,10 @@ func validOwnership(s string) bool {
 }
 
 // ParseManifest parses a manifest document (Listing 5): a mapping from
-// entity name to entity settings.
+// entity name to entity settings. Every problem it finds in the entities
+// is a *KeyError; the error reads as the first and unwraps to them all.
+// The manifest returned with such an error holds every entity whose
+// settings are a mapping, as far as they parse.
 func ParseManifest(path string, content []byte) (*Manifest, error) {
 	doc, err := yaml.Decode(content)
 	if err != nil {
@@ -294,55 +367,82 @@ func ParseManifest(path string, content []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("cvl: manifest %s: document is %T, want a mapping of entities", path, doc)
 	}
 	m := &Manifest{Entries: make([]*ManifestEntry, 0, root.Len())}
+	var probs problems
 	for i := 0; i < root.Len(); i++ {
 		name, v := root.At(i)
 		body, ok := v.(*yaml.Map)
 		if !ok {
-			return nil, fmt.Errorf("cvl: manifest %s: entity %q must be a mapping", path, name)
+			probs = append(probs, &KeyError{Map: root, Key: name, Name: name, Err: errors.New("want a mapping"),
+				msg: fmt.Sprintf("entity %q must be a mapping", name)})
+			continue
 		}
 		entry := &ManifestEntry{Name: name, Enabled: true}
 		for j := 0; j < body.Len(); j++ {
 			key, value := body.At(j)
-			switch key {
-			case "enabled":
-				if err := setBool(&entry.Enabled, value); err != nil {
-					return nil, manifestErr(path, name, key, err)
-				}
-			case "config_search_paths":
-				if err := setStringSlice(&entry.ConfigSearchPaths, value); err != nil {
-					return nil, manifestErr(path, name, key, err)
-				}
-			case "cvl_file":
-				if err := setString(&entry.CVLFile, value); err != nil {
-					return nil, manifestErr(path, name, key, err)
-				}
-			case "parent_cvl_file":
-				return nil, fmt.Errorf("cvl: manifest %s: entity %q: parent_cvl_file belongs in the rule file, not the manifest", path, name)
-			case "rule_type":
-				if err := setString(&entry.RuleType, value); err != nil {
-					return nil, manifestErr(path, name, key, err)
-				}
-				if _, err := ParseRuleType(entry.RuleType); err != nil {
-					return nil, manifestErr(path, name, key, err)
-				}
-			case "tags":
-				if err := setStringSlice(&entry.Tags, value); err != nil {
-					return nil, manifestErr(path, name, key, err)
-				}
-			default:
-				return nil, fmt.Errorf("cvl: manifest %s: entity %q: unknown key %q", path, name, key)
+			if err := entry.set(key, value); err != nil {
+				probs = append(probs, manifestProblem(body, name, key, err))
 			}
 		}
 		if entry.CVLFile == "" {
-			return nil, fmt.Errorf("cvl: manifest %s: entity %q missing cvl_file", path, name)
+			probs = append(probs, &KeyError{Map: root, Key: name, Name: name, Err: errors.New("missing cvl_file"),
+				msg: fmt.Sprintf("entity %q missing cvl_file", name)})
 		}
 		m.Entries = append(m.Entries, entry)
+	}
+	if len(probs) > 0 {
+		return m, fmt.Errorf("cvl: manifest %s: %w", path, probs)
 	}
 	return m, nil
 }
 
-func manifestErr(path, entity, key string, err error) error {
-	return fmt.Errorf("cvl: manifest %s: entity %q: key %q: %w", path, entity, key, err)
+var (
+	errParentInRule = errors.New("parent_cvl_file belongs in the rule file, not the manifest")
+	errUnknownKey   = errors.New("unknown key")
+)
+
+// manifestKeys is the vocabulary of a manifest entity, in suggestion
+// order.
+var manifestKeys = []string{"enabled", "config_search_paths", "cvl_file", "rule_type", "tags"}
+
+// set applies one setting of a manifest entity; errUnknownKey reports a
+// key outside the manifest vocabulary.
+func (e *ManifestEntry) set(key string, value any) error {
+	switch key {
+	case "enabled":
+		return setBool(&e.Enabled, value)
+	case "config_search_paths":
+		return setStringSlice(&e.ConfigSearchPaths, value)
+	case "cvl_file":
+		return setString(&e.CVLFile, value)
+	case "parent_cvl_file":
+		return errParentInRule
+	case "rule_type":
+		if err := setString(&e.RuleType, value); err != nil {
+			return err
+		}
+		_, err := ParseRuleType(e.RuleType)
+		return err
+	case "tags":
+		return setStringSlice(&e.Tags, value)
+	}
+	return errUnknownKey
+}
+
+// manifestProblem words a manifest entity's bad setting as the loader
+// reports it.
+func manifestProblem(body *yaml.Map, entity, key string, err error) *KeyError {
+	ke := &KeyError{Map: body, Key: key, Name: entity, Err: err}
+	switch err {
+	case errUnknownKey:
+		ke.Err = nil
+		ke.Suggest = Suggest(key, manifestKeys)
+		ke.msg = fmt.Sprintf("entity %q: unknown key %q", entity, key)
+	case errParentInRule:
+		ke.msg = fmt.Sprintf("entity %q: %v", entity, err)
+	default:
+		ke.msg = fmt.Sprintf("entity %q: key %q: %v", entity, key, err)
+	}
+	return ke
 }
 
 // --- value coercion helpers ---
@@ -439,26 +539,17 @@ func setOctal(dst *int, value any) error {
 	return nil
 }
 
-// SuggestKeyword returns the known CVL keyword closest to key (edit
-// distance at most 2), or "" when nothing is close enough to suggest.
-func SuggestKeyword(key string) string {
+// Suggest returns the candidate closest to word by edit distance, when
+// that distance is at most 2, or "". Ties go to the earlier candidate.
+func Suggest(word string, candidates []string) string {
 	best := ""
 	bestDist := 3 // suggest only close matches
-	for kw := range Keywords {
-		if d := editDistance(key, kw); d < bestDist {
-			best, bestDist = kw, d
+	for _, c := range candidates {
+		if d := editDistance(word, c); d < bestDist {
+			best, bestDist = c, d
 		}
 	}
 	return best
-}
-
-// keywordSuggestion proposes the closest known keyword for typo diagnostics.
-func keywordSuggestion(key string) string {
-	best := SuggestKeyword(key)
-	if best == "" {
-		return ""
-	}
-	return fmt.Sprintf(" (did you mean %q?)", best)
 }
 
 func editDistance(a, b string) int {
@@ -480,19 +571,9 @@ func editDistance(a, b string) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			cur[j] = minInt(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-func minInt(nums ...int) int {
-	out := nums[0]
-	for _, n := range nums[1:] {
-		if n < out {
-			out = n
-		}
-	}
-	return out
 }

@@ -1034,17 +1034,15 @@ type runResolver struct {
 var _ cvl.CompositeResolver = (*runResolver)(nil)
 
 // RuleResult implements cvl.CompositeResolver: rule names match the CVL
-// rule name within the referenced manifest entity. Dotted and slashed key
-// spellings are equivalent (net.ipv4.ip_forward ~ net/ipv4/ip_forward), so
-// composite references can use the natural sysctl notation.
+// rule name within the referenced manifest entity under cvl.SameRuleName,
+// so composite references can use the natural sysctl notation.
 func (r *runResolver) RuleResult(entityName, ruleName string) (bool, bool) {
 	run, ok := r.runs[entityName]
 	if !ok {
 		return false, false
 	}
-	want := strings.ReplaceAll(ruleName, "/", ".")
 	for _, res := range run.results {
-		if res != nil && res.Rule != nil && strings.ReplaceAll(res.Rule.Name, "/", ".") == want {
+		if res != nil && res.Rule != nil && cvl.SameRuleName(res.Rule.Name, ruleName) {
 			return res.Status == StatusPass, true
 		}
 	}

@@ -56,12 +56,14 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 ./scripts/enospc_smoke.sh tmpfs
 
 # Fuzz smoke over the untrusted-input parsers (journal and shard-stream
-# records, frames, request lines and the shard request body among them),
-# and the compiled tree query and schema LIKE against their references; go
-# test accepts one -fuzz target per invocation, so each runs separately. A
-# shard request scans what it decodes, the frame and request-line targets
-# run encoding/json beside the codec and the LIKE target compiles a regexp
-# per input, so their new inputs are minimized for at most 2s, not 60s.
+# records, frames, request lines, the shard request body and the lint body
+# among them), and the compiled tree query and schema LIKE against their
+# references; go test accepts one -fuzz target per invocation, so each
+# runs separately. A shard request scans what it decodes, the frame and
+# request-line targets run encoding/json beside the codec, the lint target
+# runs every analyzer pass and the loader and the LIKE target compiles a
+# regexp per input, so their new inputs are minimized for at most 2s, not
+# 60s.
 fuzztime="${FUZZTIME:-10s}"
 go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run FuzzDecode ./internal/yaml/
 go test -fuzz FuzzSSHDParse -fuzztime "$fuzztime" -run FuzzSSHDParse ./internal/lens/
@@ -72,3 +74,4 @@ go test -fuzz FuzzJournalRecord -fuzztime "$fuzztime" -run FuzzJournalRecord ./i
 go test -fuzz FuzzStreamRecord -fuzztime "$fuzztime" -run FuzzStreamRecord ./internal/dist/
 go test -fuzz FuzzEntityRecord -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzEntityRecord ./internal/dist/
 go test -fuzz FuzzShardRequest -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzShardRequest ./internal/server/
+go test -fuzz FuzzAnalyzeFile -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzAnalyzeFile ./internal/analysis/
