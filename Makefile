@@ -39,29 +39,10 @@ analyze:
 		echo "make analyze: semantic findings above"; exit 1; fi; \
 	cat $$out
 
-# Fuzz smoke: a short randomized pass over the parsers that face
-# untrusted input — among them the journal record read from disk, the
-# shard-stream record read from a worker and the shard request body and
-# request lines a worker receives, the frame and request-line codecs
-# against encoding/json, the lint body POST /v1/lint analyzes against the
-# loader — and over the compiled tree query and schema LIKE against their
-# references (one -fuzz target per invocation, as go test requires). A
-# shard request scans what it decodes, the codec targets run encoding/json
-# beside them, the lint target runs every analyzer pass and the loader and
-# the LIKE target compiles a regexp per input, so their new inputs are
-# minimized for at most 2s instead of the default 60s, which would eat the
-# run.
+# Fuzz smoke over the untrusted-input parsers and the references; the
+# target list and its minimize-time settings live in scripts/fuzz.sh.
 fuzz:
-	$(GO) test -fuzz FuzzDecode -fuzztime $(FUZZTIME) -run FuzzDecode ./internal/yaml/
-	$(GO) test -fuzz FuzzSSHDParse -fuzztime $(FUZZTIME) -run FuzzSSHDParse ./internal/lens/
-	$(GO) test -fuzz FuzzFramesRead -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzFramesRead ./internal/frames/
-	$(GO) test -fuzz FuzzTreePath -fuzztime $(FUZZTIME) -run FuzzTreePath ./internal/configtree/
-	$(GO) test -fuzz FuzzLike -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzLike ./internal/schema/
-	$(GO) test -fuzz FuzzJournalRecord -fuzztime $(FUZZTIME) -run FuzzJournalRecord ./internal/journal/
-	$(GO) test -fuzz FuzzStreamRecord -fuzztime $(FUZZTIME) -run FuzzStreamRecord ./internal/dist/
-	$(GO) test -fuzz FuzzEntityRecord -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzEntityRecord ./internal/dist/
-	$(GO) test -fuzz FuzzShardRequest -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzShardRequest ./internal/server/
-	$(GO) test -fuzz FuzzAnalyzeFile -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run FuzzAnalyzeFile ./internal/analysis/
+	GO=$(GO) FUZZTIME=$(FUZZTIME) ./scripts/fuzz.sh
 
 # Kill-and-resume smoke: crash a journaled fleet scan partway, resume,
 # and require the summary to match an uninterrupted run's.
@@ -90,8 +71,10 @@ enospc-tmpfs-smoke:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The full gate: what CI runs on every change.
-ci: build lint analyze race cpu-matrix bench-module resume-smoke worker-kill-smoke enospc-smoke enospc-tmpfs-smoke fuzz
+# The full gate: what CI runs on every change, defined once in
+# scripts/ci.sh.
+ci:
+	./scripts/ci.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

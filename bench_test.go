@@ -471,30 +471,6 @@ func BenchmarkAblationNormalizationOnly(b *testing.B) {
 	}
 }
 
-// --- rule loading: what a one-shot run pays before its first scan ---
-
-// BenchmarkResolveLibrary parses the built-in manifest and resolves every
-// target's rule file through a fresh CachedSource, as New() followed by
-// one Validate does for each host in a one-shot run.
-func BenchmarkResolveLibrary(b *testing.B) {
-	files := rules.Files()
-	manifest := []byte(files["manifest.yaml"])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := cvl.ParseManifest("manifest.yaml", manifest)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := engine.NewCachedSource(rules.Reader())
-		for _, e := range m.Entries {
-			if _, err := src.Resolve(e.CVLFile); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkConfigDigest measures the journal's resume check: one
 // ConfigDigest of a fleet image and of an Ubuntu host under the built-in
 // library, after a first digest has fingerprinted the rule files.

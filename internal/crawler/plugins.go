@@ -6,7 +6,9 @@ import (
 	"sort"
 	"strings"
 
+	"configvalidator/internal/configtree"
 	"configvalidator/internal/entity"
+	"configvalidator/internal/lens"
 	"configvalidator/internal/pkgdb"
 )
 
@@ -110,9 +112,13 @@ func DefaultPlugins() []FeaturePlugin {
 }
 
 // MySQLSSLPlugin synthesizes the "mysql.ssl" feature (the `have_ssl`
-// server variable) from the server configuration: SSL is considered
-// available when ssl-ca and ssl-cert are configured.
+// server variable) from the server configuration: the first readable of
+// my.cnf and mysqld.cnf, parsed with the INI lens. SSL is considered
+// available when a [mysqld] section sets ssl-ca and ssl-cert, the keys the
+// tree rules check, so a commented-out key does not count.
 func MySQLSSLPlugin() FeaturePlugin {
+	ini := lens.NewINI("mysql")
+	keys := []configtree.Query{configtree.Compile("mysqld/ssl-ca"), configtree.Compile("mysqld/ssl-cert")}
 	return FeaturePlugin{
 		Name: "mysql.ssl",
 		Synthesize: func(e entity.Entity) (string, error) {
@@ -121,11 +127,16 @@ func MySQLSSLPlugin() FeaturePlugin {
 				if err != nil {
 					continue
 				}
-				text := string(content)
-				if strings.Contains(text, "ssl-ca") && strings.Contains(text, "ssl-cert") {
-					return "have_ssl YES\nhave_openssl YES\n", nil
+				res, err := ini.Parse(path, content)
+				if err != nil {
+					return "", fmt.Errorf("mysql.ssl: %w", err)
 				}
-				return "have_ssl DISABLED\nhave_openssl DISABLED\n", nil
+				for _, q := range keys {
+					if len(res.Tree.AppendFind(nil, q)) == 0 {
+						return "have_ssl DISABLED\nhave_openssl DISABLED\n", nil
+					}
+				}
+				return "have_ssl YES\nhave_openssl YES\n", nil
 			}
 			return "", fmt.Errorf("%w: mysql.ssl (no MySQL configuration found)", entity.ErrNoFeature)
 		},

@@ -49,6 +49,31 @@ func TestMySQLSSLPluginDisabledAndAbsent(t *testing.T) {
 	}
 }
 
+// TestMySQLSSLPluginReadsTheTree requires the plugin to agree with the
+// tree rules on ssl-ca and ssl-cert: keys in comments or outside [mysqld]
+// do not enable SSL, and a file the INI lens rejects is an error, not a
+// missing feature.
+func TestMySQLSSLPluginReadsTheTree(t *testing.T) {
+	for _, tt := range []struct{ name, cnf, want string }{
+		{"commented out", "[mysqld]\n# ssl-ca = /etc/mysql/ca.pem\n# ssl-cert = /etc/mysql/server-cert.pem\n", "have_ssl DISABLED"},
+		{"other section", "[client]\nssl-ca = /a\nssl-cert = /b\n", "have_ssl DISABLED"},
+		{"one key", "[mysqld]\nssl-ca = /a\n", "have_ssl DISABLED"},
+		{"both keys", "[mysqld]\nssl-ca = /a\n[mysqld]\nssl-cert = /b ; trailing\n", "have_ssl YES"},
+	} {
+		m := entity.NewMem("h", entity.TypeHost)
+		m.AddFile("/etc/mysql/my.cnf", []byte(tt.cnf))
+		out, err := MySQLSSLPlugin().Synthesize(m)
+		if err != nil || !strings.HasPrefix(out, tt.want+"\n") {
+			t.Errorf("%s: mysql.ssl = %q, %v; want %s", tt.name, out, err, tt.want)
+		}
+	}
+	bad := entity.NewMem("h", entity.TypeHost)
+	bad.AddFile("/etc/mysql/my.cnf", []byte("[mysqld\nssl-ca = /a\n"))
+	if _, err := MySQLSSLPlugin().Synthesize(bad); err == nil || errors.Is(err, entity.ErrNoFeature) {
+		t.Errorf("unparseable my.cnf: err = %v, want a parse error", err)
+	}
+}
+
 func TestSysctlRuntimePlugin(t *testing.T) {
 	m := entity.NewMem("h", entity.TypeHost)
 	m.AddFile("/etc/sysctl.conf", []byte("# comment\nnet.ipv4.ip_forward = 0\n\nkernel.randomize_va_space = 2\n"))

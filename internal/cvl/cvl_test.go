@@ -323,6 +323,32 @@ func TestParseRuleErrors(t *testing.T) {
 	}
 }
 
+// Every keyword of the vocabulary, in a rule of its group's type, is
+// applied or refused with its own reason; none reaches applyKeyword's
+// fallback. A manifest keyword is refused as one.
+func TestEveryKeywordIsHandledInARule(t *testing.T) {
+	nameOf := map[KeywordGroup]string{GroupCommon: "config_name", GroupTree: "config_name",
+		GroupSchema: "config_schema_name", GroupPath: "path_name", GroupScript: "script_name",
+		GroupComposite: "composite_rule_name"}
+	for _, kw := range keywordList {
+		name := nameOf[Keywords[kw]]
+		src := name + ": x\n"
+		if kw == "rule_type" {
+			src += "rule_type: config_tree\n"
+		} else if kw != name {
+			src += kw + ": x\n"
+		}
+		_, err := ParseRuleFile("f.yaml", []byte(src))
+		if err != nil && strings.Contains(err.Error(), "unhandled keyword") {
+			t.Errorf("%s: %v", kw, err)
+		}
+	}
+	_, err := ParseRuleFile("f.yaml", []byte("config_name: x\ncvl_file: y\n"))
+	if want := `cvl: f.yaml: rule 1: keyword "cvl_file": manifest keyword not valid inside a rule`; err == nil || err.Error() != want {
+		t.Errorf("cvl_file in a rule: %v, want %s", err, want)
+	}
+}
+
 // Every loader parse error wraps a *KeyError naming the key at fault and
 // the mapping that holds it; the error text stays the loader's.
 func TestParseErrorsNameTheKey(t *testing.T) {

@@ -284,7 +284,7 @@ func applyKeyword(r *Rule, key string, value any) error {
 		return nil
 	case "rule_type":
 		return nil // read by detectRuleType
-	case "parent_cvl_file", "enabled", "config_search_paths":
+	case "parent_cvl_file", "enabled", "config_search_paths", "cvl_file":
 		return fmt.Errorf("manifest keyword not valid inside a rule")
 	default:
 		return fmt.Errorf("unhandled keyword") // unreachable: Keywords gate

@@ -9,7 +9,6 @@ import (
 	"hash"
 	"path"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -199,19 +198,6 @@ type RuleFileSum struct {
 // NewCachedSource wraps a FileReader with memoization.
 func NewCachedSource(read cvl.FileReader) *CachedSource {
 	return &CachedSource{read: read, byFile: make(map[string]*resolution), sums: make(map[string][]RuleFileSum)}
-}
-
-// Resolve returns the effective rules of a rule file (inheritance
-// applied), compiled for evaluation. The returned slice is a fresh copy on
-// every call, so a caller may reorder or append to it without changing
-// what later callers see of the shared library. A scan reads the
-// memoized list itself, which applicable never modifies.
-func (s *CachedSource) Resolve(path string) ([]*compiledRule, error) {
-	r, err := s.resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(r.rules), nil
 }
 
 // Fingerprint returns the files that resolving path reads — the rule file,

@@ -12,6 +12,7 @@ import (
 
 	"configvalidator/internal/cvl"
 	"configvalidator/internal/entity"
+	"configvalidator/internal/rules"
 )
 
 // resultKeys flattens a report into comparable strings, one per result in
@@ -122,45 +123,84 @@ func TestParallelPrepPanicPropagates(t *testing.T) {
 	_, _ = NewWithOptions(nil, Options{Parallelism: 4}).Validate(ent, manifest, NewCachedSource(read), nil)
 }
 
-// TestCachedSourceDefensiveCopy pins the aliasing fix: callers may append
-// to and reorder the slice Resolve returns without corrupting what later
-// callers see.
+// TestCachedSourceDefensiveCopy pins what replaced the defensive copy of
+// the resolved rules: a scan filters the memoized list without modifying
+// it. A scan of an entry whose tags drop one of two rules leaves an
+// unfiltered scan through the same source both rules, in file order.
 func TestCachedSourceDefensiveCopy(t *testing.T) {
-	const twoRules = `
-config_name: first
+	files := map[string]string{
+		"tagged.yaml": "sshd:\n  enabled: true\n  config_search_paths: [/etc/ssh]\n  cvl_file: sshd.yaml\n  tags: [\"#second\"]\n",
+		"all.yaml":    "sshd:\n  enabled: true\n  config_search_paths: [/etc/ssh]\n  cvl_file: sshd.yaml\n",
+		"sshd.yaml": `
+config_name: PermitRootLogin
 config_path: [""]
-preferred_value: ["1"]
+preferred_value: ["no"]
+tags: ["#first"]
 ---
-config_name: second
+config_name: Port
 config_path: [""]
-preferred_value: ["2"]
-`
-	src := NewCachedSource(func(path string) ([]byte, error) { return []byte(twoRules), nil })
-	got, err := src.Resolve("rules.yaml")
-	if err != nil {
-		t.Fatal(err)
+preferred_value: ["22"]
+tags: ["#second"]
+`,
 	}
-	if len(got) != 2 {
-		t.Fatalf("resolved %d rules, want 2", len(got))
-	}
-	// Mutations a filtering caller performs: reorder and append.
-	got[0], got[1] = got[1], got[0]
-	_ = append(got, got[0])
-
-	again, err := src.Resolve("rules.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 2 || again[0].rule.Name != "first" || again[1].rule.Name != "second" {
-		names := make([]string, len(again))
-		for i, r := range again {
-			names[i] = r.rule.Name
+	src := NewCachedSource(func(path string) ([]byte, error) { return []byte(files[path]), nil })
+	ent := entity.NewMem("h", entity.TypeHost)
+	ent.AddFile("/etc/ssh/sshd_config", []byte("PermitRootLogin no\nPort 22\n"))
+	scan := func(manifest string) []string {
+		m, err := cvl.ParseManifest(manifest, []byte(files[manifest]))
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("second Resolve sees mutated slice %v, want [first second]", names)
+		rep, err := New(nil).Validate(ent, m, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, r := range rep.Results {
+			names = append(names, r.Rule.Name)
+		}
+		return names
 	}
-	// And the two calls must not share a backing array.
-	if &got[0] == &again[0] {
-		t.Fatal("Resolve returned the same backing array twice")
+	memoized := func() []*compiledRule {
+		r, err := src.resolve("sshd.yaml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.rules
+	}
+
+	before := append([]*compiledRule(nil), memoized()...)
+	if got := scan("tagged.yaml"); !reflect.DeepEqual(got, []string{"Port"}) {
+		t.Fatalf("tagged scan reports %v, want [Port]", got)
+	}
+	if got := scan("all.yaml"); !reflect.DeepEqual(got, []string{"PermitRootLogin", "Port"}) {
+		t.Fatalf("unfiltered scan after a tagged one reports %v, want [PermitRootLogin Port]", got)
+	}
+	if after := memoized(); len(after) != 2 || after[0] != before[0] || after[1] != before[1] ||
+		after[0].rule.Name != "PermitRootLogin" || after[1].rule.Name != "Port" {
+		t.Fatal("the memoized rule list changed under the scans")
+	}
+}
+
+// BenchmarkResolveLibrary parses the built-in manifest and resolves every
+// target's rule file through a fresh CachedSource, as New() followed by
+// one Validate does for each host in a one-shot run.
+func BenchmarkResolveLibrary(b *testing.B) {
+	files := rules.Files()
+	manifest := []byte(files["manifest.yaml"])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := cvl.ParseManifest("manifest.yaml", manifest)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := NewCachedSource(rules.Reader())
+		for _, e := range m.Entries {
+			if _, err := src.resolve(e.CVLFile); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -262,7 +302,7 @@ func TestSharedCompiledRulesConcurrent(t *testing.T) {
 // TestCachedSourceFingerprintConcurrent pins what Fingerprint reports —
 // every file resolving a path reads, child first up its parent_cvl_file
 // chain, with the SHA-256 of its content — and that goroutines racing
-// Fingerprint against Resolve on one source all see the same sums.
+// Fingerprint against resolve on one source all see the same sums.
 // make race and scripts/ci.sh run it under -race -count=10.
 func TestCachedSourceFingerprintConcurrent(t *testing.T) {
 	files := map[string]string{
@@ -280,7 +320,7 @@ func TestCachedSourceFingerprintConcurrent(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			if g%2 == 0 {
-				if _, err := src.Resolve("child.yaml"); err != nil {
+				if _, err := src.resolve("child.yaml"); err != nil {
 					errs <- err
 					return
 				}

@@ -21,26 +21,14 @@ func NewApache() *Apache { return &Apache{} }
 // Name implements Lens.
 func (l *Apache) Name() string { return "apache" }
 
-// Kind implements Lens.
-func (l *Apache) Kind() Kind { return KindTree }
-
 // Parse implements Lens.
 func (l *Apache) Parse(path string, content []byte) (*Result, error) {
 	root := configtree.New(path)
 	root.File = path
 	stack := []*configtree.Node{root}
-	lines := splitLines(content)
-	for i := 0; i < len(lines); i++ {
-		lineNum := i + 1
-		line := strings.TrimSpace(lines[i])
-		for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
-			i++
-			line = strings.TrimSuffix(line, "\\") + " " + strings.TrimSpace(lines[i])
-		}
-		line = strings.TrimSpace(stripLineComment(line, "#"))
-		if line == "" {
-			continue
-		}
+	r := newLineReader(content)
+	for r.scan("#", true) {
+		line, lineNum := r.text, r.start
 		current := stack[len(stack)-1]
 		switch {
 		case strings.HasPrefix(line, "</"):
@@ -70,13 +58,13 @@ func (l *Apache) Parse(path string, content []byte) (*Result, error) {
 			section.Line = lineNum
 			stack = append(stack, section)
 		default:
-			parts := fields(line)
-			node := current.Add(parts[0], strings.TrimSpace(line[len(parts[0]):]))
+			key := firstField(line)
+			node := current.Add(key, strings.TrimSpace(line[len(key):]))
 			node.Line = lineNum
 		}
 	}
 	if len(stack) != 1 {
-		return nil, parseErrorf("apache", path, len(lines), "unclosed section <%s>", stack[len(stack)-1].Label)
+		return nil, parseErrorf("apache", path, r.n, "unclosed section <%s>", stack[len(stack)-1].Label)
 	}
 	return &Result{Kind: KindTree, Tree: root}, nil
 }

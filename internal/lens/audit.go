@@ -31,9 +31,6 @@ func NewAudit() *Audit { return &Audit{} }
 // Name implements Lens.
 func (l *Audit) Name() string { return "audit" }
 
-// Kind implements Lens.
-func (l *Audit) Kind() Kind { return KindSchema }
-
 // auditColumns is exported through the table shape; keep in sync with docs.
 var auditColumns = []string{"kind", "target", "perms", "key", "fields", "syscalls", "raw"}
 
@@ -41,17 +38,13 @@ var auditColumns = []string{"kind", "target", "perms", "key", "fields", "syscall
 func (l *Audit) Parse(path string, content []byte) (*Result, error) {
 	t := schema.New(path, auditColumns...)
 	t.File = path
-	for i, line := range splitLines(content) {
-		line = strings.TrimSpace(stripLineComment(line, "#"))
-		if line == "" {
-			continue
-		}
-		row, err := parseAuditRule(line)
+	for r := newLineReader(content); r.scan("#", false); {
+		row, err := parseAuditRule(r.text)
 		if err != nil {
-			return nil, parseErrorf("audit", path, i+1, "%v", err)
+			return nil, parseErrorf("audit", path, r.start, "%v", err)
 		}
 		if err := t.AddRow(row...); err != nil {
-			return nil, parseErrorf("audit", path, i+1, "%v", err)
+			return nil, parseErrorf("audit", path, r.start, "%v", err)
 		}
 	}
 	return &Result{Kind: KindSchema, Table: t}, nil

@@ -47,6 +47,51 @@ func BenchmarkParseAudit(b *testing.B) {
 	benchParse(b, NewAudit(), "audit.rules", strings.Repeat(sampleAudit, 8))
 }
 
+func BenchmarkParseApache(b *testing.B) {
+	benchParse(b, NewApache(), "apache2.conf", strings.Repeat(benchHostFile(b, "/etc/apache2/apache2.conf"), 8))
+}
+
+func BenchmarkParseModprobe(b *testing.B) {
+	benchParse(b, NewModprobe(), "cis.conf", strings.Repeat(benchHostFile(b, "/etc/modprobe.d/cis.conf"), 8))
+}
+
+func BenchmarkParseCrontab(b *testing.B) {
+	benchParse(b, NewCrontab(), "/etc/crontab", strings.Repeat(benchHostFile(b, "/etc/crontab"), 8))
+}
+
+func BenchmarkParsePasswd(b *testing.B) {
+	benchParse(b, NewPasswd(), "/etc/passwd", strings.Repeat(benchHostFile(b, "/etc/passwd"), 8))
+}
+
+const sampleProperties = `# server.properties
+server.port=8443
+server.ssl.enabled=true
+server.ssl.key-store=/etc/app/keystore.p12
+logging.level.root: INFO
+app.banner=first line \
+    second line \
+    third line
+path.with\=equals=v
+! legacy comment
+flag.only
+`
+
+func BenchmarkParseProperties(b *testing.B) {
+	benchParse(b, NewProperties(), "server.properties", strings.Repeat(sampleProperties, 8))
+}
+
+const sampleKeyValue = `# app.conf
+listen = 0.0.0.0:8080
+workers=4
+; legacy comment
+log_level = info
+tls_cert = /etc/app/tls.crt # inline comment
+`
+
+func BenchmarkParseKeyValue(b *testing.B) {
+	benchParse(b, NewKeyValue("keyvalue", "="), "app.conf", strings.Repeat(sampleKeyValue, 8))
+}
+
 func BenchmarkRenderNginx(b *testing.B) {
 	l := NewNginx()
 	res, err := l.Parse("nginx.conf", []byte(sampleNginx))
@@ -96,20 +141,21 @@ func treeToTable(n *configtree.Node) *schema.Table {
 	return t
 }
 
-// ablationFstab is the fstab of the Table-2 benchmark host.
-func ablationFstab(b *testing.B) []byte {
-	host, _ := fixtures.SystemHost("bench-host", fixtures.Profile{Seed: 1234, MisconfigRate: 0.2})
-	content, err := host.ReadFile("/etc/fstab")
+// benchHostFile returns a file of the Table-2 benchmark host, with the
+// application configs UbuntuHost adds to its system services.
+func benchHostFile(b *testing.B, path string) string {
+	host, _ := fixtures.UbuntuHost("bench-host", fixtures.Profile{Seed: 1234, MisconfigRate: 0.2})
+	content, err := host.ReadFile(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return content
+	return string(content)
 }
 
 // BenchmarkAblationNaturalSchema queries the fstab table directly (the
 // paper's chosen design: keep the natural format).
 func BenchmarkAblationNaturalSchema(b *testing.B) {
-	content := ablationFstab(b)
+	content := []byte(benchHostFile(b, "/etc/fstab"))
 	fstab := NewFstab()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -129,7 +175,7 @@ func BenchmarkAblationNaturalSchema(b *testing.B) {
 // BenchmarkAblationConvertedSchema force-converts the table to a tree and
 // answers the same question through tree queries (the rejected design).
 func BenchmarkAblationConvertedSchema(b *testing.B) {
-	content := ablationFstab(b)
+	content := []byte(benchHostFile(b, "/etc/fstab"))
 	fstab := NewFstab()
 	rows, dir := configtree.Compile("row"), configtree.Compile("dir")
 	b.ReportAllocs()

@@ -24,36 +24,29 @@ func NewINI(name string) *INI { return &INI{name: name} }
 // Name implements Lens.
 func (l *INI) Name() string { return l.name }
 
-// Kind implements Lens.
-func (l *INI) Kind() Kind { return KindTree }
-
 // Parse implements Lens.
 func (l *INI) Parse(path string, content []byte) (*Result, error) {
 	root := configtree.New(path)
 	root.File = path
 	current := root
-	for i, line := range splitLines(content) {
-		line = strings.TrimSpace(stripLineComment(line, "#"))
-		line = strings.TrimSpace(stripLineComment(line, ";"))
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "[") {
+	for r := newLineReader(content); r.scan("#;", false); {
+		line := r.text
+		if line[0] == '[' {
 			if !strings.HasSuffix(line, "]") {
-				return nil, parseErrorf(l.name, path, i+1, "unterminated section header %q", line)
+				return nil, parseErrorf(l.name, path, r.start, "unterminated section header %q", line)
 			}
 			name := strings.TrimSpace(line[1 : len(line)-1])
 			if name == "" {
-				return nil, parseErrorf(l.name, path, i+1, "empty section header")
+				return nil, parseErrorf(l.name, path, r.start, "empty section header")
 			}
 			section := root.Section(name)
-			section.Line = i + 1
+			section.Line = r.start
 			current = section
 			continue
 		}
-		if strings.HasPrefix(line, "!") {
+		if line[0] == '!' {
 			node := current.Add("#include", strings.TrimSpace(line[1:]))
-			node.Line = i + 1
+			node.Line = r.start
 			continue
 		}
 		if idx := strings.IndexByte(line, '='); idx > 0 {
@@ -61,12 +54,12 @@ func (l *INI) Parse(path string, content []byte) (*Result, error) {
 			value := strings.TrimSpace(line[idx+1:])
 			value = unquoteINI(value)
 			node := current.Add(key, value)
-			node.Line = i + 1
+			node.Line = r.start
 			continue
 		}
 		// Bare flag key, e.g. "skip-networking".
 		node := current.Add(line, "")
-		node.Line = i + 1
+		node.Line = r.start
 	}
 	return &Result{Kind: KindTree, Tree: root}, nil
 }

@@ -26,9 +26,6 @@ func NewJSON(name string) *JSON { return &JSON{name: name} }
 // Name implements Lens.
 func (l *JSON) Name() string { return l.name }
 
-// Kind implements Lens.
-func (l *JSON) Kind() Kind { return KindTree }
-
 // Parse implements Lens.
 func (l *JSON) Parse(path string, content []byte) (*Result, error) {
 	var v any

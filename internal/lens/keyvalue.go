@@ -24,24 +24,21 @@ func NewKeyValue(name, sep string) *KeyValue {
 // Name implements Lens.
 func (l *KeyValue) Name() string { return l.name }
 
-// Kind implements Lens.
-func (l *KeyValue) Kind() Kind { return KindTree }
-
 // Parse implements Lens.
 func (l *KeyValue) Parse(path string, content []byte) (*Result, error) {
 	root := configtree.New(path)
 	root.File = path
-	for i, line := range splitLines(content) {
-		line = strings.TrimSpace(stripLineComment(line, "#"))
-		if line == "" || strings.HasPrefix(line, ";") {
+	for r := newLineReader(content); r.scan("#", false); {
+		line := r.text
+		if line[0] == ';' {
 			continue
 		}
 		key, value, ok := splitKeyValue(line, l.sep)
 		if !ok {
-			return nil, parseErrorf(l.name, path, i+1, "expected 'key%svalue', got %q", displaySep(l.sep), line)
+			return nil, parseErrorf(l.name, path, r.start, "expected 'key%svalue', got %q", displaySep(l.sep), line)
 		}
 		node := root.Add(key, value)
-		node.Line = i + 1
+		node.Line = r.start
 	}
 	return &Result{Kind: KindTree, Tree: root}, nil
 }
@@ -58,28 +55,25 @@ func NewSysctl() *Sysctl { return &Sysctl{} }
 // Name implements Lens.
 func (l *Sysctl) Name() string { return "sysctl" }
 
-// Kind implements Lens.
-func (l *Sysctl) Kind() Kind { return KindTree }
-
 // Parse implements Lens.
 func (l *Sysctl) Parse(path string, content []byte) (*Result, error) {
 	root := configtree.New(path)
 	root.File = path
-	for i, line := range splitLines(content) {
-		line = strings.TrimSpace(stripLineComment(line, "#"))
-		if line == "" || strings.HasPrefix(line, ";") {
+	for r := newLineReader(content); r.scan("#", false); {
+		line := r.text
+		if line[0] == ';' {
 			continue
 		}
 		key, value, ok := splitKeyValue(line, "=")
 		if !ok {
-			return nil, parseErrorf("sysctl", path, i+1, "expected 'key = value', got %q", line)
+			return nil, parseErrorf("sysctl", path, r.start, "expected 'key = value', got %q", line)
 		}
 		treePath := strings.ReplaceAll(key, ".", "/")
 		node, err := root.Put(treePath, value)
 		if err != nil {
-			return nil, parseErrorf("sysctl", path, i+1, "key %q: %v", key, err)
+			return nil, parseErrorf("sysctl", path, r.start, "key %q: %v", key, err)
 		}
-		node.Line = i + 1
+		node.Line = r.start
 	}
 	return &Result{Kind: KindTree, Tree: root}, nil
 }
@@ -96,24 +90,14 @@ func NewSSHD() *SSHD { return &SSHD{} }
 // Name implements Lens.
 func (l *SSHD) Name() string { return "sshd" }
 
-// Kind implements Lens.
-func (l *SSHD) Kind() Kind { return KindTree }
-
 // Parse implements Lens.
 func (l *SSHD) Parse(path string, content []byte) (*Result, error) {
 	root := configtree.New(path)
 	root.File = path
 	current := root
-	for i, line := range splitLines(content) {
-		line = strings.TrimSpace(stripLineComment(line, "#"))
-		if line == "" {
-			continue
-		}
-		parts := fields(line)
-		if len(parts) == 0 {
-			continue
-		}
-		key := parts[0]
+	for r := newLineReader(content); r.scan("#", false); {
+		line := r.text
+		key := firstField(line)
 		value := strings.TrimSpace(line[len(key):])
 		// sshd_config also accepts "Key=value".
 		if eq := strings.IndexByte(key, '='); eq > 0 {
@@ -125,12 +109,12 @@ func (l *SSHD) Parse(path string, content []byte) (*Result, error) {
 		if strings.EqualFold(key, "Match") {
 			section := root.Section("Match")
 			section.Value = value
-			section.Line = i + 1
+			section.Line = r.start
 			current = section
 			continue
 		}
 		node := current.Add(key, value)
-		node.Line = i + 1
+		node.Line = r.start
 	}
 	return &Result{Kind: KindTree, Tree: root}, nil
 }
@@ -147,24 +131,19 @@ func NewProperties() *Properties { return &Properties{} }
 // Name implements Lens.
 func (l *Properties) Name() string { return "properties" }
 
-// Kind implements Lens.
-func (l *Properties) Kind() Kind { return KindTree }
-
 // Parse implements Lens.
 func (l *Properties) Parse(path string, content []byte) (*Result, error) {
 	root := configtree.New(path)
 	root.File = path
-	lines := splitLines(content)
-	for i := 0; i < len(lines); i++ {
-		line := strings.TrimSpace(lines[i])
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "!") {
+	r := newLineReader(content)
+	for raw, ok := r.next(); ok; raw, ok = r.next() {
+		// A comment line ends with its own line, before any joining; a
+		// joined entry takes the number of the line it ends on.
+		line := strings.TrimSpace(raw)
+		if line == "" || line[0] == '#' || line[0] == '!' {
 			continue
 		}
-		// Line continuations: a trailing backslash joins the next line.
-		for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
-			i++
-			line = strings.TrimSuffix(line, "\\") + strings.TrimSpace(lines[i])
-		}
+		line = r.join(line, "")
 		sepIdx := -1
 		for j := 0; j < len(line); j++ {
 			c := line[j]
@@ -184,21 +163,21 @@ func (l *Properties) Parse(path string, content []byte) (*Result, error) {
 			key = strings.TrimSpace(line[:sepIdx])
 			value = strings.TrimSpace(line[sepIdx+1:])
 		}
-		key = strings.NewReplacer(`\=`, "=", `\:`, ":", `\ `, " ").Replace(key)
+		key = propertiesUnescape.Replace(key)
 		node := root.Add(key, value)
-		node.Line = i + 1
+		node.Line = r.n
 	}
 	return &Result{Kind: KindTree, Tree: root}, nil
 }
 
-// splitKeyValue splits a line at the separator; sep=="" means whitespace.
+var propertiesUnescape = strings.NewReplacer(`\=`, "=", `\:`, ":", `\ `, " ")
+
+// splitKeyValue splits a trimmed, non-empty line at the separator;
+// sep=="" means whitespace.
 func splitKeyValue(line, sep string) (key, value string, ok bool) {
 	if sep == "" {
-		parts := fields(line)
-		if len(parts) == 0 {
-			return "", "", false
-		}
-		return parts[0], strings.TrimSpace(line[len(parts[0]):]), true
+		key = firstField(line)
+		return key, strings.TrimSpace(line[len(key):]), true
 	}
 	idx := strings.Index(line, sep)
 	if idx <= 0 {

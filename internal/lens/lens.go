@@ -58,8 +58,6 @@ type Result struct {
 type Lens interface {
 	// Name identifies the lens (e.g. "nginx", "fstab").
 	Name() string
-	// Kind reports which structure Parse produces.
-	Kind() Kind
 	// Parse converts content read from path into the normalized form.
 	Parse(path string, content []byte) (*Result, error)
 }
@@ -209,27 +207,98 @@ func Default() *Registry {
 	return r
 }
 
-// stripLineComment removes a trailing comment introduced by marker when it
-// is at line start or preceded by whitespace.
-func stripLineComment(line, marker string) string {
-	if idx := strings.Index(line, marker); idx == 0 {
-		return ""
+// lineReader walks a file's text once, a line at a time. "\r\n" ends a
+// line as "\n" does, and a last line with no "\n" keeps a trailing "\r".
+// Text that ends in "\n" has a last, empty line, so the numbers and the
+// count of lines are those of the text split at every "\n".
+type lineReader struct {
+	rest string // the text after the line last read
+	n    int    // the 1-based number of the line last read
+	eof  bool   // the last line has been read
+
+	text  string // the entry scan found
+	start int    // the number of the line text starts on
+}
+
+func newLineReader(content []byte) lineReader {
+	return lineReader{rest: string(content)}
+}
+
+// next reads the next line.
+func (r *lineReader) next() (string, bool) {
+	if r.eof {
+		return "", false
 	}
-	for i := 0; i+len(marker) <= len(line); i++ {
-		if strings.HasPrefix(line[i:], marker) && i > 0 && (line[i-1] == ' ' || line[i-1] == '\t') {
-			return strings.TrimRight(line[:i], " \t")
-		}
+	r.n++
+	line, rest, ok := strings.Cut(r.rest, "\n")
+	if !ok {
+		r.eof = true
+		return line, true
+	}
+	r.rest = rest
+	return strings.TrimSuffix(line, "\r"), true
+}
+
+// join appends to line each line that a trailing backslash continues,
+// trimmed and after sep, and returns the joined text.
+func (r *lineReader) join(line, sep string) string {
+	for strings.HasSuffix(line, `\`) && !r.eof {
+		next, _ := r.next()
+		line = line[:len(line)-1] + sep + strings.TrimSpace(next)
 	}
 	return line
 }
 
-// splitLines normalizes newlines and splits content into lines.
-func splitLines(content []byte) []string {
-	s := strings.ReplaceAll(string(content), "\r\n", "\n")
-	return strings.Split(s, "\n")
+// scan advances to the next entry: a line that still holds text after the
+// comment each of markers opens is cut, in turn, with space trimmed after
+// each cut. With joined set, the line is first trimmed and joined, with a
+// space, to the lines its backslashes continue. scan sets text and start,
+// and reports false at the end of the text.
+func (r *lineReader) scan(markers string, joined bool) bool {
+	for {
+		line, ok := r.next()
+		if !ok {
+			return false
+		}
+		r.start = r.n
+		if joined {
+			line = r.join(strings.TrimSpace(line), " ")
+		}
+		for i := 0; i < len(markers); i++ {
+			line = strings.TrimSpace(cutComment(line, markers[i]))
+		}
+		if line != "" {
+			r.text = line
+			return true
+		}
+	}
+}
+
+// cutComment cuts line at the first marker that starts it or follows a
+// space or tab; a marker inside a word ("a#b") opens no comment.
+func cutComment(line string, marker byte) string {
+	for i := 0; ; i++ {
+		j := strings.IndexByte(line[i:], marker)
+		if j < 0 {
+			return line
+		}
+		i += j
+		if i == 0 || line[i-1] == ' ' || line[i-1] == '\t' {
+			return line[:i]
+		}
+	}
 }
 
 // fields splits on runs of spaces and tabs.
 func fields(s string) []string {
 	return strings.FieldsFunc(s, func(r rune) bool { return r == ' ' || r == '\t' })
+}
+
+// firstField returns s up to its first space or tab: fields(s)[0] when s
+// starts with neither, as a trimmed line does.
+func firstField(s string) string {
+	if i := strings.IndexAny(s, " \t"); i >= 0 {
+		return s[:i]
+	}
+	return s
 }

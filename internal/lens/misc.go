@@ -44,32 +44,26 @@ func NewCrontab() *Crontab { return &Crontab{} }
 // Name implements Lens.
 func (l *Crontab) Name() string { return "crontab" }
 
-// Kind implements Lens.
-func (l *Crontab) Kind() Kind { return KindSchema }
-
 // Parse implements Lens.
 func (l *Crontab) Parse(path string, content []byte) (*Result, error) {
 	t := schema.New(path, "kind", "minute", "hour", "dom", "month", "dow", "user", "command")
 	t.File = path
-	for i, line := range splitLines(content) {
-		line = strings.TrimSpace(stripLineComment(line, "#"))
-		if line == "" {
-			continue
-		}
+	for r := newLineReader(content); r.scan("#", false); {
+		line := r.text
 		if idx := strings.IndexByte(line, '='); idx > 0 && !strings.ContainsAny(line[:idx], " \t*") {
 			if err := t.AddRow("env", "", "", "", "", "", "", line); err != nil {
-				return nil, parseErrorf("crontab", path, i+1, "%v", err)
+				return nil, parseErrorf("crontab", path, r.start, "%v", err)
 			}
 			continue
 		}
 		parts := fields(line)
 		if len(parts) < 7 {
-			return nil, parseErrorf("crontab", path, i+1, "expected 'm h dom mon dow user command', got %q", line)
+			return nil, parseErrorf("crontab", path, r.start, "expected 'm h dom mon dow user command', got %q", line)
 		}
 		command := strings.Join(parts[6:], " ")
 		row := []string{"job", parts[0], parts[1], parts[2], parts[3], parts[4], parts[5], command}
 		if err := t.AddRow(row...); err != nil {
-			return nil, parseErrorf("crontab", path, i+1, "%v", err)
+			return nil, parseErrorf("crontab", path, r.start, "%v", err)
 		}
 	}
 	return &Result{Kind: KindSchema, Table: t}, nil

@@ -25,9 +25,6 @@ func NewModprobe() *Modprobe { return &Modprobe{} }
 // Name implements Lens.
 func (l *Modprobe) Name() string { return "modprobe" }
 
-// Kind implements Lens.
-func (l *Modprobe) Kind() Kind { return KindSchema }
-
 var modprobeDirectives = map[string]bool{
 	"install":   true,
 	"blacklist": true,
@@ -41,18 +38,8 @@ var modprobeDirectives = map[string]bool{
 func (l *Modprobe) Parse(path string, content []byte) (*Result, error) {
 	t := schema.New(path, "directive", "module", "args", "raw")
 	t.File = path
-	lines := splitLines(content)
-	for i := 0; i < len(lines); i++ {
-		lineNum := i + 1
-		line := strings.TrimSpace(lines[i])
-		for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
-			i++
-			line = strings.TrimSuffix(line, "\\") + " " + strings.TrimSpace(lines[i])
-		}
-		line = strings.TrimSpace(stripLineComment(line, "#"))
-		if line == "" {
-			continue
-		}
+	for r := newLineReader(content); r.scan("#", true); {
+		line, lineNum := r.text, r.start
 		parts := fields(line)
 		if !modprobeDirectives[parts[0]] {
 			return nil, parseErrorf("modprobe", path, lineNum, "unknown directive %q", parts[0])

@@ -21,9 +21,6 @@ func NewNginx() *Nginx { return &Nginx{} }
 // Name implements Lens.
 func (l *Nginx) Name() string { return "nginx" }
 
-// Kind implements Lens.
-func (l *Nginx) Kind() Kind { return KindTree }
-
 // Parse implements Lens.
 func (l *Nginx) Parse(path string, content []byte) (*Result, error) {
 	root := configtree.New(path)

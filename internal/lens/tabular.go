@@ -30,18 +30,12 @@ func NewTabular(name, delimiter string, minFields int, columns ...string) *Tabul
 // Name implements Lens.
 func (l *Tabular) Name() string { return l.name }
 
-// Kind implements Lens.
-func (l *Tabular) Kind() Kind { return KindSchema }
-
 // Parse implements Lens.
 func (l *Tabular) Parse(path string, content []byte) (*Result, error) {
 	t := schema.New(path, l.columns...)
 	t.File = path
-	for i, line := range splitLines(content) {
-		line = strings.TrimSpace(stripLineComment(line, "#"))
-		if line == "" {
-			continue
-		}
+	for r := newLineReader(content); r.scan("#", false); {
+		line := r.text
 		var parts []string
 		if l.delimiter == "" {
 			parts = fields(line)
@@ -49,7 +43,7 @@ func (l *Tabular) Parse(path string, content []byte) (*Result, error) {
 			parts = strings.Split(line, l.delimiter)
 		}
 		if len(parts) < l.minFields {
-			return nil, parseErrorf(l.name, path, i+1, "expected at least %d fields, got %d in %q", l.minFields, len(parts), line)
+			return nil, parseErrorf(l.name, path, r.start, "expected at least %d fields, got %d in %q", l.minFields, len(parts), line)
 		}
 		if len(parts) > len(l.columns) {
 			if l.lastCatchAll || l.delimiter == "" {
@@ -57,11 +51,11 @@ func (l *Tabular) Parse(path string, content []byte) (*Result, error) {
 				tail := strings.Join(parts[len(l.columns)-1:], delimiterOrSpace(l.delimiter))
 				parts = append(append([]string(nil), head...), tail)
 			} else {
-				return nil, parseErrorf(l.name, path, i+1, "expected at most %d fields, got %d in %q", len(l.columns), len(parts), line)
+				return nil, parseErrorf(l.name, path, r.start, "expected at most %d fields, got %d in %q", len(l.columns), len(parts), line)
 			}
 		}
 		if err := t.AddRow(parts...); err != nil {
-			return nil, parseErrorf(l.name, path, i+1, "%v", err)
+			return nil, parseErrorf(l.name, path, r.start, "%v", err)
 		}
 	}
 	return &Result{Kind: KindSchema, Table: t}, nil

@@ -30,9 +30,6 @@ func NewHadoopXML() *HadoopXML { return &HadoopXML{} }
 // Name implements Lens.
 func (l *HadoopXML) Name() string { return "hadoop" }
 
-// Kind implements Lens.
-func (l *HadoopXML) Kind() Kind { return KindTree }
-
 type hadoopConfiguration struct {
 	XMLName    xml.Name         `xml:"configuration"`
 	Properties []hadoopProperty `xml:"property"`

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Full verification gate: build, lint, vet, and race-enabled tests.
-# Equivalent to `make ci`; kept as a script for environments without make.
+# Full verification gate: build, lint, vet, and race-enabled tests. This
+# script is the gate's one definition: `make ci` runs it, and it needs no
+# make.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -55,23 +56,6 @@ go test -count=1 -cpu 1,2,8 . ./internal/engine ./internal/server
 ./scripts/enospc_smoke.sh faults
 ./scripts/enospc_smoke.sh tmpfs
 
-# Fuzz smoke over the untrusted-input parsers (journal and shard-stream
-# records, frames, request lines, the shard request body and the lint body
-# among them), and the compiled tree query and schema LIKE against their
-# references; go test accepts one -fuzz target per invocation, so each
-# runs separately. A shard request scans what it decodes, the frame and
-# request-line targets run encoding/json beside the codec, the lint target
-# runs every analyzer pass and the loader and the LIKE target compiles a
-# regexp per input, so their new inputs are minimized for at most 2s, not
-# 60s.
-fuzztime="${FUZZTIME:-10s}"
-go test -fuzz FuzzDecode -fuzztime "$fuzztime" -run FuzzDecode ./internal/yaml/
-go test -fuzz FuzzSSHDParse -fuzztime "$fuzztime" -run FuzzSSHDParse ./internal/lens/
-go test -fuzz FuzzFramesRead -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzFramesRead ./internal/frames/
-go test -fuzz FuzzTreePath -fuzztime "$fuzztime" -run FuzzTreePath ./internal/configtree/
-go test -fuzz FuzzLike -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzLike ./internal/schema/
-go test -fuzz FuzzJournalRecord -fuzztime "$fuzztime" -run FuzzJournalRecord ./internal/journal/
-go test -fuzz FuzzStreamRecord -fuzztime "$fuzztime" -run FuzzStreamRecord ./internal/dist/
-go test -fuzz FuzzEntityRecord -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzEntityRecord ./internal/dist/
-go test -fuzz FuzzShardRequest -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzShardRequest ./internal/server/
-go test -fuzz FuzzAnalyzeFile -fuzztime "$fuzztime" -fuzzminimizetime 2s -run FuzzAnalyzeFile ./internal/analysis/
+# Fuzz smoke over the untrusted-input parsers and the references (the one
+# list of fuzz targets).
+./scripts/fuzz.sh
